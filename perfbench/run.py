@@ -258,8 +258,12 @@ def _worker(workload: str, seed: int, seconds: float, trace: bool) -> dict:
                 REF_NOMINAL_S / statistics.mean(p["ref"]) for p in passes), "unit": "1"},
         }
     verdict = _judge(cases, passes)
-    attempted = len(cases) * len(passes)
-    failed = verdict["failed_cases"] * len(passes)
+    # One count per case of the seeded list, however many passes fit in the
+    # time: later passes must reproduce the judged outputs bit for bit (or
+    # `correct` turns false), so repeating a case adds no new verdict, and the
+    # tally then depends on the seed alone, not on the speed of the machine.
+    attempted = len(cases)
+    failed = verdict["failed_cases"]
     result.update(
         passes=len(passes),
         attempted=attempted,
@@ -360,7 +364,8 @@ def _samples(result: dict, name: str) -> str:
     if name == "setup_s":
         return f"{len(result['setup_samples'])} processes"
     if name == "failed_frac":
-        return f"{result['failed']}/{result['attempted']} cases"
+        return (f"{result['failed']}/{result['attempted']} cases, "
+                f"checked in each of {result['passes']} passes")
     return ""
 
 
@@ -377,7 +382,7 @@ def print_table(result: dict) -> None:
         shown = "n/a" if v is None else f"{v:.6g}"
         print(f"  {name:34s} {shown:>14s} {m['unit']:14s} {_samples(result, name)}")
     for reason, n in sorted(result["failures"].items()):
-        print(f"  failed: {n} per pass  {reason}")
+        print(f"  failed: {n}  {reason}")
     if result["unstable_outputs"]:
         print(f"  outputs differed between passes: {result['unstable_outputs']}")
     if result["count_drift"]:
