@@ -24,12 +24,10 @@ from .measure import (
     PowerLawMeasure,
     QuadratureConfig,
     QuadratureError,
-    cap_angle,
     log_ball_centered,
     log_ball_offcenter,
     log_ball_offcenter_shell,
     log_ball_offcenter_unit_closed,
-    log_cap_area,
     log_intersection_with_centered,
     log_unit_ball_volume,
     shift_condition_ratio,
@@ -44,13 +42,9 @@ from .radial import (
     weak_type_quotient_radial,
 )
 from .specfun import (
-    CancellationError,
     LogValue,
     log_gamma,
-    log_reg_inc_beta,
     log_sphere_area,
-    reg_inc_beta,
-    sin_power_integral,
     stirling_bounds,
 )
 

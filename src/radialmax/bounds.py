@@ -223,7 +223,7 @@ def cp_lower_bound(d: int, alpha: float, p: float = 1.0,
                    quad: QuadratureConfig = DEFAULT_QUADRATURE) -> BoundCertificate:
     """Lower bound on c_{p,d} for the measure |y|^(-alpha d) dy.
 
-    Q1 = mu(B(e1,R) cap B_{s0}) / mu(B(e1,R)) by slice quadrature,
+    Q1 = mu(B(e1,R) cap B_{s0}) / mu(B(e1,R)) by ray quadrature,
     Q2 = (mu(B_1)/mu(B_{s0}))^{1/p} = s0^{-(1-alpha)d/p} in closed form;
     the certificate value is Q1 * Q2.  Q1*sqrt(d) rides along for the
     spike-width regression band.

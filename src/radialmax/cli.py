@@ -243,12 +243,7 @@ def cmd_weaktype(args) -> int:
             try:
                 m = msr.PowerLawMeasure(d, beta)
                 lower = bnd.delta_lower_bound(d, beta).value if beta >= 0 else None
-                if beta <= 0:
-                    upper = 4.0
-                elif beta <= d / 2:
-                    upper = 2.0 * (4.0 * 6.0 ** (beta / 2.0) + 1.0)
-                else:
-                    upper = None
+                upper = 2.0 * (rad.certified_shift_constant(m) + 1.0) if beta <= d / 2 else None
                 q = rad.weak_type_quotient_radial(m, f, lams, cfg)
                 row.update(quotient=q, lower_certificate=lower, upper_bound=upper)
                 row["passed"] = bool(upper is None or q <= upper * (1 + 1e-9))
@@ -312,23 +307,12 @@ def _selftest_rows(seed: int) -> list[dict]:
                  "tol": 1e-12})
 
     worst = 0.0
-    for _ in range(60):
-        a = 10 ** rng.uniform(-1, 2)
-        b = 10 ** rng.uniform(-1, 2)
-        x = rng.uniform(0, 1)
-        worst = max(worst, abs(sf.reg_inc_beta(x, a, b) - (1 - sf.reg_inc_beta(1 - x, b, a))))
-    rows.append({"check": "incomplete beta reflection symmetry", "max_err": float(worst),
-                 "tol": 1e-12})
-
-    worst = 0.0
-    for m in (0, 1, 5, 18):
-        for phi in (0.3, 1.0, 2.2, 3.0):
-            ts = np.linspace(0.0, phi, 150001)
-            ys = np.sin(ts) ** m
-            ref = float((0.5 * (ys[:-1] + ys[1:]) * np.diff(ts)).sum())
-            got = math.exp(sf.log_sin_power_integral(phi, m))
-            worst = max(worst, abs(got - ref) / ref)
-    rows.append({"check": "sin-power integral vs trapezoid oracle", "max_err": float(worst),
+    for d in (2, 3, 11, 60, 200):
+        for beta in (0.0, d / 2):
+            m = msr.PowerLawMeasure(d, beta)
+            ray = msr.log_ball_offcenter(m, msr.BallSpec(1.0, 1.0)).log
+            worst = max(worst, abs(ray - msr.log_ball_offcenter_unit_closed(m).log))
+    rows.append({"check": "ray-form unit ball at e1 vs closed form", "max_err": float(worst),
                  "tol": 1e-8})
 
     leb = max(abs(bnd.delta_lower_bound(d, 0.0).value - 1.0) for d in range(2, 101))

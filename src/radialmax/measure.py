@@ -1,11 +1,11 @@
-"""Ball and cap measures under radial power-law densities d(mu) = |y|^(-beta) dy.
+"""Ball measures under radial power-law densities d(mu) = |y|^(-beta) dy.
 
-Rotational symmetry reduces every ball to (center distance c, radius R);
-its measure is a one-dimensional integral of spherical cap areas over the
-slice radius s.  Slices with s <= R - c are full spheres and integrate in
-closed form; the cap-regime remainder goes to the adaptive log-space
-quadrature.  Everything returns logs since the quantities overflow doubles
-once d reaches the low hundreds.
+Rotational symmetry reduces every ball to (center distance c, radius R).
+In polar coordinates about the origin, each ray meets the ball in one
+interval, so the measure of the ball inside a shell r_in <= |y| <= r_out is
+a one-dimensional integral over the ray angle of elementary functions,
+which goes to the adaptive log-space quadrature.  Everything returns logs
+since the quantities overflow doubles once d reaches the low hundreds.
 """
 
 from __future__ import annotations
@@ -16,23 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, log_integrate_batch
-from .specfun import (
-    NEG_INF,
-    LogValue,
-    log_beta,
-    log_gamma,
-    log_sin_power_from_trig,
-    log_sin_power_integral,
-    log_sphere_area,
-)
+from .specfun import NEG_INF, LogValue, log_beta, log_gamma, log_sphere_area
 
 __all__ = [
     "PowerLawMeasure",
     "BallSpec",
     "QuadratureConfig",
     "QuadratureError",
-    "cap_angle",
-    "log_cap_area",
     "log_ball_centered",
     "log_ball_offcenter",
     "log_ball_offcenter_unit_closed",
@@ -87,47 +77,6 @@ def log_unit_ball_volume(d: int) -> float:
     return 0.5 * d * math.log(math.pi) - log_gamma(0.5 * d + 1.0)
 
 
-def cap_angle(c: float, s: float, R: float) -> float:
-    """Half-angle of the cap cut from the sphere of radius s by B(c e1, R).
-
-    Cosine law on the triangle with sides c, s, R:
-        cos(beta_s) = (c^2 + s^2 - R^2) / (2 c s).
-    Requires |c - R| <= s <= c + R (the spheres actually intersect) and
-    c > 0.  Degenerates to 0 at the exit point s = c + R and to pi at the
-    entry point s = R - c of a ball covering the origin.
-    """
-    if c <= 0 or s <= 0:
-        raise ValueError("cap_angle requires c > 0 and s > 0")
-    slack = 1e-12 * (c + R)
-    if not (abs(c - R) - slack <= s <= c + R + slack):
-        raise ValueError(
-            f"slice radius s={s} outside the intersection window [{abs(c - R)}, {c + R}]"
-        )
-    # factored half-angle forms avoid the catastrophic cancellation of
-    # (c^2 + s^2 - R^2)/(2cs) when the cap is within sqrt(eps) of degenerate
-    q_minus = max(0.0, (R - c + s) * (R + c - s)) / (2.0 * c * s)  # 1 - cos
-    q_plus = max(0.0, (c + s - R) * (c + s + R)) / (2.0 * c * s)   # 1 + cos
-    sin_b = math.sqrt(max(0.0, q_minus * q_plus))
-    return math.atan2(sin_b, 0.5 * (q_plus - q_minus))
-
-
-def log_cap_area(d: int, s: float, phi: float) -> LogValue:
-    """Area of the cap {angle <= phi} on the sphere of radius s in R^d.
-
-    Equals omega_{d-2} s^{d-1} int_0^phi sin^{d-2}; for d = 2 the constant
-    omega_0 = 2 makes this the arc length 2 s phi.
-    """
-    if d < 2:
-        raise ValueError("log_cap_area requires d >= 2")
-    if not 0.0 <= phi <= math.pi:
-        raise ValueError("cap half-angle must lie in [0, pi]")
-    if phi == 0.0:
-        return LogValue(NEG_INF)
-    return LogValue(
-        log_sphere_area(d - 1) + (d - 1) * math.log(s) + log_sin_power_integral(phi, d - 2)
-    )
-
-
 def log_ball_centered(m: PowerLawMeasure, rho: float) -> LogValue:
     """mu(B(0, rho)) = omega_{d-1} rho^{d-beta} / (d - beta), in log form."""
     if not rho > 0:
@@ -136,43 +85,97 @@ def log_ball_centered(m: PowerLawMeasure, rho: float) -> LogValue:
     return LogValue(log_sphere_area(m.d) + p * math.log(rho) - math.log(p))
 
 
-def _log_power_interval(p: float, a: float, b: float) -> float:
-    """log of (b^p - a^p)/p for 0 <= a < b, p > 0, stable for huge p."""
-    if b <= a:
-        return NEG_INF
-    top = p * math.log(b)
-    if a <= 0.0:
-        return top - math.log(p)
-    rel = -math.expm1(p * (math.log(a) - math.log(b)))  # 1 - (a/b)^p
-    if rel <= 0.0:  # a, b adjacent floats
-        return NEG_INF
-    return top + math.log(rel) - math.log(p)
+def _log_power_gap(p: float, b, gap):
+    """ln((b^p - a^p)/p) with a = b - gap, for 0 < gap <= b; -inf where gap <= 0.
 
-
-def _cap_log_integrand_u(d: int, beta: float, C: np.ndarray, RR: np.ndarray):
-    """ln[capArea(s) s^(-beta) R] at u = (s - c)/R, batched over segments.
-
-    Working in u keeps the half-angle trigonometry cancellation-free:
-        1 - cos(phi) = R^2 (1-u)(1+u) / (2 c s),
-        1 + cos(phi) = (c+s-R)(c+s+R) / (2 c s),
-    exact even when R/c is near roundoff; the extra ln R is the jacobian.
+    Taking the gap rather than a keeps thin intervals exact: a itself is
+    never formed, so b - a cannot cancel.
     """
-    lw = log_sphere_area(d - 1)
-    expo = (d - 1) - beta
+    gap = np.minimum(gap, b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = p * np.log(b) + np.log(-np.expm1(p * np.log1p(-gap / b))) - math.log(p)
+    return np.where(gap > 0, out, NEG_INF)
 
-    def log_f(seg, u):
-        c = C[seg]
-        Rb = RR[seg]
-        s = c + u * Rb
-        inv = 1.0 / (2.0 * c * s)
-        q_minus = np.maximum(0.0, Rb * Rb * (1.0 - u) * (1.0 + u)) * inv
-        q_plus = np.maximum(0.0, (c + s - Rb) * (c + s + Rb)) * inv
-        sin_sq = np.clip(q_minus * q_plus, 0.0, 1.0)
-        cos = 0.5 * (q_plus - q_minus)
-        return (
-            lw + expo * np.log(s) + log_sin_power_from_trig(sin_sq, cos, d - 2)
-            + np.log(Rb)
-        )
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _crossing_angles(c, R, r, tangent: bool):
+    """Ray variable at which the sphere |y| = r meets the boundary of B(c e1, R).
+
+    Returns theta (the angle from e1) or, for the tangent form, phi with
+    c sin(theta) = R sin(phi); spheres outside (|c - R|, c + R) never cross
+    and get 0, an empty split.  The factored products
+        q_minus = 2cr(1 - cos theta),  q_plus = 2cr(1 + cos theta)
+    keep the cosine law exact near tangency, with c + R and c - R carried
+    exactly as two-term sums.
+    """
+    S, eS = _two_sum(c, R)
+    D, eD = _two_sum(c, -R)
+    with np.errstate(invalid="ignore"):
+        q_minus = ((r - D) - eD) * ((S - r) + eS)
+        q_plus = ((r + D) + eD) * (r + S)
+        root = np.sqrt(np.maximum(q_minus * q_plus, 0.0))  # 2cr sin(theta) = 2rR sin(phi)
+        if tangent:
+            x = np.arctan2(root, np.abs(r * r - D * S))
+        else:
+            x = np.arctan2(root, 0.5 * (q_plus - q_minus))
+    return np.where((q_minus > 0) & (q_plus > 0), x, 0.0)
+
+
+def _ray_log_integrand(m: PowerLawMeasure, C, RR, R_IN, R_OUT, tangent: bool):
+    """ln of omega_{d-2} sin^{d-2}(theta) (b^p - a^p)/p per ray, batched over balls.
+
+    The ray at angle theta from e1 meets B(c e1, R) in [t-, t+]; the ball's
+    share of the shell is a = max(t-, r_in) to b = min(t+, r_out), p = d - beta.
+    With the origin inside the ball (c < R) the variable is theta in [0, pi]
+    and t- = 0.  Otherwise it is phi in [0, pi/2] with c sin(theta) =
+    R sin(phi): the chord is exactly 2R cos(phi), with no square-root
+    endpoint at the tangent ray, and the jacobian is (R/c) cos(phi)/cos(theta).
+    Each gap b - a is formed from the distances d+ = c + R - t+ and
+    d- = t- - (c - R) (d- = t- = 0 around the origin) and the exact
+    per-ball distances c + R - r_in and r_out - (c - R), so tiny balls and
+    tangent shells keep their digits.
+    """
+    lw = log_sphere_area(m.d - 1)
+    p = m.homogeneity
+    d = m.d
+    S, eS = _two_sum(C, RR)
+    D, eD = _two_sum(C, -RR)
+    FAR_IN = (S - R_IN) + eS
+    NEAR_OUT = (R_OUT - D) - eD if tangent else R_OUT
+
+    def log_f(seg, x):
+        c, R, r_in, r_out = C[seg], RR[seg], R_IN[seg], R_OUT[seg]
+        sx, cx = np.sin(x), np.cos(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if tangent:
+                k = R / c
+                cos_t = np.sqrt(cx * cx + (c - R) * (c + R) / (c * c) * sx * sx)
+                t_plus = c * cos_t + R * cx
+                d_plus = R * sx * sx * (k / (1.0 + cos_t) + 1.0 / (1.0 + cx))
+                t_minus = (c - R) * (c + R) / t_plus
+                d_minus = (c - R) * d_plus / t_plus
+                chord = 2.0 * R * cx
+                log_w = (d - 2) * np.log(k * sx) + np.log(k * cx / cos_t)
+            else:
+                root = np.sqrt((R - c * sx) * (R + c * sx))
+                t_plus = np.where(cx >= 0, c * cx + root, (R - c) * (R + c) / (root - c * cx))
+                one_minus_cos = np.where(cx >= 0, sx * sx / (1.0 + cx), 1.0 - cx)
+                d_plus = c * one_minus_cos + (c * sx) ** 2 / (R + root)
+                t_minus = d_minus = 0.0
+                chord = t_plus
+                log_w = (d - 2) * np.log(sx)
+        b_ray = t_plus <= r_out
+        a_ray = t_minus >= r_in
+        gap = np.where(b_ray,
+                       np.where(a_ray, chord, FAR_IN[seg] - d_plus),
+                       np.where(a_ray, NEAR_OUT[seg] - d_minus, r_out - r_in))
+        return lw + log_w + _log_power_gap(p, np.minimum(t_plus, r_out), gap)
 
     return log_f
 
@@ -181,9 +184,11 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, r_ins, r_outs,
                         quad: QuadratureConfig) -> np.ndarray:
     """log mu(B(c_i e1, R_i) intersect {r_in_i <= |y| <= r_out_i}) for many balls.
 
-    Shares one adaptive quadrature run across all cap-regime pieces, which
-    is what keeps parameter sweeps (shift ratios, radius grids, level
-    sets) fast.
+    Integrates along rays from the origin, one batched quadrature run for
+    the balls around the origin and one for the rest, which is what keeps
+    parameter sweeps (shift ratios, radius grids, level sets) fast.  Each
+    ball starts from the pieces between the angles where its ball boundary
+    crosses the two shell spheres; pieces outside the shell are dropped.
     """
     if m.d < 2:
         raise ValueError("off-center ball measures require d >= 2")
@@ -191,45 +196,43 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, r_ins, r_outs,
     Rs = np.asarray(Rs, dtype=float)
     r_ins = np.asarray(r_ins, dtype=float)
     r_outs = np.asarray(r_outs, dtype=float)
-    n = len(cs)
-    p = m.homogeneity
-    lw_full = log_sphere_area(m.d)
-
-    closed = np.full(n, NEG_INF)
-    # cap-regime quadrature jobs live in u = (s - c)/R per ball
-    job_lo = np.zeros(n)
-    job_hi = np.zeros(n)
-    for i in range(n):
-        c, R = cs[i], Rs[i]
-        a = max(max(0.0, c - R), r_ins[i])
-        b = min(c + R, r_outs[i])
-        if b <= a:
+    out = np.full(len(cs), NEG_INF)
+    origin_inside = cs < Rs
+    for tangent, top in ((False, math.pi), (True, 0.5 * math.pi)):
+        idx = np.nonzero(origin_inside != tangent)[0]
+        if idx.size == 0:
             continue
-        if c == 0.0:
-            # centered ball: every slice is a full sphere
-            closed[i] = lw_full + _log_power_interval(p, a, b)
-            continue
-        if c < R:
-            entry = R - c
-            full_hi = min(b, entry)
-            if full_hi > a:
-                closed[i] = lw_full + _log_power_interval(p, a, full_hi)
-            u_lo = max((a - c) / R, 1.0 - 2.0 * c / R)
-        else:
-            u_lo = max((a - c) / R, -1.0)
-        u_hi = 1.0 if b >= c + R else (b - c) / R
-        if u_hi > u_lo:
-            job_lo[i] = u_lo
-            job_hi[i] = u_hi
-
-    log_f = _cap_log_integrand_u(m.d, m.beta, cs, Rs)
-    cap_logs, _ = log_integrate_batch(log_f, job_lo, job_hi, quad)
-    return np.logaddexp(closed, cap_logs)
+        c, R, r_in, r_out = cs[idx], Rs[idx], r_ins[idx], r_outs[idx]
+        log_f = _ray_log_integrand(m, c, R, r_in, r_out, tangent)
+        edges = np.sort(np.stack([
+            np.zeros(idx.size),
+            _crossing_angles(c, R, r_in, tangent),
+            _crossing_angles(c, R, r_out, tangent),
+            np.full(idx.size, top),
+        ], axis=1), axis=1)
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        rows = np.repeat(np.arange(idx.size), lo.shape[1])
+        inside = log_f(rows, 0.5 * (lo + hi).ravel()).reshape(lo.shape) > NEG_INF
+        hi = np.where(inside, hi, lo)
+        try:
+            out[idx], _ = log_integrate_batch(log_f, lo, hi, quad)
+        except QuadratureError as exc:
+            i = idx[exc.segment]
+            err = QuadratureError(
+                # no commas: the CLI writes this message into a CSV cell
+                f"shell measure did not reach tol {quad.tol:g} for the ball d={m.d} "
+                f"beta={m.beta!r} c={float(cs[i])!r} R={float(Rs[i])!r} "
+                f"r_in={float(r_ins[i])!r} r_out={float(r_outs[i])!r}",
+                exc.achieved,
+            )
+            err.segment = int(i)
+            raise err from exc
+    return out
 
 
 def log_ball_offcenter_shell(m: PowerLawMeasure, ball: BallSpec, r_in: float, r_out: float,
                              quad: QuadratureConfig = DEFAULT_QUADRATURE) -> LogValue:
-    """mu(B(c e1, R) intersect {r_in <= |y| <= r_out}) by slice quadrature."""
+    """mu(B(c e1, R) intersect {r_in <= |y| <= r_out}) by ray quadrature."""
     out = _batched_shell_logs(m, [ball.center_distance], [ball.radius], [r_in], [r_out], quad)
     return LogValue(float(out[0]))
 
@@ -253,7 +256,8 @@ def log_intersection_with_centered(m: PowerLawMeasure, ball: BallSpec, r: float,
 def log_ball_offcenter_unit_closed(m: PowerLawMeasure) -> LogValue:
     """mu(B(e1, 1)) in closed form, no quadrature.
 
-    Polar coordinates over the half-disk of slice parameters give
+    The ray at angle theta from e1 meets the ball in [0, 2 cos(theta)], so
+    the ray integral over theta in [0, pi/2] gives
         mu(B(e1,1)) = 2^{d-beta-1} omega_{d-2} B((d-beta+1)/2, (d-1)/2) / (d-beta).
     """
     if m.d < 2:

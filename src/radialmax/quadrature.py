@@ -4,8 +4,9 @@ The integrands this package meets are sharp positive spikes (relative
 width ~ 1/sqrt(d)) whose magnitudes overflow doubles, so integration is
 done entirely in log space: panels accumulate with log-sum-exp, and the
 two-order error estimate compares log values.  Many integrals with the
-same integrand family are refined together so the underlying special
-function calls stay vectorized.
+same integrand family are refined together so the integrand evaluations
+stay vectorized; each integral may start from several panels, split where
+its integrand has kinks, and is judged against its own total.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the slice quadrature.
+    """Tolerances and budgets for the ray quadrature.
 
     tol is relative; exceeding max_panels on any single integral raises
     QuadratureError rather than returning a silently degraded value.
@@ -40,7 +41,12 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement ran out of budget; carries the achieved estimate."""
+    """Adaptive refinement ran out of budget; carries the achieved estimate.
+
+    segment is the index of the integral that failed, when known.
+    """
+
+    segment = None
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved relative error estimate {achieved:.3e})")
@@ -96,34 +102,38 @@ def _segment_lse(values, seg_ids, n_seg):
 
 
 def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
-    """Integrate exp(log_f) over many segments at once.
+    """Integrate exp(log_f) for many integrals at once.
 
-    log_f(seg_idx, s) takes parallel arrays (segment index per abscissa)
-    and returns the log integrand.  Returns (log_integrals, log_error
-    estimates), both per segment.  Raises QuadratureError if any segment
-    cannot meet cfg.tol within cfg.max_panels panels.
+    lo and hi have shape (n,) or (n, k): row i holds the k initial panels
+    of integral i, and empty panels (hi <= lo) are skipped.  log_f(seg_idx,
+    s) takes parallel arrays (integral index per abscissa) and returns the
+    log integrand.  Returns (log_integrals, log_error estimates), one per
+    integral.  Each integral is refined until its summed error estimate is
+    within cfg.tol of its own total, so a panel that carries only rounding
+    noise cannot hold it back.  Raises QuadratureError, with .segment set to
+    the failing integral, if any integral needs more than cfg.max_panels
+    panels.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    if lo.ndim == 1:
+        lo, hi = lo[:, None], hi[:, None]
     n_seg = len(lo)
-    log_total = np.full(n_seg, NEG_INF)
-    log_err = np.full(n_seg, NEG_INF)
     live = hi > lo
     if not np.any(live):
-        return log_total, log_err
+        return np.full(n_seg, NEG_INF), np.full(n_seg, NEG_INF)
     idx = np.nonzero(live)[0]
+    lo, hi = lo[live], hi[live]
 
-    # split each segment at its spike before refining: a panel boundary at
+    # split each panel at its spike before refining: a panel boundary at
     # the max keeps the two-order estimate honest on the steep flanks
-    peaks = golden_section_max_batch(
-        lambda x: log_f(idx, x), lo[idx], hi[idx], rel_tol=1e-3, maxit=48
-    )
-    eps = 1e-12 * (hi[idx] - lo[idx])
-    peaks = np.clip(peaks, lo[idx] + eps, hi[idx] - eps)
+    peaks = golden_section_max_batch(lambda x: log_f(idx, x), lo, hi, rel_tol=1e-3, maxit=48)
+    eps = 1e-12 * (hi - lo)
+    peaks = np.clip(peaks, lo + eps, hi - eps)
 
     p_seg = np.repeat(idx, 2)
-    p_lo = np.stack([lo[idx], peaks], axis=1).ravel()
-    p_hi = np.stack([peaks, hi[idx]], axis=1).ravel()
+    p_lo = np.stack([lo, peaks], axis=1).ravel()
+    p_hi = np.stack([peaks, hi], axis=1).ravel()
     p_low = _panel_logs(log_f, p_seg, p_lo, p_hi, cfg.nodes_low)
     p_high = _panel_logs(log_f, p_seg, p_lo, p_hi, cfg.nodes_high)
     p_err = _log_abs_diff(p_low, p_high)
@@ -136,10 +146,9 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
             bad = seg_err > seg_total + log_tol
         bad &= seg_total != NEG_INF
         if not np.any(bad):
-            log_total, log_err = seg_total, seg_err
-            return log_total, log_err
+            return seg_total, seg_err
 
-        # split every panel within a factor 16 of its segment's worst panel
+        # split every panel within a factor 16 of its integral's worst panel
         worst = np.full(n_seg, NEG_INF)
         np.maximum.at(worst, p_seg, p_err)
         split = bad[p_seg] & (p_err >= worst[p_seg] - math.log(16.0))
@@ -149,11 +158,13 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
             p_seg[split], minlength=n_seg
         )
         if np.any(counts > cfg.max_panels):
-            over = counts.argmax()
+            over = int(counts.argmax())
             ach = float(np.exp(seg_err[over] - seg_total[over]))
-            raise QuadratureError(
+            err = QuadratureError(
                 f"quadrature panel budget {cfg.max_panels} exceeded on segment {over}", ach
             )
+            err.segment = over
+            raise err
 
         mid = 0.5 * (p_lo[split] + p_hi[split])
         c_seg = np.concatenate([p_seg[split], p_seg[split]])
@@ -173,17 +184,9 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     seg_total = _segment_lse(p_high, p_seg, n_seg)
     seg_err = _segment_lse(p_err, p_seg, n_seg)
     with np.errstate(invalid="ignore"):
-        rel = np.exp(seg_err - seg_total)
-    raise QuadratureError("quadrature did not converge within the round budget",
-                          float(np.nanmax(rel)))
-
-
-def log_integrate(log_f, lo: float, hi: float,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Single-segment front end for log_integrate_batch."""
-
-    def wrapped(seg, s):
-        return log_f(s)
-
-    total, _ = log_integrate_batch(wrapped, np.array([lo]), np.array([hi]), cfg)
-    return float(total[0])
+        rel = np.where(seg_total != NEG_INF, np.exp(seg_err - seg_total), 0.0)
+    over = int(rel.argmax())
+    err = QuadratureError("quadrature did not converge within the round budget",
+                          float(rel[over]))
+    err.segment = over
+    raise err

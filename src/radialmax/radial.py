@@ -1,7 +1,7 @@
 """Centered maximal operator of radial profiles under power-law measures.
 
-Averages over B(c e1, R) of a radial step profile reduce to slice
-integrals shared with the measure module, so evaluating the radius
+Averages over B(c e1, R) of a radial step profile reduce to shell
+measures from the measure module, so evaluating the radius
 supremum at one point, or along a whole grid of points, is a single
 batched quadrature run.  Level sets in R^d are taken through the radial
 section: the angular factor cancels from the weak-type quotient, and the

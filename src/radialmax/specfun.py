@@ -2,9 +2,8 @@
 
 Everything downstream lives in logarithms: sphere areas, gamma values and
 ball measures overflow double precision long before the dimension reaches
-a few hundred.  The primitives here therefore return natural logs, and the
-:class:`LogValue` wrapper carries log-magnitudes through sums and
-differences (max-shift accumulation, guarded cancellation).
+a few hundred.  The primitives here therefore return natural logs, and
+:class:`LogValue` is the record in which the measure functions return them.
 """
 
 from __future__ import annotations
@@ -16,93 +15,21 @@ import numpy as np
 
 __all__ = [
     "LogValue",
-    "CancellationError",
     "log_gamma",
     "log_beta",
     "stirling_bounds",
     "log_sphere_area",
-    "reg_inc_beta",
-    "log_reg_inc_beta",
-    "sin_power_integral",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
 NEG_INF = float("-inf")
 
 
-class CancellationError(ArithmeticError):
-    """Raised when a log-space subtraction loses more than the allowed digits."""
-
-
-def log_diff_exp(log_a: float, log_b: float, rel_floor: float = 1e-8) -> float:
-    """log(exp(log_a) - exp(log_b)) for log_a >= log_b.
-
-    Flags catastrophic cancellation: if the difference is below rel_floor
-    times the larger term, the result would carry fewer than ~8 reliable
-    digits and we refuse to return it silently.
-    """
-    if log_b == NEG_INF:
-        return log_a
-    if log_b > log_a:
-        raise ValueError(f"log_diff_exp: negative result (log_a={log_a} < log_b={log_b})")
-    # 1 - exp(log_b - log_a), computed without intermediate underflow
-    rel = -math.expm1(log_b - log_a)
-    if rel < rel_floor:
-        raise CancellationError(
-            f"log-space subtraction cancels to {rel:.3e} of the leading term "
-            f"(floor {rel_floor:.1e})"
-        )
-    return log_a + math.log(rel)
-
-
 @dataclass(frozen=True)
 class LogValue:
-    """A nonnegative quantity stored as its natural log; -inf encodes zero.
-
-    Addition uses the max-shift rule, so sums of terms like exp(800) never
-    overflow.  Subtraction goes through :func:`log_diff_exp` and raises
-    :class:`CancellationError` past 1e-8 relative cancellation.
-    """
+    """A nonnegative quantity stored as its natural log; -inf encodes zero."""
 
     log: float
-
-    @classmethod
-    def from_linear(cls, x: float) -> "LogValue":
-        if x < 0:
-            raise ValueError("LogValue encodes nonnegative quantities")
-        return cls(NEG_INF if x == 0 else math.log(x))
-
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(NEG_INF)
-
-    def exp(self) -> float:
-        return math.exp(self.log)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        return LogValue(float(np.logaddexp(self.log, other.log)))
-
-    def __sub__(self, other: "LogValue") -> "LogValue":
-        return LogValue(log_diff_exp(self.log, other.log))
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        # product of magnitudes = sum of logs; 0 * anything = 0
-        if self.log == NEG_INF or other.log == NEG_INF:
-            return LogValue(NEG_INF)
-        return LogValue(self.log + other.log)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.log == NEG_INF:
-            raise ZeroDivisionError("division by zero LogValue")
-        if self.log == NEG_INF:
-            return LogValue(NEG_INF)
-        return LogValue(self.log - other.log)
-
-    def __lt__(self, other: "LogValue") -> bool:
-        return self.log < other.log
-
-    def __le__(self, other: "LogValue") -> bool:
-        return self.log <= other.log
 
 
 # ---------------------------------------------------------------------------
@@ -163,172 +90,3 @@ def log_sphere_area(d: int) -> float:
         raise ValueError("log_sphere_area requires an integer d >= 1")
     d = int(d)
     return math.log(2.0) + 0.5 * d * math.log(math.pi) - log_gamma(0.5 * d)
-
-
-# ---------------------------------------------------------------------------
-# regularized incomplete beta, linear and log scale
-# ---------------------------------------------------------------------------
-
-_BETACF_MAXIT = 500
-_BETACF_EPS = 3e-16
-_BETACF_FPMIN = 1e-300
-
-
-def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta (modified Lentz).
-
-    Vectorized over x; a and b are scalars.  Callers must keep
-    x < (a+1)/(a+b+2), where the even/odd fraction converges fastest
-    (roughly O(sqrt(max(a,b))) terms).
-    """
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _BETACF_FPMIN, where=np.abs(d) < _BETACF_FPMIN)
-    d = 1.0 / d
-    h = d.copy()
-    # a lane counts as converged once its update ever lands within EPS of 1;
-    # afterwards it only jitters by an ulp, so requiring all lanes to sit
-    # inside EPS simultaneously would spin forever on large batches
-    converged = np.zeros(x.shape, dtype=bool)
-    for m in range(1, _BETACF_MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _BETACF_FPMIN, where=np.abs(d) < _BETACF_FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _BETACF_FPMIN, where=np.abs(c) < _BETACF_FPMIN)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _BETACF_FPMIN, where=np.abs(d) < _BETACF_FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _BETACF_FPMIN, where=np.abs(c) < _BETACF_FPMIN)
-        d = 1.0 / d
-        dl = d * c
-        h *= dl
-        converged |= np.abs(dl - 1.0) < _BETACF_EPS
-        if converged.all():
-            return h
-    raise RuntimeError(
-        f"incomplete beta continued fraction failed to converge (a={a}, b={b})"
-    )
-
-
-def _check_beta_args(a: float, b: float) -> None:
-    if not (a > 0 and b > 0):
-        raise ValueError("incomplete beta requires a > 0 and b > 0")
-
-
-def _log_reg_inc_beta_direct(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """ln I_x(a,b) on the direct branch (x below the symmetry switch)."""
-    out = np.full(x.shape, NEG_INF)
-    pos = x > 0
-    if np.any(pos):
-        xp = x[pos]
-        front = a * np.log(xp) + b * np.log1p(-xp) - log_beta(a, b)
-        out[pos] = front + np.log(_betacf(a, b, xp)) - math.log(a)
-    return out
-
-
-def log_reg_inc_beta(x, a: float, b: float):
-    """ln of the regularized incomplete beta I_x(a, b), vectorized over x.
-
-    Stays meaningful where I_x underflows linear doubles (I_x down to
-    ~exp(-745) and far below), which is what the cap-area integrands need
-    once d climbs into the hundreds.
-    """
-    _check_beta_args(a, b)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any((x < 0) | (x > 1)):
-        raise ValueError("incomplete beta requires 0 <= x <= 1")
-    out = np.empty_like(x)
-    switch = (a + 1.0) / (a + b + 2.0)
-    lo = x < switch
-    hi = ~lo
-    if np.any(lo):
-        out[lo] = _log_reg_inc_beta_direct(x[lo], a, b)
-    if np.any(hi):
-        # I_x(a,b) = 1 - I_{1-x}(b,a); complement is < ~1/2 there, so the
-        # linear-space log1p loses nothing
-        comp = _log_reg_inc_beta_direct(1.0 - x[hi], b, a)
-        out[hi] = np.log1p(-np.exp(comp))
-    return float(out[0]) if scalar else out
-
-
-def reg_inc_beta(x, a: float, b: float):
-    """Regularized incomplete beta I_x(a, b) in [0, 1], vectorized over x."""
-    _check_beta_args(a, b)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any((x < 0) | (x > 1)):
-        raise ValueError("incomplete beta requires 0 <= x <= 1")
-    out = np.empty_like(x)
-    switch = (a + 1.0) / (a + b + 2.0)
-    lo = x < switch
-    hi = ~lo
-    if np.any(lo):
-        out[lo] = np.exp(_log_reg_inc_beta_direct(x[lo], a, b))
-    if np.any(hi):
-        out[hi] = 1.0 - np.exp(_log_reg_inc_beta_direct(1.0 - x[hi], b, a))
-    return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# integrals of sin^m over [0, phi]
-# ---------------------------------------------------------------------------
-
-def log_sin_power_from_trig(sin_sq, cos_phi, m: int) -> np.ndarray:
-    """ln of int_0^phi sin^m given sin^2(phi) and cos(phi) directly.
-
-    The slice geometry produces sin^2(phi) and cos(phi) in cancellation-free
-    factored form; going through phi itself would throw that accuracy away
-    when phi is within sqrt(eps) of 0 or pi.
-    """
-    sin_sq = np.asarray(sin_sq, dtype=float)
-    cos_phi = np.asarray(cos_phi, dtype=float)
-    if m == 0:
-        with np.errstate(divide="ignore"):
-            return np.log(np.arctan2(np.sqrt(sin_sq), cos_phi))
-    a = 0.5 * (m + 1)
-    out = np.empty_like(sin_sq)
-    lo = cos_phi >= 0.0
-    if np.any(lo):
-        out[lo] = math.log(0.5) + log_beta(a, 0.5) + log_reg_inc_beta(sin_sq[lo], a, 0.5)
-    hi = ~lo
-    if np.any(hi):
-        # symmetry about pi/2: int_0^phi = int_0^pi - int_0^{pi - phi};
-        # the complement is at most half the full integral, so no
-        # cancellation risk in the log1p
-        log_full = log_beta(a, 0.5)
-        comp = math.log(0.5) + log_full + log_reg_inc_beta(sin_sq[hi], a, 0.5)
-        out[hi] = log_full + np.log1p(-np.exp(comp - log_full))
-    return out
-
-
-def log_sin_power_integral(phi, m: int):
-    """ln of int_0^phi sin(theta)^m d(theta), vectorized over phi in [0, pi]."""
-    if m < 0 or int(m) != m:
-        raise ValueError("sin_power_integral requires an integer m >= 0")
-    m = int(m)
-    phi = np.asarray(phi, dtype=float)
-    scalar = phi.ndim == 0
-    phi = np.atleast_1d(phi)
-    if np.any((phi < 0) | (phi > math.pi)):
-        raise ValueError("sin_power_integral requires 0 <= phi <= pi")
-    if m == 0:
-        with np.errstate(divide="ignore"):
-            out = np.log(phi)
-        return float(out[0]) if scalar else out
-    sin_sq = np.clip(np.sin(phi) ** 2, 0.0, 1.0)
-    out = log_sin_power_from_trig(sin_sq, np.cos(phi), m)
-    return float(out[0]) if scalar else out
-
-
-def sin_power_integral(phi: float, m: int) -> LogValue:
-    """int_0^phi sin(theta)^m d(theta) as a LogValue, for phi in [0, pi]."""
-    return LogValue(log_sin_power_integral(float(phi), m))

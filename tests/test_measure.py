@@ -8,18 +8,16 @@ from radialmax.measure import (
     PowerLawMeasure,
     QuadratureConfig,
     QuadratureError,
-    cap_angle,
+    _crossing_angles,
     log_ball_centered,
     log_ball_offcenter,
     log_ball_offcenter_shell,
     log_ball_offcenter_unit_closed,
-    log_cap_area,
     log_intersection_with_centered,
     log_unit_ball_volume,
     shift_condition_ratio,
     shift_condition_ratios,
 )
-from radialmax.specfun import log_sin_power_integral, log_sphere_area
 
 TIGHT = QuadratureConfig(tol=1e-11)
 
@@ -76,72 +74,41 @@ def test_centered_domain():
 
 
 # ---------------------------------------------------------------------------
-# cap geometry
+# ray-angle splits: where a shell sphere crosses the ball boundary
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("R", [0.2, 0.6, 0.9])
-def test_cap_angle_tangency(R):
-    # tangent slice: right triangle, cos(beta) = sqrt(1 - R^2), the largest angle
-    s = math.sqrt(1.0 - R * R)
-    got = cap_angle(1.0, s, R)
-    assert math.cos(got) == pytest.approx(s, abs=1e-13)
-    assert got >= cap_angle(1.0, 1.0 - R + 1e-6, R)
-    assert got >= cap_angle(1.0, 1.0 + R - 1e-6, R)
+def test_crossing_angle_tangency(R):
+    # the sphere through the tangent points meets the boundary on the tangent
+    # ray: cos(theta) = sqrt(1 - R^2), the widest angle; in phi it is pi/2
+    c = np.array([1.0])
+    rR = np.array([R])
+    r = np.sqrt(1.0 - rR * rR)
+    got = _crossing_angles(c, rR, r, tangent=False)[0]
+    assert math.cos(got) == pytest.approx(r[0], abs=1e-13)
+    assert _crossing_angles(c, rR, r, tangent=True)[0] == pytest.approx(math.pi / 2, abs=1e-7)
+    near_ends = np.array([1.0 - R + 1e-6, 1.0 + R - 1e-6])
+    assert np.all(got >= _crossing_angles(np.ones(2), np.full(2, R), near_ends, False))
 
 
-def test_cap_angle_degenerate_endpoints():
-    assert cap_angle(1.0, 1.0 - 0.3, 0.3) == pytest.approx(0.0, abs=2e-8)
-    assert cap_angle(1.0, 1.0 + 0.3, 0.3) == pytest.approx(0.0, abs=2e-8)
-    # ball covering the origin: entry slice is a full sphere
-    assert cap_angle(0.2, 0.5 - 0.2, 0.5) == pytest.approx(math.pi, abs=2e-8)
+def test_crossing_angle_degenerate_endpoints():
+    c, R = np.ones(2), np.full(2, 0.3)
+    ends = np.array([1.0 - 0.3 + 1e-13, 1.0 + 0.3 - 1e-13])
+    assert np.abs(_crossing_angles(c, R, ends, tangent=False)).max() < 1e-6
+    assert np.abs(_crossing_angles(c, R, ends, tangent=True)).max() < 1e-6
+    # ball around the origin: the sphere at its nearest boundary point
+    # crosses on the ray pointing away from the center
+    inner = _crossing_angles(np.array([0.2]), np.array([0.5]), np.array([0.3 + 1e-13]), False)
+    assert inner[0] == pytest.approx(math.pi, abs=1e-5)
 
 
-def test_cap_angle_domain():
-    with pytest.raises(ValueError):
-        cap_angle(1.0, 0.05, 0.3)  # below the window
-    with pytest.raises(ValueError):
-        cap_angle(1.0, 1.5, 0.3)   # above the window
-    with pytest.raises(ValueError):
-        cap_angle(0.0, 0.5, 0.3)
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 40])
-def test_cap_area_full_sphere(d):
-    s = 1.7
-    full = log_cap_area(d, s, math.pi).log
-    assert full == pytest.approx(log_sphere_area(d) + (d - 1) * math.log(s), abs=1e-11)
-
-
-def test_cap_area_hemisphere_d3():
-    assert log_cap_area(3, 1.0, math.pi / 2).log == pytest.approx(
-        math.log(2 * math.pi), abs=1e-12
-    )
-
-
-def test_cap_area_d2_is_arc_length():
-    # omega_0 = 2 turns the cap into the arc of length 2 s phi
-    for s, phi in [(0.7, 0.4), (2.0, 1.3)]:
-        assert log_cap_area(2, s, phi).log == pytest.approx(
-            math.log(2 * s * phi), abs=1e-12
-        )
-
-
-@pytest.mark.parametrize("d", [3, 8, 25])
-def test_cap_area_two_sided_sandwich(d):
-    # (omega_{d-2}/(d-1)) (s sin phi)^{d-1} <= area <= same / sqrt(1-R^2),
-    # valid wherever cos(beta_s) >= sqrt(1-R^2), which holds for c=1 > R
-    R = 0.55
-    root = math.sqrt(1.0 - R * R)
-    for s in np.linspace(1 - R + 1e-6, 1 + R - 1e-6, 25):
-        phi = cap_angle(1.0, s, R)
-        assert math.cos(phi) >= root - 1e-12
-        area = log_cap_area(d, s, phi).log
-        lower = (
-            log_sphere_area(d - 1)
-            - math.log(d - 1)
-            + (d - 1) * math.log(s * math.sin(phi))
-        )
-        assert lower - 1e-10 <= area <= lower - 0.5 * math.log(1 - R * R) + 1e-10
+def test_crossing_angle_misses_are_empty():
+    # spheres outside (|c - R|, c + R) never cross: an empty split at 0
+    c, R = np.full(5, 1.0), np.full(5, 0.3)
+    r = np.array([0.05, 0.7, 1.3, 1.5, math.inf])
+    for tangent in (False, True):
+        assert np.all(_crossing_angles(c, R, r, tangent) == 0.0)
+    assert _crossing_angles(np.array([0.0]), np.array([0.5]), np.array([0.3]), False)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +233,90 @@ def test_quadrature_budget_error_carries_estimate():
     with pytest.raises(QuadratureError) as exc:
         log_ball_offcenter(m, BallSpec(1.0, 1.0), starved)
     assert exc.value.achieved > 0
+    # the message names the failing ball, not an internal segment index
+    msg = str(exc.value)
+    for part in ("d=40", "beta=10.0", "c=1.0", "R=1.0", "r_in=0.0", "r_out=inf"):
+        assert part in msg
+    assert "segment" not in msg
+
+
+def test_quadrature_error_names_ball_within_batch():
+    m = PowerLawMeasure(12, 3.0)
+    starved = QuadratureConfig(tol=1e-15, max_panels=3, max_rounds=6)
+    rs = np.array([0.25, 0.5])
+    with pytest.raises(QuadratureError) as exc:
+        shift_condition_ratios(m, rs, starved)
+    assert exc.value.achieved > 0
+    # the batch holds the shifted balls, then the balls B(e1, r)
+    cs = np.concatenate([np.sqrt(1.0 - rs * rs), np.ones(2)])
+    i = exc.value.segment
+    msg = str(exc.value)
+    assert f"c={float(cs[i])!r} R={float(np.tile(rs, 2)[i])!r}" in msg
+    assert "d=12" in msg and "r_out=inf" in msg
+
+
+# ---------------------------------------------------------------------------
+# mpmath oracle: slice formula at 30 digits, no code shared with the ray form
+# ---------------------------------------------------------------------------
+
+def _mp_log_shell(d, beta, c, R, r_in, r_out, pieces=24):
+    """ln mu(B(c e1, R) cap shell) = ln omega_{d-1} int s^(d-1-beta) I_x(h, h) ds.
+
+    The sphere of radius s keeps the fraction I_x((d-1)/2, (d-1)/2) of its
+    area inside the ball, with x = (1 - cos a)/2 = (R - c + s)(R + c - s)/(4cs)
+    for the cap half-angle a; spheres inside the ball keep all of it.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 30
+    c, R, r_in, r_out = (mp.mpf(v) for v in (c, R, r_in, r_out))
+    p, h = d - beta, mp.mpf(d - 1) / 2
+
+    def area_fraction(s):
+        x = (R - c + s) * (R + c - s) / (4 * c * s)
+        return mp.betainc(h, h, 0, min(max(x, 0), 1), regularized=True)
+
+    lo = r_in if c < R else max(r_in, c - R)
+    hi = min(r_out, c + R)
+    cuts = [lo, hi]
+    if c < R and lo < R - c < hi:
+        cuts.insert(1, R - c)
+    total = mp.mpf(0)
+    for a, b in zip(cuts, cuts[1:]):
+        if c < R and b <= R - c:
+            total += (b ** p - a ** p) / p
+        else:
+            grid = [a + (b - a) * k / pieces for k in range(pieces + 1)]
+            total += mp.quad(lambda s: s ** (p - 1) * area_fraction(s), grid)
+    log_omega = mp.log(2) + mp.mpf(d) / 2 * mp.log(mp.pi) - mp.loggamma(mp.mpf(d) / 2)
+    return float(log_omega + mp.log(total))
+
+
+ORACLE_CASES = [
+    # tangent shell: the ball touches r_out = 1.8 from outside, one ulp deep
+    (3, 0.0, 4.472107640484005, 2.672107640484005, 1.0, 1.8),
+    # the far point c + R lies on r_in up to the rounding of c + R: a sliver
+    # that is only right when c + R is carried exactly
+    (2, 0.0, 0.15871441724221963, 0.6216783697450459, 0.7803927869872654, 1.6809594098109806),
+    # tiny balls straddling a shell sphere
+    (3, 0.0, 1.0, 7.867806737866864e-06, 0.5, 1.0),
+    (3, 0.0, 1.8, 2.1304748599990216e-05, 1.0, 1.8),
+    # the origin on the sphere, just inside it, just outside it
+    (12, 3.0, 1.0, 1.0, 0.0, math.inf),
+    (12, 3.0, 1.0, 1.0 + 1e-9, 0.3, 1.5),
+    (12, 3.0, 1.0, 1.0 - 1e-9, 0.3, 1.5),
+    (12, -2.0, 1.0, 1.0 - 1e-9, 0.0, math.inf),
+    # a far, tiny ball in high dimension
+    (60, 0.0, 1.0, 1e-6, 0.0, math.inf),
+] + [
+    (d, beta, c, R, r_in, r_out)
+    for d in (2, 12, 40, 200)
+    for beta in (-2.0, 0.0, d / 2)
+    for c, R, r_in, r_out in ((1.0, 0.7, 0.5, 1.2), (0.5, 1.1, 0.0, math.inf))
+]
+
+
+@pytest.mark.parametrize("d,beta,c,R,r_in,r_out", ORACLE_CASES)
+def test_shell_measure_vs_mpmath_slice_oracle(d, beta, c, R, r_in, r_out):
+    want = _mp_log_shell(d, beta, c, R, r_in, r_out)
+    got = log_ball_offcenter_shell(PowerLawMeasure(d, beta), BallSpec(c, R), r_in, r_out).log
+    assert abs(got - want) <= 1e-8
