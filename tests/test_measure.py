@@ -18,6 +18,7 @@ from radialmax.measure import (
     shift_condition_ratio,
     shift_condition_ratios,
 )
+from radialmax.specfun import log_sphere_area
 
 TIGHT = QuadratureConfig(tol=1e-11)
 
@@ -74,11 +75,11 @@ def test_centered_domain():
 
 
 # ---------------------------------------------------------------------------
-# ray-angle splits: where a shell sphere crosses the ball boundary
+# cap angles: where a shell sphere crosses the ball boundary (the ray splits)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("R", [0.2, 0.6, 0.9])
-def test_crossing_angle_tangency(R):
+def test_cap_angle_tangency(R):
     # the sphere through the tangent points meets the boundary on the tangent
     # ray: cos(theta) = sqrt(1 - R^2), the widest angle; in phi it is pi/2
     c = np.array([1.0])
@@ -91,7 +92,7 @@ def test_crossing_angle_tangency(R):
     assert np.all(got >= _crossing_angles(np.ones(2), np.full(2, R), near_ends, False))
 
 
-def test_crossing_angle_degenerate_endpoints():
+def test_cap_angle_degenerate_endpoints():
     c, R = np.ones(2), np.full(2, 0.3)
     ends = np.array([1.0 - 0.3 + 1e-13, 1.0 + 0.3 - 1e-13])
     assert np.abs(_crossing_angles(c, R, ends, tangent=False)).max() < 1e-6
@@ -102,13 +103,70 @@ def test_crossing_angle_degenerate_endpoints():
     assert inner[0] == pytest.approx(math.pi, abs=1e-5)
 
 
-def test_crossing_angle_misses_are_empty():
+def test_cap_angle_domain():
     # spheres outside (|c - R|, c + R) never cross: an empty split at 0
     c, R = np.full(5, 1.0), np.full(5, 0.3)
     r = np.array([0.05, 0.7, 1.3, 1.5, math.inf])
     for tangent in (False, True):
         assert np.all(_crossing_angles(c, R, r, tangent) == 0.0)
     assert _crossing_angles(np.array([0.0]), np.array([0.5]), np.array([0.3]), False)[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# cap areas: a thin shell around the sphere |y| = s, divided by its width,
+# is the area of that sphere inside the ball (beta = 0)
+# ---------------------------------------------------------------------------
+
+def _log_thin_shell_area(d, c, R, s, h):
+    lo, hi = s - h, s + h
+    shell = log_ball_offcenter_shell(PowerLawMeasure(d, 0.0), BallSpec(c, R), lo, hi, TIGHT)
+    return shell.log - math.log(hi - lo)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 40])
+def test_cap_area_full_sphere(d):
+    # B(0.5 e1, 3) holds every sphere of radius up to 2.5 whole, so the
+    # shell measure is the full annulus omega_{d-1} (b^d - a^d) / d
+    s, h = 1.7, 1e-3
+    got = log_ball_offcenter_shell(PowerLawMeasure(d, 0.0), BallSpec(0.5, 3.0), s, s + h, TIGHT)
+    want = log_sphere_area(d) + d * math.log(s) + math.log(math.expm1(d * math.log1p(h / s)) / d)
+    assert got.log == pytest.approx(want, abs=1e-11)
+
+
+def test_cap_area_hemisphere_d3():
+    # R^2 = c^2 + s^2 puts the cap edge at theta = pi/2 on the unit sphere;
+    # the cap area 2 pi t^2 - pi t (c^2 + t^2 - R^2) / c is cubic in t, so
+    # the shell over [1 - h, 1 + h] is exactly 2h * 2 pi (1 - h^2 / 6)
+    c, R, h = 1.0, math.sqrt(2.0), 1e-3
+    theta = _crossing_angles(np.array([c]), np.array([R]), np.array([1.0]), False)[0]
+    assert theta == pytest.approx(math.pi / 2, abs=1e-15)
+    assert _log_thin_shell_area(3, c, R, 1.0, h) == pytest.approx(
+        math.log(2 * math.pi) + math.log1p(-h * h / 6), abs=1e-12
+    )
+
+
+def test_cap_area_d2_is_arc_length():
+    # omega_0 = 2 turns the cap into the arc of length 2 s phi; R is chosen
+    # so that the circle of radius s crosses B(e1, R) at the angle phi
+    for s, phi in [(0.7, 0.4), (2.0, 1.3)]:
+        R = math.sqrt(1.0 + s * s - 2.0 * s * math.cos(phi))
+        assert _log_thin_shell_area(2, 1.0, R, s, 1e-5) == pytest.approx(
+            math.log(2 * s * phi), abs=1e-9
+        )
+
+
+@pytest.mark.parametrize("d", [3, 8, 25])
+def test_cap_area_two_sided_sandwich(d):
+    # (omega_{d-2}/(d-1)) (s sin phi)^{d-1} <= area <= same / sqrt(1-R^2),
+    # valid wherever cos(phi) >= sqrt(1-R^2), which holds for c=1 > R
+    R = 0.55
+    root = math.sqrt(1.0 - R * R)
+    for s in np.linspace(1 - R + 1e-3, 1 + R - 1e-3, 25):
+        phi = _crossing_angles(np.array([1.0]), np.array([R]), np.array([s]), False)[0]
+        assert math.cos(phi) >= root - 1e-12
+        area = _log_thin_shell_area(d, 1.0, R, s, 1e-6 * s)
+        lower = log_sphere_area(d - 1) - math.log(d - 1) + (d - 1) * math.log(s * math.sin(phi))
+        assert lower <= area <= lower - math.log(root)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import gammaln as sp_gammaln
 
+from radialmax.quadrature import QuadratureConfig, log_integrate_batch
 from radialmax.specfun import log_gamma, log_sphere_area, stirling_bounds
+
+from conftest import simpson
 
 
 # ---------------------------------------------------------------------------
@@ -113,3 +116,38 @@ def test_sphere_area_high_d_stays_finite():
 def test_sphere_area_domain():
     with pytest.raises(ValueError):
         log_sphere_area(0)
+
+
+# ---------------------------------------------------------------------------
+# sin-power integrals: the ray form's angular weight, by batched quadrature
+# ---------------------------------------------------------------------------
+
+def _log_sin_power(lo, hi, m, cfg=QuadratureConfig(tol=1e-13)):
+    """ln of int sin^m over each row's panels [lo, hi] (shape (n,) or (n, k))."""
+    out, _ = log_integrate_batch(lambda seg, x: m * np.log(np.sin(x)), lo, hi, cfg)
+    return out
+
+
+def test_sin_power_trivial_cases():
+    got = np.exp(_log_sin_power([0.0, 0.0], [math.pi / 2, math.pi / 2], 0))
+    assert got[0] == pytest.approx(math.pi / 2, rel=1e-14)
+    assert np.exp(_log_sin_power([0.0], [math.pi / 2], 1))[0] == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("phi,m", [(1.0, 10), (0.3, 4), (2.2, 7), (3.05, 40), (1.7, 0)])
+def test_sin_power_quadrature_oracle(phi, m):
+    ref = simpson(lambda t: np.sin(t) ** m, 0.0, phi, 40001)
+    got = math.exp(_log_sin_power([0.0], [phi], m)[0])
+    assert got == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 9, 50])
+def test_sin_power_symmetry(m):
+    # row 0 runs over both halves of [0, pi], row 1 only the first (its
+    # second panel is empty); over [0, pi] the weight integrates to the
+    # sphere-area ratio omega_{m+1} / omega_m
+    lo = np.array([[0.0, math.pi / 2], [0.0, math.pi / 2]])
+    hi = np.array([[math.pi / 2, math.pi], [math.pi / 2, math.pi / 2]])
+    full, half = _log_sin_power(lo, hi, m)
+    assert full == pytest.approx(half + math.log(2.0), abs=1e-12)
+    assert full == pytest.approx(log_sphere_area(m + 2) - log_sphere_area(m + 1), abs=1e-12)
