@@ -9,6 +9,8 @@ error, 3 a numerical failure was recorded (run continues per row).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -44,11 +46,13 @@ def _fmt(x) -> str:
 
 def _emit(args, command: str, columns: list[str], rows: list[dict]) -> None:
     if args.format == "csv":
-        lines = ["# schema=" + SCHEMA_VERSION + " command=" + command]
-        lines.append(",".join(columns))
-        for r in rows:
-            lines.append(",".join(_fmt(r.get(c)) for c in columns))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        buf.write("# schema=" + SCHEMA_VERSION + " command=" + command + "\n")
+        # minimal quoting: cells holding a comma, quote or newline stay one cell
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(r.get(c)) for c in columns] for r in rows)
+        text = buf.getvalue()
     else:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -163,8 +167,7 @@ def cmd_verify_shift(args) -> int:
         try:
             m = msr.PowerLawMeasure(d, alpha)
             ratios = msr.shift_condition_ratios(m, rs, quad)
-            c_prime = 4.0 * 6.0 ** (alpha / 2.0)
-            c_small = 2.0 * 6.0 ** (alpha / 2.0)
+            c_prime, c_small = rad._shift_constants(alpha)
             row.update(
                 sup_ratio=float(ratios.max()),
                 r_argmax=float(rs[int(ratios.argmax())]),
@@ -276,6 +279,8 @@ def cmd_maximal1d_eval(args) -> int:
         for x in xs
     ]
     _emit(args, "maximal1d-eval", columns, rows)
+    if not all(math.isfinite(r["uncentered_max"]) for r in rows):
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

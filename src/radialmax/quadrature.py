@@ -1,9 +1,10 @@
-"""Batched adaptive Gauss-Legendre quadrature on log-scale integrands.
+"""Batched adaptive Gauss-Kronrod 10/21 quadrature on log-scale integrands.
 
 The integrands this package meets are sharp positive spikes (relative
 width ~ 1/sqrt(d)) whose magnitudes overflow doubles, so integration is
 done entirely in log space: panels accumulate with log-sum-exp, and the
-two-order error estimate compares log values.  Many integrals with the
+error estimate compares the log Gauss-10 and Kronrod-21 values, both read
+off the same 21 integrand evaluations per panel.  Many integrals with the
 same integrand family are refined together so the integrand evaluations
 stay vectorized; each integral may start from several panels, split where
 its integrand has kinks, and is judged against its own total.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +32,6 @@ class QuadratureConfig:
 
     tol: float = 1e-8
     max_panels: int = 2 ** 14
-    nodes_low: int = 12
-    nodes_high: int = 24
     max_rounds: int = 60
 
 
@@ -53,29 +51,49 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-@lru_cache(maxsize=16)
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, np.log(w / 2.0)
+# Gauss-Kronrod 10/21 on [-1, 1] (QUADPACK qk21): the 11 non-negative
+# Kronrod nodes, their weights, and the Gauss-10 weights of nodes 1, 3, .., 9
+_XK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# the rule on [0, 1], nodes ascending; the Gauss nodes are columns 1, 3, .., 19
+_X01 = 0.5 + 0.5 * np.concatenate([-_XK, _XK[-2::-1]])
+_W01_K = 0.5 * np.concatenate([_WK, _WK[-2::-1]])
+_W01_G = 0.5 * np.concatenate([_WG, _WG[::-1]])
 
 
-def _panel_logs(log_f, seg, lo, hi, n):
-    """Log integrals of panels [lo, hi] using an n-point Gauss-Legendre rule."""
-    x01, logw = _gl_nodes(n)
+def _panel_logs(log_f, seg, lo, hi):
+    """(log Gauss-10, log Kronrod-21) integrals of panels [lo, hi].
+
+    One log_f call per batch: seg[:, None] against the (m, 21) nodes.  A
+    panel where exp(log_f) vanishes sums to 0 and gets -inf.
+    """
     width = hi - lo
-    nodes = lo[:, None] + width[:, None] * x01[None, :]
-    seg_rep = np.repeat(seg, n)
-    lf = log_f(seg_rep, nodes.ravel()).reshape(len(lo), n)
-    shifted = lf + logw[None, :]
-    m = shifted.max(axis=1)
-    safe_m = np.where(m == NEG_INF, 0.0, m)
-    sums = np.exp(shifted - safe_m[:, None]).sum(axis=1)
+    lf = log_f(seg[:, None], lo[:, None] + width[:, None] * _X01)
+    top = lf.max(axis=1)
+    safe = np.where(top == NEG_INF, 0.0, top)
+    e = np.exp(lf - safe[:, None])
     with np.errstate(divide="ignore"):
-        return np.where(
-            m == NEG_INF,
-            NEG_INF,
-            safe_m + np.log(np.maximum(sums, 1e-300)) + np.log(np.maximum(width, 1e-300)),
-        )
+        scale = safe + np.log(width)
+        return np.log(e[:, 1::2] @ _W01_G) + scale, np.log(e @ _W01_K) + scale
 
 
 def _log_abs_diff(la, lb):
@@ -105,14 +123,16 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     """Integrate exp(log_f) for many integrals at once.
 
     lo and hi have shape (n,) or (n, k): row i holds the k initial panels
-    of integral i, and empty panels (hi <= lo) are skipped.  log_f(seg_idx,
-    s) takes parallel arrays (integral index per abscissa) and returns the
-    log integrand.  Returns (log_integrals, log_error estimates), one per
-    integral.  Each integral is refined until its summed error estimate is
-    within cfg.tol of its own total, so a panel that carries only rounding
-    noise cannot hold it back.  Raises QuadratureError, with .segment set to
-    the failing integral, if any integral needs more than cfg.max_panels
-    panels.
+    of integral i, and empty panels (hi <= lo) are skipped.  log_f(seg, s)
+    gets broadcastable arrays, the integral index and the abscissae, and
+    must return the log integrand in s's shape: seg is (m, 1) and s is
+    (m, 21) in the panel rules, both are 1-D in the peak pre-pass.
+    Returns (log_integrals, log_error estimates), one per integral.  Each
+    integral is refined until its summed Gauss/Kronrod error estimate is
+    within cfg.tol of its own Kronrod total, so a panel that carries only
+    rounding noise cannot hold it back.  Raises QuadratureError, with
+    .segment set to the failing integral, if any integral needs more than
+    cfg.max_panels panels.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -126,7 +146,7 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     lo, hi = lo[live], hi[live]
 
     # split each panel at its spike before refining: a panel boundary at
-    # the max keeps the two-order estimate honest on the steep flanks
+    # the max keeps the Gauss/Kronrod estimate honest on the steep flanks
     peaks = golden_section_max_batch(lambda x: log_f(idx, x), lo, hi, rel_tol=1e-3, maxit=48)
     eps = 1e-12 * (hi - lo)
     peaks = np.clip(peaks, lo + eps, hi - eps)
@@ -134,8 +154,7 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     p_seg = np.repeat(idx, 2)
     p_lo = np.stack([lo, peaks], axis=1).ravel()
     p_hi = np.stack([peaks, hi], axis=1).ravel()
-    p_low = _panel_logs(log_f, p_seg, p_lo, p_hi, cfg.nodes_low)
-    p_high = _panel_logs(log_f, p_seg, p_lo, p_hi, cfg.nodes_high)
+    p_low, p_high = _panel_logs(log_f, p_seg, p_lo, p_hi)
     p_err = _log_abs_diff(p_low, p_high)
 
     log_tol = math.log(cfg.tol)
@@ -170,14 +189,12 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
         c_seg = np.concatenate([p_seg[split], p_seg[split]])
         c_lo = np.concatenate([p_lo[split], mid])
         c_hi = np.concatenate([mid, p_hi[split]])
-        c_low = _panel_logs(log_f, c_seg, c_lo, c_hi, cfg.nodes_low)
-        c_high = _panel_logs(log_f, c_seg, c_lo, c_hi, cfg.nodes_high)
+        c_low, c_high = _panel_logs(log_f, c_seg, c_lo, c_hi)
         c_err = _log_abs_diff(c_low, c_high)
 
         p_seg = np.concatenate([p_seg[keep], c_seg])
         p_lo = np.concatenate([p_lo[keep], c_lo])
         p_hi = np.concatenate([p_hi[keep], c_hi])
-        p_low = np.concatenate([p_low[keep], c_low])
         p_high = np.concatenate([p_high[keep], c_high])
         p_err = np.concatenate([p_err[keep], c_err])
 

@@ -192,6 +192,11 @@ def pointwise_domination_check(m: PowerLawMeasure, f: RadialProfile, c: float, C
     return DominationCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-6))
 
 
+def _shift_constants(beta: float) -> tuple[float, float]:
+    """(4 * 6^(beta/2), 2 * 6^(beta/2)): the shift constant for all r and for r <= 1/sqrt(5)."""
+    return 4.0 * 6.0 ** (beta / 2.0), 2.0 * 6.0 ** (beta / 2.0)
+
+
 def certified_shift_constant(m: PowerLawMeasure) -> float:
     """The certified shift constant for power laws.
 
@@ -203,7 +208,7 @@ def certified_shift_constant(m: PowerLawMeasure) -> float:
     if m.beta <= 0:
         return 1.0
     if m.beta <= m.d / 2:
-        return 4.0 * 6.0 ** (m.beta / 2.0)
+        return _shift_constants(m.beta)[0]
     raise ValueError("no certified shift constant for beta > d/2")
 
 

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 import math
 
 import pytest
 
-from radialmax.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from radialmax.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _emit, main
 from radialmax.maximal1d import RadialProfile, WeightedLineMeasure, uncentered_max
 
 
@@ -165,3 +166,27 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["bounds-lower", "--d", "twelve"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_csv_cell_with_comma_stays_one_cell(tmp_path):
+    out = tmp_path / "out.csv"
+    args = argparse.Namespace(format="csv", out=str(out))
+    columns = ["d", "passed", "error"]
+    _emit(args, "demo", columns, [{"d": 3, "passed": None, "error": 'bad ball (c, R) "x"'}])
+    lines = out.read_text().splitlines()
+    table = list(csv.reader(lines[1:]))
+    assert table[0] == columns
+    assert table[1] == ["3", "", 'bad ball (c, R) "x"']
+
+
+def test_maximal1d_eval_nonfinite_exits_numerical(tmp_path):
+    prof = tmp_path / "profile.txt"
+    prof.write_text("10 1\n")
+    rc, _, rows = run_csv(
+        tmp_path,
+        ["maximal1d-eval", "--profile", str(prof), "--d", "400", "--beta", "0",
+         "--x", "5,10,12"],
+    )
+    assert rc == EXIT_NUMERICAL
+    assert len(rows) == 3
+    assert any(r["uncentered_max"] == "" for r in rows)

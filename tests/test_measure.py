@@ -18,7 +18,8 @@ from radialmax.measure import (
     shift_condition_ratio,
     shift_condition_ratios,
 )
-from radialmax.specfun import log_sphere_area
+from radialmax import quadrature
+from radialmax.specfun import log_gamma, log_sphere_area
 
 TIGHT = QuadratureConfig(tol=1e-11)
 
@@ -296,6 +297,54 @@ def test_quadrature_budget_error_carries_estimate():
     for part in ("d=40", "beta=10.0", "c=1.0", "R=1.0", "r_in=0.0", "r_out=inf"):
         assert part in msg
     assert "segment" not in msg
+
+
+def test_gauss_kronrod_rule_exactness():
+    """Kronrod-21 is exact through degree 31, its Gauss-10 column through 19."""
+    seg, lo, hi = np.zeros(1, dtype=int), np.zeros(1), np.ones(1)
+    for k in range(32):
+        low, high = quadrature._panel_logs(lambda _, s: k * np.log(s), seg, lo, hi)
+        assert abs(math.exp(high[0]) * (k + 1) - 1.0) < 1e-14, k
+        gauss_err = abs(math.exp(low[0]) * (k + 1) - 1.0)
+        if k <= 19:
+            assert gauss_err < 1e-14, k
+        elif k == 20:
+            assert gauss_err > 1e-14
+    x, w = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(quadrature._X01[1::2], (x + 1.0) / 2.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(quadrature._W01_G, w / 2.0, rtol=0, atol=1e-15)
+
+
+def _count_sin_power_batch():
+    """Shapes of every log_f call on a fixed batch of sin^m spikes, and the result."""
+    ms = np.array([2.0, 40.0, 400.0, 4000.0])
+    calls = []
+
+    def log_f(seg, s):
+        calls.append((np.shape(seg), np.shape(s)))
+        with np.errstate(divide="ignore"):
+            return ms[seg] * np.log(np.sin(s))
+
+    n = len(ms)
+    out, _ = quadrature.log_integrate_batch(log_f, np.zeros(n), np.full(n, math.pi),
+                                            QuadratureConfig(tol=1e-10))
+    return ms, calls, out
+
+
+def test_quadrature_work_counts_repeat_and_panel_shapes():
+    ms, calls, out = _count_sin_power_batch()
+    assert _count_sin_power_batch()[1] == calls  # identical work on a rerun
+    panel_calls = [c for c in calls if len(c[1]) == 2]
+    assert len(panel_calls) >= 2  # the initial rule plus at least one refinement
+    for seg_shape, s_shape in calls:
+        if len(s_shape) == 1:  # the golden-section peak pre-pass
+            assert seg_shape == s_shape
+        else:
+            assert s_shape[1] == 21 and seg_shape == (s_shape[0], 1)
+    # int_0^pi sin^m = sqrt(pi) Gamma((m+1)/2) / Gamma(m/2+1)
+    exact = [0.5 * math.log(math.pi) + log_gamma(0.5 * (m + 1)) - log_gamma(0.5 * m + 1)
+             for m in ms]
+    np.testing.assert_allclose(out, exact, rtol=0, atol=1e-9)
 
 
 def test_quadrature_error_names_ball_within_batch():
