@@ -282,32 +282,26 @@ def level_sets(m: WeightedLineMeasure, f: RadialProfile, lambdas,
     # brackets on their lo side
     br_lo, br_hi, br_lam, br_entering = [], [], [], []
     runs_per_level = []
-    for li, lam in enumerate(lambdas):
-        above = Mg > lam
+    for lam in lambdas:
+        # runs of grid points above the level: [i, j] from the rising and
+        # falling edges of the zero-padded mask
+        edges = np.diff(np.concatenate([[0], (Mg > lam).astype(np.int8), [0]]))
         runs = []
-        i = 0
-        while i < len(xs):
-            if above[i]:
-                j = i
-                while j + 1 < len(xs) and above[j + 1]:
-                    j += 1
-                # left edge: 0 if the first grid point is already above
-                if i == 0:
-                    left = ("fixed", 0.0)
-                else:
-                    left = ("bracket", len(br_lo))
-                    br_lo.append(xs[i - 1]); br_hi.append(xs[i]); br_lam.append(lam)
-                    br_entering.append(True)
-                if j == len(xs) - 1:
-                    right = ("fixed", xs[-1])
-                else:
-                    right = ("bracket", len(br_lo))
-                    br_lo.append(xs[j]); br_hi.append(xs[j + 1]); br_lam.append(lam)
-                    br_entering.append(False)
-                runs.append((left, right))
-                i = j + 1
+        for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1):
+            # left edge: 0 if the first grid point is already above
+            if i == 0:
+                left = ("fixed", 0.0)
             else:
-                i += 1
+                left = ("bracket", len(br_lo))
+                br_lo.append(xs[i - 1]); br_hi.append(xs[i]); br_lam.append(lam)
+                br_entering.append(True)
+            if j == len(xs) - 1:
+                right = ("fixed", xs[-1])
+            else:
+                right = ("bracket", len(br_lo))
+                br_lo.append(xs[j]); br_hi.append(xs[j + 1]); br_lam.append(lam)
+                br_entering.append(False)
+            runs.append((left, right))
         runs_per_level.append(runs)
 
     bl = np.asarray(br_lo, dtype=float)

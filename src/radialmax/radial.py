@@ -48,7 +48,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MaximalConfig:
-    """Radius-search and quadrature settings for the centered operator."""
+    """Radius-search and quadrature settings for the centered operator.
+
+    The radius grid holds radii_per_decade log-spaced radii per decade
+    (clipped to [min_radii, max_radii]) from the floor max(distance to the
+    support, rho(c)) up to c + t_n, where rho(c) is the distance from c to
+    the nearest breakpoint t > 0; below rho(c) the average is the value of
+    c's own piece, known without a grid.  Each of the refine_rounds then
+    samples refine_points radii across the bracket around the best one,
+    and one parabolic step through the best radius and its two neighbours
+    from the last stage closes the search.
+    Points strictly inside a piece of value max f skip it: there
+    M_mu f = max f exactly.
+    """
 
     radii_per_decade: int = 512
     min_radii: int = 48
@@ -101,20 +113,34 @@ def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
     return float(_ball_averages_batch(m, f, [c], [R], cfg.quad)[0])
 
 
+def _own_piece(f: RadialProfile, c: float) -> tuple[float, float]:
+    """(rho, v): rho = min |c - t_i| over breakpoints t_i > 0, and the value v
+    that f takes on every ball B(c e1, R) with R < rho.
+
+    Such a ball stays inside one constancy piece up to the origin, which
+    has measure zero (hence t = 0 is left out, and c = 0 sees the first
+    piece when it starts at 0).  rho = 0 when c sits on a breakpoint
+    t > 0, and then every ball straddles two pieces.
+    """
+    rho = min(abs(c - t) for t in f.breakpoints if t > 0)
+    return rho, (f.value_at(c + 0.5 * rho) if rho > 0 else 0.0)
+
+
 def _radius_grid(f: RadialProfile, c: float, cfg: MaximalConfig) -> np.ndarray:
     """Candidate radii for the supremum at center distance c.
 
-    Log-spaced from the distance-to-support floor up to c + t_n, plus the
-    kink radii |c - t_i| and c + t_i where the ball boundary crosses a
-    breakpoint, plus a radius small enough that the ball sits inside c's
-    own piece (there the average equals the piece value exactly, covering
-    the R -> 0 side without decades of grid).
+    Log-spaced from the floor max(distance to the support, rho(c)) up to
+    c + t_n, plus the kink radii |c - t_i| and c + t_i where the ball
+    boundary crosses a breakpoint.  Below rho(c) the ball lies inside c's
+    own piece and the average is that piece's value exactly, so one radius
+    0.5 rho(c) stands for the whole R -> 0 side.
     """
     pieces = _positive_pieces(f)
     t_hi = max(p[1] for p in pieces)
     r_hi = c + t_hi
     dist_pos = min(max(p[0] - c, c - p[1], 0.0) for p in pieces)
-    floor = max(dist_pos, 1e-6 * r_hi)
+    rho, own = _own_piece(f, c)
+    floor = max(dist_pos, rho, 1e-6 * r_hi)
     if floor >= r_hi:
         floor = 0.5 * r_hi
     n = int(np.clip(math.ceil(math.log10(r_hi / floor) * cfg.radii_per_decade),
@@ -125,49 +151,84 @@ def _radius_grid(f: RadialProfile, c: float, cfg: MaximalConfig) -> np.ndarray:
         for cand in (abs(c - t), c + t):
             if floor < cand <= r_hi:
                 specials.append(cand)
-    gaps = [abs(c - t) for t in f.breakpoints if abs(c - t) > 0]
-    if f.value_at(c) > 0 and gaps:
-        specials.append(min(0.5 * min(gaps), r_hi))
-    grid = np.unique(np.concatenate([grid, specials]))
-    return grid
+    if own > 0:
+        specials.append(0.5 * rho)
+    return np.unique(np.concatenate([grid, specials]))
+
+
+def _best_three(R: np.ndarray, A: np.ndarray):
+    """Per row: the best average and the radii/averages at argmax-1, argmax, argmax+1.
+
+    Neighbours are clipped at the row ends, so an edge maximum repeats its
+    own radius and gets no parabola.
+    """
+    k = A.argmax(axis=1)
+    row = np.arange(len(R))
+    idx = (np.maximum(k - 1, 0), k, np.minimum(k + 1, R.shape[1] - 1))
+    return A[row, k], [R[row, j] for j in idx], [A[row, j] for j in idx]
+
+
+def _parabola_vertex(x, y):
+    """Vertex of the parabola through three points, clipped to [x0, x2]; NaN
+    where the points are not strictly ordered or not strictly concave."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s0 = (y1 - y0) / (x1 - x0)
+        s2 = (y2 - y1) / (x2 - x1)
+        v = x1 + 0.5 * ((x1 - x0) * s2 + (x2 - x1) * s0) / (s0 - s2)
+    ok = (x0 < x1) & (x1 < x2) & (s2 < s0)
+    return np.where(ok, np.clip(v, x0, x2), np.nan)
 
 
 def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
                              cfg: MaximalConfig = DEFAULT_MAXIMAL) -> np.ndarray:
-    """M_mu f at many center distances, sharing one batched radius search."""
+    """M_mu f at many center distances, sharing one batched radius search.
+
+    Where every small ball around c lies in a piece of value max f (c
+    strictly inside that piece, see _own_piece), M_mu f(c) = max f
+    exactly, since no average exceeds max f; those points skip the search.  The others get
+    one batched stage for the radius grid (see _radius_grid), one per
+    refine round on the bracket around the best radius, and a last stage
+    at the vertex of the parabola through the best radius and its two
+    neighbours, taken only where those three averages are concave.  Each
+    stage can only raise the running best.
+    """
     cs = np.asarray(cs, dtype=float)
     if f.positive_support() is None:
         warnings.warn("profile carries no mass: empty radius window, returning 0",
                       RuntimeWarning)
         return np.zeros(len(cs))
+    vmax = max(f.values)
+    out = np.full(len(cs), vmax)
+    todo = np.flatnonzero([_own_piece(f, c)[1] < vmax for c in cs])
+    if len(todo) == 0:
+        return out
+    cs = cs[todo]
     grids = [_radius_grid(f, c, cfg) for c in cs]
-    flat_c = np.concatenate([np.full(len(g), c) for c, g in zip(cs, grids)])
-    flat_r = np.concatenate(grids)
-    avgs = _ball_averages_batch(m, f, flat_c, flat_r, cfg.quad)
-
-    best = np.empty(len(cs))
-    blo = np.empty(len(cs))
-    bhi = np.empty(len(cs))
-    off = 0
-    for i, g in enumerate(grids):
-        a = avgs[off:off + len(g)]
-        k = int(np.argmax(a))
-        best[i] = a[k]
-        blo[i] = g[max(k - 1, 0)]
-        bhi[i] = g[min(k + 1, len(g) - 1)]
-        off += len(g)
+    width = max(len(g) for g in grids)
+    # ragged grids padded with their last radius; pads average -inf
+    R = np.stack([np.pad(g, (0, width - len(g)), mode="edge") for g in grids])
+    real = np.arange(width)[None, :] < np.array([len(g) for g in grids])[:, None]
+    A = np.full(R.shape, -np.inf)
+    A[real] = _ball_averages_batch(m, f, np.broadcast_to(cs[:, None], R.shape)[real],
+                                   R[real], cfg.quad)
+    best, x, y = _best_three(R, A)
 
     npts = cfg.refine_points
     for _ in range(cfg.refine_rounds):
-        rr = np.linspace(blo, bhi, npts, axis=1)  # (n, npts)
-        cc = np.repeat(cs, npts)
-        a = _ball_averages_batch(m, f, cc, rr.ravel(), cfg.quad).reshape(len(cs), npts)
-        k = a.argmax(axis=1)
-        row = np.arange(len(cs))
-        best = np.maximum(best, a[row, k])
-        blo = rr[row, np.maximum(k - 1, 0)]
-        bhi = rr[row, np.minimum(k + 1, npts - 1)]
-    return best
+        R = np.linspace(x[0], x[2], npts, axis=1)  # (n, npts)
+        A = _ball_averages_batch(m, f, np.repeat(cs, npts), R.ravel(),
+                                 cfg.quad).reshape(len(cs), npts)
+        a, x, y = _best_three(R, A)
+        best = np.maximum(best, a)
+
+    v = _parabola_vertex(x, y)
+    ok = ~np.isnan(v)
+    if ok.any():
+        best[ok] = np.maximum(best[ok], _ball_averages_batch(m, f, cs[ok], v[ok], cfg.quad))
+    out[todo] = best
+    return out
 
 
 def centered_max_radial(m: PowerLawMeasure, f: RadialProfile, c: float,

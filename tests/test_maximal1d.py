@@ -210,6 +210,22 @@ def test_max_at_breakpoint_sees_both_sides():
     assert uncentered_max(m, f2, 1.0) >= 3.0 - 1e-12
 
 
+def test_level_set_runs_at_both_window_ends():
+    # a synthetic maximal function above the level on (0, 0.3), (0.6, 0.9)
+    # and (1.1, T]: one run starts at the first grid point, one is interior
+    # and one ends at the window edge T
+    m = WeightedLineMeasure(3, 0.0)
+    max_fn = lambda ts: np.where((ts < 0.3) | ((ts > 0.6) & (ts < 0.9)) | (ts > 1.1),
+                                 2.0, 0.5)
+    res = level_sets(m, CHI01, [1.0], max_fn=max_fn)[0]
+    T = res.window
+    assert T > 1.1
+    gamma = lambda t: t ** 3 / 3.0
+    want = gamma(0.3) + gamma(0.9) - gamma(0.6) + gamma(T) - gamma(1.1)
+    assert res.resolution_error < 1e-8
+    assert res.measure == pytest.approx(want, rel=1e-9)
+
+
 def test_level_sets_multi_matches_single(rng):
     # the shared-grid multi-level path must agree with one-level calls
     for _ in range(5):

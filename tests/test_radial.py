@@ -16,6 +16,7 @@ from radialmax.measure import (
     log_ball_centered,
     log_ball_offcenter,
 )
+import radialmax.radial as radial
 from radialmax.radial import (
     MaximalConfig,
     ball_average,
@@ -34,6 +35,16 @@ FAST = MaximalConfig(
     refine_rounds=2,
     quad=QuadratureConfig(tol=1e-7),
     level_grid=GridConfig(points=160, bisect_rel_tol=1e-6, max_bisect=30),
+)
+# acceptance criterion 9's radius search
+CRITERION9 = MaximalConfig(radii_per_decade=128, refine_rounds=2,
+                           quad=QuadratureConfig(tol=1e-7))
+# (d, beta, c, profile): the benchmark's three criterion-9 geometries
+# (perfbench/workloads.py) with fixed values, c off the max-f piece
+BENCH_CASES = (
+    (4, 1.0, 1.0, RadialProfile((0.0, 0.6, 1.4, 2.5), (0.8, 2.5, 1.7))),
+    (12, 3.0, 1.3, RadialProfile((0.0, 0.3, 0.9, 1.6, 2.2, 3.0), (1.2, 0.5, 2.0, 0.9, 1.5))),
+    (22, 6.0, 0.7, RadialProfile((0.1, 0.5, 1.1, 1.8, 2.6), (2.2, 0.7, 1.9, 0.4))),
 )
 
 
@@ -137,6 +148,99 @@ def test_max_at_origin_is_centered_case():
     pm = _ProfileMass(WeightedLineMeasure(5, 2.0), f)
     want = float(pm.mass(np.array([1.0]))[0] / pm.gamma(np.array([1.0]))[0])
     assert v == pytest.approx(want, rel=1e-9)
+
+
+def _dense_oracle_max(m, f, c, n=4001, rounds=6, points=33):
+    """sup_R of the ball average on 4001 log-spaced radii plus every kink
+    radius, then zoom rounds around the best radius, at quadrature tol 1e-10."""
+    quad = QuadratureConfig(tol=1e-10)
+    t_hi = max(t for t, v in zip(f.breakpoints[1:], f.values) if v > 0)
+    r_hi = c + t_hi
+    kinks = [r for t in f.breakpoints for r in (abs(c - t), c + t) if 0 < r <= r_hi]
+    R = np.unique(np.concatenate([np.geomspace(1e-6 * r_hi, r_hi, n), kinks]))
+    best = 0.0
+    for _ in range(rounds + 1):
+        A = radial._ball_averages_batch(m, f, np.full(len(R), c), R, quad)
+        k = int(A.argmax())
+        best = max(best, float(A[k]))
+        R = np.linspace(R[max(k - 1, 0)], R[min(k + 1, len(R) - 1)], points)
+    return best
+
+
+def test_max_matches_dense_oracle():
+    rng = np.random.default_rng(5)
+    cases = list(BENCH_CASES)
+    for _ in range(4):
+        d = int(rng.integers(2, 13))
+        beta = float(rng.uniform(0.05, d / 2))
+        f = random_profile(rng, max_pieces=4, allow_zero_pieces=False)
+        cases.append((d, beta, float(rng.uniform(0.05, 2.5)), f))
+    for d, beta, c, f in cases:
+        m = PowerLawMeasure(d, beta)
+        want = _dense_oracle_max(m, f, c)
+        got = centered_max_radial(m, f, c, CRITERION9)
+        assert abs(got - want) <= 1e-9 * want, (d, beta, c, got, want)
+
+
+def test_max_inside_top_piece_is_max_value(monkeypatch):
+    # no average exceeds max f and small balls inside the top piece attain
+    # it, so no ball measure is computed; c = 0 sees only the first piece
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("ball measure computed")
+
+    monkeypatch.setattr(radial, "_batched_shell_logs", no_quadrature)
+    m = PowerLawMeasure(5, 2.0)
+    f = RadialProfile((0.0, 0.5, 1.5, 2.0), (2.5, 0.5, 1.0))
+    got = centered_max_radial_grid(m, f, [0.0, 1e-9, 0.2, 0.4999], FAST)
+    assert np.all(got == max(f.values))
+
+
+def test_max_on_top_piece_breakpoint_is_below_max():
+    # at c = 0.5 every ball straddles the pieces of value 2.5 and 0.5
+    m = PowerLawMeasure(5, 2.0)
+    f = RadialProfile((0.0, 0.5, 1.5, 2.0), (2.5, 0.5, 1.0))
+    assert 0.5 < centered_max_radial(m, f, 0.5, FAST) < 2.5
+
+
+def test_radius_grid_one_radius_inside_own_piece():
+    f = RadialProfile((0.0, 0.5, 1.5, 2.0), (2.5, 0.5, 1.0))
+    for c, rho in ((1.1, 0.4), (0.2, 0.3), (1.8, 0.2)):
+        grid = radial._radius_grid(f, c, FAST)
+        assert np.count_nonzero(grid < rho - 1e-15) == 1
+        assert grid[0] == pytest.approx(0.5 * rho)
+
+
+def test_max_grid_empty_input_and_no_refine():
+    m = PowerLawMeasure(4, 1.0)
+    f = RadialProfile((0.0, 0.6, 1.4, 2.5), (0.8, 2.5, 1.7))
+    assert centered_max_radial_grid(m, f, [], FAST).shape == (0,)
+    coarse = MaximalConfig(radii_per_decade=96, refine_rounds=0, quad=QuadratureConfig(tol=1e-7))
+    v0 = centered_max_radial(m, f, 1.0, coarse)
+    v2 = centered_max_radial(m, f, 1.0, FAST)
+    assert v0 == pytest.approx(v2, rel=1e-6)
+
+
+def test_radius_search_work_units(monkeypatch):
+    # ball averages per point at criterion-9 settings (the dense log grid
+    # from 1e-6 r_hi spent 809-813), identical across reruns
+    counted = []
+    batch = radial._ball_averages_batch
+
+    def counting(m, f, cs, Rs, quad):
+        counted[-1] += len(Rs)
+        return batch(m, f, cs, Rs, quad)
+
+    monkeypatch.setattr(radial, "_ball_averages_batch", counting)
+    runs = []
+    for _ in range(2):
+        per_point = []
+        for d, beta, c, f in BENCH_CASES:
+            counted.append(0)
+            centered_max_radial(PowerLawMeasure(d, beta), f, c, CRITERION9)
+            per_point.append(counted[-1])
+        runs.append(per_point)
+    assert runs[0] == runs[1]
+    assert max(runs[0]) <= 220, runs[0]
 
 
 # ---------------------------------------------------------------------------
