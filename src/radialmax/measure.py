@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, log_integrate_batch
-from .specfun import NEG_INF, LogValue, log_beta, log_gamma, log_sphere_area
+from .specfun import NEG_INF, LogValue, _log_power_interval, log_beta, log_gamma, log_sphere_area
 
 __all__ = [
     "PowerLawMeasure",
@@ -83,18 +83,6 @@ def log_ball_centered(m: PowerLawMeasure, rho: float) -> LogValue:
         raise ValueError("radius must be > 0")
     p = m.homogeneity
     return LogValue(log_sphere_area(m.d) + p * math.log(rho) - math.log(p))
-
-
-def _log_power_gap(p: float, b, gap):
-    """ln((b^p - a^p)/p) with a = b - gap, for 0 < gap <= b; -inf where gap <= 0.
-
-    Taking the gap rather than a keeps thin intervals exact: a itself is
-    never formed, so b - a cannot cancel.
-    """
-    gap = np.minimum(gap, b)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = p * np.log(b) + np.log(-np.expm1(p * np.log1p(-gap / b))) - math.log(p)
-    return np.where(gap > 0, out, NEG_INF)
 
 
 def _two_sum(a, b):
@@ -170,12 +158,18 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, R_IN, R_OUT, tangent: bool):
                 t_minus = d_minus = 0.0
                 chord = t_plus
                 log_w = (d - 2) * np.log(sx)
-        b_ray = t_plus <= r_out
-        a_ray = t_minus >= r_in
-        gap = np.where(b_ray,
-                       np.where(a_ray, chord, FAR_IN[seg] - d_plus),
-                       np.where(a_ray, NEAR_OUT[seg] - d_minus, r_out - r_in))
-        return lw + log_w + _log_power_gap(p, np.minimum(t_plus, r_out), gap)
+            b_ray = t_plus <= r_out
+            a_ray = t_minus >= r_in
+            gap = np.where(b_ray,
+                           np.where(a_ray, chord, FAR_IN[seg] - d_plus),
+                           np.where(a_ray, NEAR_OUT[seg] - d_minus, r_out - r_in))
+            b = np.minimum(t_plus, r_out)
+            log_ratio = np.log1p(-np.minimum(gap, b) / b)
+            log_b = np.log(b)
+        # the node arrays are (panels, 21) each: dropping these two before
+        # the power interval lowers the peak memory of large batches
+        del gap, b
+        return lw + log_w + _log_power_interval(p, log_b, log_ratio)
 
     return log_f
 

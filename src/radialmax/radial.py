@@ -83,7 +83,11 @@ def _positive_pieces(f: RadialProfile):
 
 def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
                          quad: QuadratureConfig) -> np.ndarray:
-    """Averages of f over B(c_i e1, R_i) for many balls in one quadrature run."""
+    """Averages of f over B(c_i e1, R_i) for many balls in one quadrature run.
+
+    No average exceeds max f; the ratio of two separately rounded
+    integrals can, by a few ulps, so it is clamped there.
+    """
     cs = np.asarray(cs, dtype=float)
     Rs = np.asarray(Rs, dtype=float)
     pieces = _positive_pieces(f)
@@ -102,7 +106,7 @@ def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
     safe_mx = np.where(mx == NEG_INF, 0.0, mx)
     sums = np.exp(num_terms - safe_mx[:, None]).sum(axis=1)
     num = np.where(mx == NEG_INF, NEG_INF, safe_mx + np.log(np.maximum(sums, 1e-300)))
-    return np.exp(num - den)
+    return np.minimum(np.exp(num - den), max(f.values))
 
 
 def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,

@@ -84,6 +84,20 @@ def stirling_bounds(x: float) -> tuple[float, float]:
     return lower, lower + 1.0 / (12.0 * x)
 
 
+def _log_power_interval(p: float, log_b, log_ratio):
+    """ln((b^p - a^p)/p) for 0 <= a <= b and p > 0, from ln b and ln(a/b) <= 0.
+
+    The one power-interval primitive of the ball measures and the 1D
+    operator; -inf where the interval is empty (log_ratio is 0 or NaN).
+    Callers pick the form of ln(a/b) that keeps their digits: log1p(-gap/b)
+    from the gap b - a for thin intervals, so that b - a never cancels,
+    and ln a - ln b for wide ones, where b - a would round a away.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = p * log_b + np.log(-np.expm1(p * log_ratio)) - math.log(p)
+    return np.where(log_ratio < 0, out, NEG_INF)
+
+
 def log_sphere_area(d: int) -> float:
     """ln of the surface area of the unit sphere in R^d: ln(2 pi^{d/2} / Gamma(d/2))."""
     if d < 1 or int(d) != d:

@@ -179,9 +179,27 @@ def test_csv_cell_with_comma_stays_one_cell(tmp_path):
     assert table[1] == ["3", "", 'bad ball (c, R) "x"']
 
 
-def test_maximal1d_eval_nonfinite_exits_numerical(tmp_path):
+def test_maximal1d_eval_high_dimension_values(tmp_path):
+    # M^u chi_(0,5] at d = 400: 1 on the support, (5/x)^400 beyond it
     prof = tmp_path / "profile.txt"
-    prof.write_text("10 1\n")
+    prof.write_text("5 1\n")
+    rc, _, rows = run_csv(
+        tmp_path,
+        ["maximal1d-eval", "--profile", str(prof), "--d", "400", "--beta", "0",
+         "--x", "5,10,12"],
+    )
+    assert rc == EXIT_OK
+    got = [float(r["uncentered_max"]) for r in rows]
+    assert got[0] == 1.0
+    for x, g in zip((10.0, 12.0), got[1:]):
+        assert math.log(g) == pytest.approx(400 * math.log(5.0 / x), rel=1e-13)
+
+
+def test_maximal1d_eval_nonfinite_exits_numerical(tmp_path):
+    # every finite profile gives a finite M^u, so the non-finite exit is
+    # reached through a NaN profile value
+    prof = tmp_path / "profile.txt"
+    prof.write_text("10 nan\n")
     rc, _, rows = run_csv(
         tmp_path,
         ["maximal1d-eval", "--profile", str(prof), "--d", "400", "--beta", "0",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from radialmax.maximal1d import (
     GridConfig,
@@ -16,8 +18,9 @@ from radialmax.maximal1d import (
     uncentered_max_grid,
     weak_type_quotient_1d,
 )
+from radialmax.maximal1d import _level_extents, _level_set_logs
 
-from conftest import oracle_uncentered_max, random_line_measure, random_profile
+from conftest import oracle_uncentered_max, profile_mass, random_line_measure, random_profile
 
 LEB = WeightedLineMeasure(1, 0.0)
 CHI01 = RadialProfile.indicator(1.0)
@@ -93,9 +96,8 @@ def test_lower_bounded_by_left_average(rng):
         m = random_line_measure(rng, d_max=25)
         f = random_profile(rng)
         x = float(rng.uniform(0.05, 4.0))
-        from radialmax.maximal1d import _ProfileMass
-        pm = _ProfileMass(m, f)
-        left_avg = float(pm.mass(np.array([x]))[0] / pm.gamma(np.array([x]))[0])
+        p = m.d - m.beta
+        left_avg = float(profile_mass(p, f, x) / (x ** p / p))
         assert uncentered_max(m, f, x) >= left_avg - 1e-12
 
 
@@ -247,3 +249,180 @@ def test_weak_type_far_small_piece_approaches_two():
     lam = np.geomspace(1e-4, 1.0, 48)
     q = weak_type_quotient_1d(LEB, f, lam)
     assert 1.9 <= q <= 2.0 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# exact level sets and the log-space evaluator
+# ---------------------------------------------------------------------------
+
+def _components(m, f, lam):
+    """Sorted, merged components (a, b) of {M^u f > lam} from the extents."""
+    log_l, log_r = _level_extents(m, f, [lam])
+    out = []
+    for a, b in sorted(zip(np.exp(log_l[0]), np.exp(log_r[0]))):
+        if b <= a:
+            continue
+        if out and a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return out
+
+
+def test_uncentered_max_high_dimension_reproducers():
+    m = WeightedLineMeasure(400, 0.0)
+    assert uncentered_max(m, RadialProfile.indicator(10.0), 5.0) == pytest.approx(1.0, rel=1e-14)
+    got = uncentered_max(m, RadialProfile.indicator(5.0), 10.0)
+    assert got > 0
+    assert math.log(got) == pytest.approx(-400 * math.log(2.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 3, 50, 400])
+def test_level_set_indicator_closed_form(d):
+    # M^u chi_(0,r] = 1 on (0, r] and G(r)/G(x) beyond, so
+    # {M^u > lam} = (0, r lam^(-1/p)) with gamma0-measure r^p/(p lam)
+    for beta in (0.0, -1.5, d - 0.5):
+        m = WeightedLineMeasure(d, beta)
+        p = d - beta
+        for r in (0.01, 1.0, 7.3, 100.0):
+            f = RadialProfile.indicator(r)
+            lams = np.array([1e-3, 0.1, 0.5, 0.99, 1.0, 1.5])
+            log_mu, log_sup = _level_set_logs(m, f, lams)
+            for lam, lmu, lsup in zip(lams, log_mu, log_sup):
+                if lam >= 1.0:
+                    assert lmu == -np.inf and lsup == -np.inf
+                    continue
+                want = p * math.log(r) - math.log(p) - math.log(lam)
+                assert lmu == pytest.approx(want, rel=1e-13, abs=1e-13)
+                assert lsup == pytest.approx(math.log(r) - math.log(lam) / p, rel=1e-13, abs=1e-13)
+
+
+def test_level_set_component_reaching_near_zero():
+    # chi_(t0,t1]: {M^u > lam} = (L, R) with G(L) = G(t1) - D/lam and
+    # G(R) = G(t0) + D/lam, D = G(t1) - G(t0), so its measure is D(2/lam - 1).
+    # At p = 0.0996 and L = 1.7e-16, G(L) is 0.27 of G(R) = 25.7, which a
+    # component measure taken from the gap R - L would round away
+    m = WeightedLineMeasure(1, 0.9004)
+    p = m.power
+    G = lambda t: t ** p / p
+    t0, t1, L = 1.0, 100.0, 1.7e-16
+    D = G(t1) - G(t0)
+    lam = D / (G(t1) - G(L))
+    f = RadialProfile((t0, t1), (1.0,))
+    assert _components(m, f, lam)[0][0] == pytest.approx(L, rel=1e-9)
+    assert level_set_measure(m, f, lam).measure == pytest.approx(D * (2.0 / lam - 1.0), rel=1e-12)
+
+
+def test_level_set_thin_gap_is_outside():
+    # M^u < lam on (1.76691, 1.77586): a dense grid counts this gap as inside
+    m = WeightedLineMeasure(32, 28.19151225922798)
+    f = RadialProfile(
+        (0.0, 0.08135929330977176, 0.774267147199887, 1.3457420516571306,
+         1.7071336029656967, 2.444080093717913, 2.730126225219491),
+        (1.327879547107895, 0.13424940483159375, 0.938953691772398,
+         2.0870442269042853, 0.1252506352635362, 3.8457465081114295))
+    lam = 1.7137030659247512
+    comps = _components(m, f, lam)
+    gaps = [(a[1], b[0]) for a, b in zip(comps, comps[1:])]
+    assert any(g0 < 1.76691 and 1.77586 < g1 for g0, g1 in gaps), comps
+    assert np.all(uncentered_max_grid(m, f, np.linspace(1.76691, 1.77586, 50)) <= lam)
+    # every component end is a crossing of M^u through lam, to 1e-9 relative
+    step = 1.0 + 1e-9
+    for a, b in comps:
+        assert np.all(uncentered_max_grid(m, f, [a * step, b / step]) > lam)
+        assert np.all(uncentered_max_grid(m, f, [a / step, b * step]) <= lam)
+    p = m.power
+    exact = sum((b ** p - a ** p) / p for a, b in comps)
+    res = level_set_measure(m, f, lam)
+    assert res.measure == pytest.approx(exact, rel=1e-12)
+    assert res.measure == pytest.approx(16.9046, abs=1e-4)
+    assert res.resolution_error == 0.0
+    # the level is one of 32: the multi-level call gives the same set
+    lams = default_lambda_grid(m, f, 32)
+    assert lam in lams
+    multi = level_sets(m, f, lams)
+    assert multi[int(np.flatnonzero(lams == lam)[0])].measure == res.measure
+    assert weak_type_quotient_1d(m, f, lams) == pytest.approx(1.45991, abs=1e-5)
+
+
+def test_level_set_sampled_inside_and_gaps(rng):
+    # M^u > lam at sampled points of every component and <= lam in every gap
+    for _ in range(40):
+        m = random_line_measure(rng, d_max=30)
+        f = random_profile(rng)
+        for lam in default_lambda_grid(m, f, 6):
+            comps = _components(m, f, lam)
+            edges = [0.0] + [e for c in comps for e in c]
+            edges.append(2.0 * max(edges[-1], f.breakpoints[-1]) + 1.0)
+            for k, (a, b) in enumerate(zip(edges, edges[1:])):
+                if b <= a:
+                    continue
+                xs = np.linspace(a, b, 22)[1:-1]
+                mu = uncentered_max_grid(m, f, xs)
+                if k % 2:
+                    assert np.all(mu > lam), (m, f, lam, a, b)
+                else:
+                    assert np.all(mu <= lam), (m, f, lam, a, b)
+
+
+def _scaled_and_dilated(m, f, lams, c, s):
+    """ln measures of E_lam(f), E_{c lam}(c f) and E_lam(f(./s)) - p ln s."""
+    base, _ = _level_set_logs(m, f, lams)
+    homog, _ = _level_set_logs(m, f.scaled(c), c * lams)
+    g = RadialProfile(tuple(s * t for t in f.breakpoints), f.values)
+    dil, _ = _level_set_logs(m, g, lams)
+    return base, homog, dil - m.power * math.log(s)
+
+
+def _assert_same_logs(a, b):
+    finite = np.isfinite(a)
+    assert np.array_equal(finite, np.isfinite(b))
+    assert np.allclose(a[finite], b[finite], rtol=1e-9, atol=1e-9)
+
+
+def test_level_set_homogeneity_and_dilation(rng):
+    for _ in range(30):
+        m = random_line_measure(rng, d_max=50)
+        f = random_profile(rng)
+        lams = default_lambda_grid(m, f, 12)
+        base, homog, dil = _scaled_and_dilated(
+            m, f, lams, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
+        _assert_same_logs(base, homog)
+        _assert_same_logs(base, dil)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 60),
+    beta_frac=st.floats(0.0, 0.99),
+    widths=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=8),
+    start=st.floats(0.0, 1.0),
+    values=st.lists(st.floats(0.0, 4.0), min_size=8, max_size=8),
+    c=st.floats(0.1, 10.0),
+    s=st.floats(0.1, 10.0),
+)
+def test_level_set_homogeneity_and_dilation_property(d, beta_frac, widths, start, values, c, s):
+    m = WeightedLineMeasure(d, -2.0 + beta_frac * (d + 2.0))
+    vals = values[:len(widths)]
+    assume(max(vals) > 0)
+    f = RadialProfile((start, *(start + np.cumsum(widths))), tuple(vals))
+    lams = default_lambda_grid(m, f, 8)
+    base, homog, dil = _scaled_and_dilated(m, f, lams, c, s)
+    _assert_same_logs(base, homog)
+    _assert_same_logs(base, dil)
+
+
+def test_grid_path_matches_exact_on_decreasing_profiles(rng):
+    # on decreasing profiles each level set is one interval (0, x*), which
+    # the grid path resolves by bisection
+    for _ in range(8):
+        m = random_line_measure(rng, d_max=20)
+        n = int(rng.integers(1, 6))
+        bp = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, n))])
+        f = RadialProfile(tuple(bp), tuple(np.sort(rng.uniform(0.1, 4.0, n))[::-1]))
+        lams = default_lambda_grid(m, f, 8)
+        grid = level_sets(m, f, lams, max_fn=lambda ts: uncentered_max_grid(m, f, ts))
+        exact = level_sets(m, f, lams)
+        for g, e in zip(grid, exact):
+            assert e.resolution_error == 0.0
+            assert g.measure == pytest.approx(e.measure, rel=1e-6)

@@ -28,7 +28,7 @@ from radialmax.radial import (
     weak_type_quotient_radial,
 )
 
-from conftest import random_profile
+from conftest import profile_mass, random_profile
 
 FAST = MaximalConfig(
     radii_per_decade=96,
@@ -63,12 +63,28 @@ def test_average_of_constant_is_one(d, beta, c, R):
 def test_centered_average_reduces_to_weighted_1d():
     m = PowerLawMeasure(5, 2.0)
     f = RadialProfile((0.0, 0.5, 1.5, 2.0), (2.0, 0.5, 1.0))
-    from radialmax.maximal1d import _ProfileMass
-
-    pm = _ProfileMass(WeightedLineMeasure(5, 2.0), f)
     R = 1.2
-    want = float(pm.mass(np.array([R]))[0] / pm.gamma(np.array([R]))[0])
+    want = float(profile_mass(3.0, f, R) / (R ** 3 / 3.0))
     assert ball_average(m, f, 0.0, R, FAST) == pytest.approx(want, rel=1e-10)
+
+
+def test_average_never_exceeds_max_value():
+    # the criterion-9 profile on which a ball inside the top piece averaged
+    # 3.9497435311848093 against a max f of 3.9497435311848057
+    m = PowerLawMeasure(4, 1.0)
+    f = RadialProfile((0.0, 0.6, 1.4, 2.5),
+                      (3.9497435311848057, 1.3089078120177913, 3.164768296489114))
+    vmax = max(f.values)
+    balls = [(0.437697936590399, 0.00795318752079278), (0.38217701239287255, 0.03581604435166263)]
+    for c in np.linspace(0.05, 0.55, 6):
+        for frac in (0.1, 0.5, 0.9):
+            balls.append((c, frac * min(c, 0.6 - c)))
+    for c in (1.0, 1.3):
+        for R in (0.05, 0.4, 1.0, 2.0):
+            balls.append((c, R))
+    got = [ball_average(m, f, c, R, CRITERION9) for c, R in balls]
+    assert max(got) <= vmax
+    assert got[0] == vmax
 
 
 def test_average_domain():
@@ -143,10 +159,7 @@ def test_max_at_origin_is_centered_case():
     f = RadialProfile((0.2, 1.0), (1.0,))
     v = centered_max_radial(m, f, 0.0, FAST)
     # best centered ball stops at the support's outer edge
-    from radialmax.maximal1d import _ProfileMass
-
-    pm = _ProfileMass(WeightedLineMeasure(5, 2.0), f)
-    want = float(pm.mass(np.array([1.0]))[0] / pm.gamma(np.array([1.0]))[0])
+    want = float(profile_mass(3.0, f, 1.0) / (1.0 / 3.0))
     assert v == pytest.approx(want, rel=1e-9)
 
 
