@@ -15,7 +15,6 @@ from .maximal1d import (
     RadialProfile,
     WeightedLineMeasure,
     gamma0_interval,
-    level_set_measure,
     uncentered_max,
     weak_type_quotient_1d,
 )

@@ -262,8 +262,12 @@ def cmd_weaktype(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_maximal1d_eval(args) -> int:
-    with open(args.profile) as fh:
-        f = m1d.RadialProfile.from_text(fh.read())
+    try:
+        with open(args.profile) as fh:
+            f = m1d.RadialProfile.from_text(fh.read())
+    except ValueError as exc:
+        print(f"bad profile {args.profile}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     m = m1d.WeightedLineMeasure(args.d_single, args.beta)
     xs = [float(t) for t in args.x.split(",") if t.strip()]
     if not xs or any(x <= 0 for x in xs):

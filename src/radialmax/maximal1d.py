@@ -42,7 +42,6 @@ __all__ = [
     "gamma0_interval",
     "uncentered_max",
     "uncentered_max_grid",
-    "level_set_measure",
     "level_sets",
     "weak_type_quotient_1d",
     "default_lambda_grid",
@@ -84,6 +83,8 @@ class RadialProfile:
             raise ValueError("need one more breakpoint than values")
         if len(vals) < 1:
             raise ValueError("profile needs at least one piece")
+        if not all(math.isfinite(x) for x in bp + vals):
+            raise ValueError("breakpoints and values must be finite")
         if bp[0] < 0:
             raise ValueError("breakpoints must be >= 0")
         if any(b >= c for b, c in zip(bp, bp[1:])):
@@ -162,18 +163,29 @@ def _log_l1(m: WeightedLineMeasure, f: RadialProfile) -> float:
     return float(np.logaddexp.reduce(lv + lg, axis=0))
 
 
+def _linear(log_value, m: WeightedLineMeasure, what: str) -> float:
+    """exp(log_value); past the double range, an OverflowError naming the inputs."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OverflowError(f"{what} = exp({float(log_value):.6g}) at d = {m.d}, beta = {m.beta} "
+                            "is past the double range; weak_type_quotient_* work in logs"
+                            ) from None
+
+
 def gamma0_interval(m: WeightedLineMeasure, a: float, b: float) -> float:
     """gamma0(a, b) = (b^p - a^p)/p with p = d - beta; 0 when a == b."""
     if a < 0 or b < a:
         raise ValueError("need 0 <= a <= b")
     with np.errstate(divide="ignore"):
         la, lb = np.log(a), np.log(b)
-    return math.exp(float(_log_power_interval(m.power, lb, la - lb)))
+    return _linear(float(_log_power_interval(m.power, lb, la - lb)), m, f"gamma0({a}, {b})")
 
 
 def profile_l1_norm(m: WeightedLineMeasure, f: RadialProfile) -> float:
     """L1 norm of the profile under gamma0."""
-    return math.exp(_log_l1(m, f))
+    return _linear(_log_l1(m, f), m,
+                   f"||f||_1 on ({f.breakpoints[0]}, {f.breakpoints[-1]})")
 
 
 def uncentered_max_grid(m: WeightedLineMeasure, f: RadialProfile, xs) -> np.ndarray:
@@ -305,33 +317,20 @@ def _level_set_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Resolution knobs for level-set measurement of a caller-supplied max_fn."""
+    """Resolution knobs for level sets of a caller-supplied max_fn (_grid_level_logs)."""
 
     points: int = 1024
     bisect_rel_tol: float = 1e-10
     max_bisect: int = 64
 
 
-DEFAULT_GRID = GridConfig()
-
-
 @dataclass(frozen=True)
 class LevelSetResult:
-    """gamma0-measure of a level set, the gamma0-width of its unresolved
-    crossing brackets (0 when exact), and a window T beyond which the
-    maximal function is at most the level (the set's supremum when exact)."""
+    """gamma0-measure of a level set and its supremum, the window beyond
+    which the maximal function is at most the level."""
 
     measure: float
-    resolution_error: float
     window: float
-
-
-def _bracket_window(m: WeightedLineMeasure, f: RadialProfile, lam: float) -> float:
-    """T with M^u f < lam beyond T: gamma0(t_n, T) = ||f||_1 / lam."""
-    p = m.power
-    t_n = f.breakpoints[-1]
-    l1 = profile_l1_norm(m, f)
-    return (t_n ** p + p * l1 / lam) ** (1.0 / p) * (1.0 + 1e-12)
 
 
 def _check_levels(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> np.ndarray:
@@ -346,120 +345,83 @@ def _check_levels(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> np.ndarr
     return lambdas
 
 
-def level_sets(m: WeightedLineMeasure, f: RadialProfile, lambdas,
-               grid: GridConfig = DEFAULT_GRID, max_fn=None,
-               window_scale: float = 1.0) -> list[LevelSetResult]:
-    """gamma0-measure of {M f > lambda} for several lambdas at once.
+def level_sets(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> list[LevelSetResult]:
+    """gamma0-measure of {M^u f > lambda} for several lambdas at once.
 
-    With max_fn None, M is the 1D operator and each level set is exact, a
-    union of breakpoint-anchored extents (see _level_extents): grid is
-    unused and resolution_error is 0.  A caller-supplied max_fn, any
-    vectorized c -> M(c) map, gets the grid path instead: M on a bracketing
-    grid shared by all levels, then lockstep bisection of each level's
-    up/down crossings.  The radial module uses it for level sets in R^d,
-    passing window_scale = C + 1 because its maximal function exceeds the
-    1D one by that factor.
+    Each level set is exact, a union of breakpoint-anchored extents (see
+    _level_extents).  A measure past the double range raises OverflowError;
+    weak_type_quotient_1d stays finite there.
     """
     lambdas = _check_levels(m, f, lambdas)
-    if max_fn is None:
-        log_mu, log_sup = _level_set_logs(m, f, lambdas)
-        return [LevelSetResult(math.exp(a), 0.0, math.exp(b))
-                for a, b in zip(log_mu, log_sup)]
+    log_mu, log_sup = _level_set_logs(m, f, lambdas)
+    return [LevelSetResult(_linear(a, m, f"gamma0{{M^u f > {lam:g}}}"),
+                           _linear(b, m, f"sup{{M^u f > {lam:g}}}"))
+            for lam, a, b in zip(lambdas, log_mu, log_sup)]
 
-    T = max(_bracket_window(m, f, float(l) / window_scale) for l in lambdas)
-    if not math.isfinite(T):
-        raise ValueError("level-set window overflowed; raise the smallest lambda")
+
+def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: GridConfig,
+                     max_fn, window_scale: float):
+    """(ln gamma0{M > lam}, ln gamma0-width of its unresolved brackets) per level.
+
+    For any vectorized c -> M(c) with M <= window_scale * M^u f (radial's
+    centered operator, with C + 1): M on one grid shared by all levels up to
+    the window T, gamma0(t_n, T) = window_scale ||f||_1 / min lam, then
+    lockstep bisection of every crossing; measures come from ln a - ln b.
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    p = m.power
+    t_n = f.breakpoints[-1]
+    log_T = (np.logaddexp(p * math.log(t_n), math.log(p * window_scale) + _log_l1(m, f)
+                          - math.log(lambdas.min())) / p + math.log1p(1e-12))
+    T = _linear(log_T, m, f"the level-set window for lambda = {lambdas.min():g}")
     # geometric grid down to where the cumulative gamma0-mass is negligible
     # (t^p dies slowly for small p = d - beta, so the depth is mass-aware),
     # plus linear coverage of the profile's own scale
-    p = m.power
     decades_down = min(max(9.0 / p, 4.0), 300.0)
     geo = np.geomspace(T * 10.0 ** (-decades_down), T,
                        max(grid.points, int(8 * decades_down)))
-    t_n = f.breakpoints[-1]
     lin = np.linspace(0.0, min(2.0 * t_n, T), grid.points // 4 + 2)[1:]
-    bp = np.asarray([t for t in f.breakpoints if 0 < t < T])
-    xs = np.unique(np.concatenate([geo, lin, bp]))
+    bp = np.asarray(f.breakpoints)
+    xs = np.unique(np.concatenate([geo, lin, bp[(bp > 0) & (bp < T)]]))
     Mg = max_fn(xs)
 
-    # collect crossing brackets for every level, then bisect them together;
-    # entering brackets have the above-level state on their hi side, exit
-    # brackets on their lo side
-    br_lo, br_hi, br_lam, br_entering = [], [], [], []
-    runs_per_level = []
-    for lam in lambdas:
-        # runs of grid points above the level: [i, j] from the rising and
-        # falling edges of the zero-padded mask
-        edges = np.diff(np.concatenate([[0], (Mg > lam).astype(np.int8), [0]]))
-        runs = []
-        for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1):
-            # left edge: 0 if the first grid point is already above
-            if i == 0:
-                left = ("fixed", 0.0)
-            else:
-                left = ("bracket", len(br_lo))
-                br_lo.append(xs[i - 1]); br_hi.append(xs[i]); br_lam.append(lam)
-                br_entering.append(True)
-            if j == len(xs) - 1:
-                right = ("fixed", xs[-1])
-            else:
-                right = ("bracket", len(br_lo))
-                br_lo.append(xs[j]); br_hi.append(xs[j + 1]); br_lam.append(lam)
-                br_entering.append(False)
-            runs.append((left, right))
-        runs_per_level.append(runs)
+    # edge k of a level's zero-padded mask is a crossing in (x_{k-1}, x_k);
+    # row-major, each level's edges alternate entering and leaving, and a run
+    # from the first grid point or to the last gets a zero-width bracket at 0 or T
+    above = np.pad(Mg[None, :] > lambdas[:, None], ((0, 0), (1, 1)))
+    edges = np.diff(above.astype(np.int8), axis=1)
+    level, k = np.nonzero(edges)
+    entering = edges[level, k] > 0
+    bl = np.concatenate([[0.0], xs])[k]
+    bh = np.where(k == 0, 0.0, np.concatenate([xs, xs[-1:]])[k])
+    for _ in range(grid.max_bisect):
+        # stop per-bracket relative to its own location, not the window;
+        # converged brackets drop out of the (possibly expensive) max_fn
+        active = bh - bl > grid.bisect_rel_tol * np.maximum(bh, 1e-300)
+        if not active.any():
+            break
+        mid = 0.5 * (bl[active] + bh[active])
+        above_mid = max_fn(mid) > lambdas[level[active]]
+        # entering brackets have the above-level state on their hi side,
+        # leaving ones on their lo side
+        move_hi = np.where(entering[active], above_mid, ~above_mid)
+        bh[active] = np.where(move_hi, mid, bh[active])
+        bl[active] = np.where(move_hi, bl[active], mid)
 
-    bl = np.asarray(br_lo, dtype=float)
-    bh = np.asarray(br_hi, dtype=float)
-    bv = np.asarray(br_lam, dtype=float)
-    entering = np.asarray(br_entering, dtype=bool)
-    if len(bl) > 0:
-        for _ in range(grid.max_bisect):
-            # stop per-bracket relative to its own location, not the window;
-            # converged brackets drop out of the (possibly expensive) max_fn
-            active = bh - bl > grid.bisect_rel_tol * np.maximum(bh, 1e-300)
-            if not active.any():
-                break
-            mid = 0.5 * (bl[active] + bh[active])
-            above_mid = max_fn(mid) > bv[active]
-            # replace the endpoint whose side matches the midpoint's state
-            move_hi = np.where(entering[active], above_mid, ~above_mid)
-            bh[active] = np.where(move_hi, mid, bh[active])
-            bl[active] = np.where(move_hi, bl[active], mid)
-
-    p = m.power
-    gamma_from_zero = lambda t: t ** p / p
-
-    def resolve(tag_val):
-        tag, val = tag_val
-        if tag == "fixed":
-            return val, 0.0
-        k = val
-        return 0.5 * (bl[k] + bh[k]), abs(gamma_from_zero(bh[k]) - gamma_from_zero(bl[k]))
-
-    out = []
-    for li, lam in enumerate(lambdas):
-        total = 0.0
-        err = 0.0
-        for left, right in runs_per_level[li]:
-            a, ea = resolve(left)
-            b, eb = resolve(right)
-            total += max(0.0, gamma_from_zero(b) - gamma_from_zero(a))
-            err += ea + eb
-        out.append(LevelSetResult(total, err, T))
-    return out
-
-
-def level_set_measure(m: WeightedLineMeasure, f: RadialProfile, lam: float,
-                      grid: GridConfig = DEFAULT_GRID) -> LevelSetResult:
-    """gamma0{t : M^u f(t) > lam}, exact (grid is unused, resolution_error is 0)."""
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    return level_sets(m, f, [lam], grid)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = np.log(0.5 * (bl + bh))
+        lo, hi = np.log(bl), np.log(bh)
+        runs = _log_power_interval(p, ends[1::2], ends[::2] - ends[1::2])
+        widths = _log_power_interval(p, hi, lo - hi)
+    log_mu = np.full(len(lambdas), NEG_INF)
+    np.logaddexp.at(log_mu, level[::2], runs)
+    log_width = np.full(len(lambdas), NEG_INF)
+    np.logaddexp.at(log_width, level, widths)
+    return log_mu, log_width
 
 
 def weak_type_quotient_1d(m: WeightedLineMeasure, f: RadialProfile, lambdas,
-                          grid: GridConfig = DEFAULT_GRID) -> float:
+                          grid: GridConfig | None = None) -> float:
     """max over the lambda grid of lambda * gamma0{M^u f > lambda} / ||f||_1.
 
     Exact level sets (grid is unused); the quotient is formed in logs, so

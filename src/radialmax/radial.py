@@ -4,9 +4,9 @@ Averages over B(c e1, R) of a radial step profile reduce to shell
 measures from the measure module, so evaluating the radius
 supremum at one point, or along a whole grid of points, is a single
 batched quadrature run.  Level sets in R^d are taken through the radial
-section: the angular factor cancels from the weak-type quotient, and the
-1D level-set machinery is reused with this module's maximal function
-plugged in.
+section: the angular factor cancels from the weak-type quotient, and
+maximal1d._grid_level_logs samples this module's maximal function on a
+bracketing grid and bisects its crossings, with every measure in logs.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .maximal1d import (
     GridConfig,
     RadialProfile,
     WeightedLineMeasure,
-    level_sets,
-    profile_l1_norm,
+    _check_levels,
+    _grid_level_logs,
+    _log_l1,
     uncentered_max,
 )
 from .measure import (
@@ -292,21 +293,16 @@ def weak_type_quotient_radial(m: PowerLawMeasure, f: RadialProfile, lambdas,
 
     Level sets of M_mu f are radial, so mu{...} = omega_{d-1} *
     gamma0{c : M(c) > lambda} and the sphere area cancels against the one
-    in ||f||_1; everything happens on the radial section.
+    in ||f||_1; everything happens on the radial section, and the quotient
+    is formed in logs, so it stays finite where gamma0 overflows a double.
     """
     line = WeightedLineMeasure(m.d, m.beta)
-    l1 = profile_l1_norm(line, f)
-    if l1 <= 0:
-        raise ValueError("profile is a.e. zero")
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size == 0:
-        raise ValueError("need at least one lambda")
+    lambdas = _check_levels(line, f, lambdas)
     # bracketing window via the 1D control: M_mu f <= (C+1) M^u f0
     C = _window_shift_constant(m, cfg.quad)
     max_fn = lambda ts: centered_max_radial_grid(m, f, ts, cfg)
-    results = level_sets(line, f, lambdas, cfg.level_grid, max_fn=max_fn,
-                         window_scale=C + 1.0)
-    return float(max(l * r.measure / l1 for l, r in zip(lambdas, results)))
+    log_mu, _ = _grid_level_logs(line, f, lambdas, cfg.level_grid, max_fn, C + 1.0)
+    return math.exp(float((np.log(lambdas) + log_mu).max()) - _log_l1(line, f))
 
 
 def mc_ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,

@@ -32,22 +32,7 @@ class LogValue:
     log: float
 
 
-# ---------------------------------------------------------------------------
-# log-gamma (Lanczos) and Stirling's two-sided bounds
-# ---------------------------------------------------------------------------
-
-# Classic 14-term Lanczos fit with g = 671/128 (the widely used double
-# precision coefficient set); relative error below ~1e-14 for x > 0.
-_LANCZOS_COF = np.array([
-    57.1562356658629235, -59.5979603554754912, 14.1360979747417471,
-    -0.491913816097620199, 0.339946499848118887e-4, 0.465236289270485756e-4,
-    -0.983744753048795646e-4, 0.158088703224912494e-3, -0.210264441724104883e-3,
-    0.217439618115212643e-3, -0.164318106536763890e-3, 0.844182239838527433e-4,
-    -0.261908384015814087e-4, 0.368991826595316234e-5,
-])
-_LANCZOS_G = 5.24218750000000000  # 671/128
-_LANCZOS_C0 = 0.999999999999997092
-_SQRT_2PI_SER = 2.5066282746310005024157652848110
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def log_gamma(x):
@@ -55,14 +40,7 @@ def log_gamma(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("log_gamma requires x > 0")
-    tmp = x + _LANCZOS_G
-    tmp = (x + 0.5) * np.log(tmp) - tmp
-    ser = np.full_like(x, _LANCZOS_C0)
-    y = x
-    for c in _LANCZOS_COF:
-        y = y + 1.0
-        ser = ser + c / y
-    out = tmp + np.log(_SQRT_2PI_SER * ser / x)
+    out = _lgamma(x)
     return float(out) if out.ndim == 0 else out
 
 

@@ -195,16 +195,16 @@ def test_maximal1d_eval_high_dimension_values(tmp_path):
         assert math.log(g) == pytest.approx(400 * math.log(5.0 / x), rel=1e-13)
 
 
-def test_maximal1d_eval_nonfinite_exits_numerical(tmp_path):
-    # every finite profile gives a finite M^u, so the non-finite exit is
-    # reached through a NaN profile value
+def test_maximal1d_eval_bad_profile_exits_usage(tmp_path, capsys):
+    # non-finite or negative profile entries are bad input, rejected with a
+    # one-line message before anything is evaluated
     prof = tmp_path / "profile.txt"
-    prof.write_text("10 nan\n")
-    rc, _, rows = run_csv(
-        tmp_path,
-        ["maximal1d-eval", "--profile", str(prof), "--d", "400", "--beta", "0",
-         "--x", "5,10,12"],
-    )
-    assert rc == EXIT_NUMERICAL
-    assert len(rows) == 3
-    assert any(r["uncentered_max"] == "" for r in rows)
+    out = tmp_path / "out.csv"
+    for text in ("10 nan\n", "nan 1\n", "10 -1\n"):
+        prof.write_text(text)
+        rc = main(["maximal1d-eval", "--profile", str(prof), "--d", "400", "--beta", "0",
+                   "--x", "5,10,12", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("bad profile") and err.count("\n") == 1

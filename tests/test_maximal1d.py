@@ -11,14 +11,13 @@ from radialmax.maximal1d import (
     WeightedLineMeasure,
     default_lambda_grid,
     gamma0_interval,
-    level_set_measure,
     level_sets,
     profile_l1_norm,
     uncentered_max,
     uncentered_max_grid,
     weak_type_quotient_1d,
 )
-from radialmax.maximal1d import _level_extents, _level_set_logs
+from radialmax.maximal1d import _grid_level_logs, _level_extents, _level_set_logs
 
 from conftest import oracle_uncentered_max, profile_mass, random_line_measure, random_profile
 
@@ -59,6 +58,10 @@ def test_profile_validation():
         RadialProfile((1.0, 0.5), (1.0,))
     with pytest.raises(ValueError):
         RadialProfile((0.0, 1.0), (-1.0,))
+    for bp, vals in (((0.0, 1.0), (math.nan,)), ((0.0, math.nan), (1.0,)),
+                     ((0.0, math.inf), (1.0,)), ((0.0, 1.0), (math.inf,))):
+        with pytest.raises(ValueError):
+            RadialProfile(bp, vals)
 
 
 def test_profile_from_text_and_value_at():
@@ -154,20 +157,18 @@ def test_matches_grid_oracle(rng):
 
 def test_level_set_indicator_halfline():
     # M = min(1, 1/x): {M > 1/2} = (0, 2), lebesgue measure 2
-    res = level_set_measure(LEB, CHI01, 0.5)
+    res = level_sets(LEB, CHI01, [0.5])[0]
     assert res.measure == pytest.approx(2.0, abs=1e-7)
-    assert res.resolution_error < 1e-6
     assert 0.5 * res.measure <= 2.0 * profile_l1_norm(LEB, CHI01) + 1e-9
 
 
 def test_level_set_above_max_is_empty():
-    res = level_set_measure(LEB, CHI01, 1.5)
+    res = level_sets(LEB, CHI01, [1.5])[0]
     assert res.measure == 0.0
 
 
 def test_level_set_window_grows_like_one_over_lambda():
-    r1 = level_set_measure(LEB, CHI01, 1e-2)
-    r2 = level_set_measure(LEB, CHI01, 1e-3)
+    r1, r2 = level_sets(LEB, CHI01, [1e-2, 1e-3])
     assert r2.window > 5 * r1.window
     # measure itself behaves like ||f||/lambda at small lambda
     assert r2.measure == pytest.approx(1e3, rel=0.05)
@@ -175,7 +176,7 @@ def test_level_set_window_grows_like_one_over_lambda():
 
 def test_level_set_domain():
     with pytest.raises(ValueError):
-        level_set_measure(LEB, CHI01, 0.0)
+        level_sets(LEB, CHI01, [0.0])
     with pytest.raises(ValueError):
         level_sets(LEB, CHI01, [])
     with pytest.raises(ValueError):
@@ -219,13 +220,14 @@ def test_level_set_runs_at_both_window_ends():
     m = WeightedLineMeasure(3, 0.0)
     max_fn = lambda ts: np.where((ts < 0.3) | ((ts > 0.6) & (ts < 0.9)) | (ts > 1.1),
                                  2.0, 0.5)
-    res = level_sets(m, CHI01, [1.0], max_fn=max_fn)[0]
-    T = res.window
+    log_mu, log_width = _grid_level_logs(m, CHI01, [1.0], GridConfig(), max_fn, 1.0)
+    # the window: gamma0(1, T) = ||f||_1 / lam
+    T = (1.0 + 3.0 * profile_l1_norm(m, CHI01)) ** (1.0 / 3.0)
     assert T > 1.1
     gamma = lambda t: t ** 3 / 3.0
     want = gamma(0.3) + gamma(0.9) - gamma(0.6) + gamma(T) - gamma(1.1)
-    assert res.resolution_error < 1e-8
-    assert res.measure == pytest.approx(want, rel=1e-9)
+    assert math.exp(log_width[0]) < 1e-8
+    assert math.exp(log_mu[0]) == pytest.approx(want, rel=1e-9)
 
 
 def test_level_sets_multi_matches_single(rng):
@@ -236,10 +238,8 @@ def test_level_sets_multi_matches_single(rng):
         lams = default_lambda_grid(m, f, 6)
         multi = level_sets(m, f, lams)
         for lam, r in zip(lams, multi):
-            single = level_set_measure(m, f, float(lam))
-            assert r.measure == pytest.approx(
-                single.measure, rel=1e-6, abs=single.resolution_error + 1e-12
-            )
+            single = level_sets(m, f, [lam])[0]
+            assert r.measure == pytest.approx(single.measure, rel=1e-6, abs=1e-12)
 
 
 def test_weak_type_far_small_piece_approaches_two():
@@ -310,7 +310,7 @@ def test_level_set_component_reaching_near_zero():
     lam = D / (G(t1) - G(L))
     f = RadialProfile((t0, t1), (1.0,))
     assert _components(m, f, lam)[0][0] == pytest.approx(L, rel=1e-9)
-    assert level_set_measure(m, f, lam).measure == pytest.approx(D * (2.0 / lam - 1.0), rel=1e-12)
+    assert level_sets(m, f, [lam])[0].measure == pytest.approx(D * (2.0 / lam - 1.0), rel=1e-12)
 
 
 def test_level_set_thin_gap_is_outside():
@@ -333,10 +333,9 @@ def test_level_set_thin_gap_is_outside():
         assert np.all(uncentered_max_grid(m, f, [a / step, b * step]) <= lam)
     p = m.power
     exact = sum((b ** p - a ** p) / p for a, b in comps)
-    res = level_set_measure(m, f, lam)
+    res = level_sets(m, f, [lam])[0]
     assert res.measure == pytest.approx(exact, rel=1e-12)
     assert res.measure == pytest.approx(16.9046, abs=1e-4)
-    assert res.resolution_error == 0.0
     # the level is one of 32: the multi-level call gives the same set
     lams = default_lambda_grid(m, f, 32)
     assert lam in lams
@@ -421,8 +420,41 @@ def test_grid_path_matches_exact_on_decreasing_profiles(rng):
         bp = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, n))])
         f = RadialProfile(tuple(bp), tuple(np.sort(rng.uniform(0.1, 4.0, n))[::-1]))
         lams = default_lambda_grid(m, f, 8)
-        grid = level_sets(m, f, lams, max_fn=lambda ts: uncentered_max_grid(m, f, ts))
+        grid, _ = _grid_level_logs(m, f, lams, GridConfig(),
+                                   lambda ts: uncentered_max_grid(m, f, ts), 1.0)
         exact = level_sets(m, f, lams)
         for g, e in zip(grid, exact):
-            assert e.resolution_error == 0.0
-            assert g.measure == pytest.approx(e.measure, rel=1e-6)
+            assert math.exp(g) == pytest.approx(e.measure, rel=1e-6)
+
+
+@pytest.mark.parametrize("d,lams", [(400, [0.5, 0.1]), (300, [1e-9])])
+def test_grid_path_matches_exact_past_the_double_range(d, lams):
+    # gamma0 of these level sets is past the double range at d = 400; at
+    # d = 300 and lam = 1e-9 the window T is about 10.7, which the linear
+    # window (t_n^p + p ||f||_1 / lam)^(1/p) could not form
+    m = WeightedLineMeasure(d, 0.0)
+    f = RadialProfile.indicator(10.0)
+    grid, _ = _grid_level_logs(m, f, lams, GridConfig(),
+                               lambda ts: uncentered_max_grid(m, f, ts), 1.0)
+    exact, _ = _level_set_logs(m, f, lams)
+    assert np.all(np.isfinite(grid))
+    assert grid == pytest.approx(exact, abs=1e-6)
+    if d == 400:
+        # {M^u f > 1/2} = (0, R) with G(R) = 2 G(10): ln G(R) = ln 2 + 400 ln 10 - ln 400
+        assert grid[0] == pytest.approx(915.7357198, abs=1e-6)
+
+
+def test_linear_values_past_the_double_range_raise_typed_errors():
+    # at d = 400, gamma0(0, 10) = 10^400/400: each linear value names its
+    # inputs, while the log-space quotient stays finite
+    m = WeightedLineMeasure(400, 0.0)
+    f = RadialProfile.indicator(10.0)
+    for call, where in ((lambda: level_sets(m, f, [0.5]), "0.5"),
+                        (lambda: gamma0_interval(m, 0.0, 10.0), "gamma0(0.0, 10.0)"),
+                        (lambda: profile_l1_norm(m, f), "(0.0, 10.0)")):
+        with pytest.raises(OverflowError) as exc:
+            call()
+        msg = str(exc.value)
+        assert "d = 400" in msg and "beta = 0.0" in msg and where in msg
+        assert "in logs" in msg
+    assert math.isfinite(weak_type_quotient_1d(m, f, [0.5]))

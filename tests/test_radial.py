@@ -310,6 +310,18 @@ def test_weak_type_radial_lebesgue_decreasing_below_four():
     assert 0 < q <= 4.0
 
 
+def test_weak_type_radial_finite_past_the_double_range():
+    # gamma0 of {M > 1/2} is about e^916 at d = 400, past the double range;
+    # the quotient is formed in logs and comes out at 0.49992
+    cfg = MaximalConfig(radii_per_decade=48, min_radii=32, refine_rounds=2,
+                        quad=QuadratureConfig(tol=1e-6),
+                        level_grid=GridConfig(points=128, bisect_rel_tol=1e-6, max_bisect=30))
+    q = weak_type_quotient_radial(PowerLawMeasure(400, 0.0), RadialProfile.indicator(10.0),
+                                  [0.5], cfg)
+    assert math.isfinite(q)
+    assert 0.499 <= q <= 4.0
+
+
 def test_weak_type_radial_empty_lambda():
     m = PowerLawMeasure(3, 0.0)
     with pytest.raises(ValueError):
