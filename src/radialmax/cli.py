@@ -87,6 +87,14 @@ def _parse_d_range(spec: str) -> list[int]:
     return out
 
 
+def _positive_int(spec: str) -> int:
+    """A count flag: an integer >= 1, else a usage error."""
+    n = int(spec)  # argparse reports a ValueError as a usage error too
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _exponent_for(args, d: int) -> float:
     if args.alpha_coef is not None:
         return args.alpha_coef * d
@@ -240,7 +248,12 @@ def cmd_weaktype(args) -> int:
     rows = []
     for d in args.d:
         beta = _exponent_for(args, d)
-        for label, f, lams in _weaktype_cases(args, d, beta, rng):
+        try:
+            cases = _weaktype_cases(args, d, beta, rng)
+        except ValueError as exc:
+            rows.append({"d": d, "beta": beta, "family": args.family, "error": str(exc)})
+            continue
+        for label, f, lams in cases:
             row: dict = {"d": d, "beta": beta, "family": args.family, "case": label,
                          "error": None}
             try:
@@ -268,10 +281,14 @@ def cmd_maximal1d_eval(args) -> int:
     except ValueError as exc:
         print(f"bad profile {args.profile}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    m = m1d.WeightedLineMeasure(args.d_single, args.beta)
-    xs = [float(t) for t in args.x.split(",") if t.strip()]
-    if not xs or any(x <= 0 for x in xs):
-        print("evaluation points must be positive", file=sys.stderr)
+    try:
+        m = m1d.WeightedLineMeasure(args.d_single, args.beta)
+        xs = [float(t) for t in args.x.split(",") if t.strip()]
+    except ValueError as exc:
+        print(f"bad arguments: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not xs or not all(0 < x < math.inf for x in xs):
+        print("evaluation points must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
     columns = ["x", "uncentered_max", "profile_value"]
     rows = [
@@ -376,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-shift", help="shift-condition ratio sweep vs its constants")
     p.add_argument("--d", required=True, type=_parse_d_range)
     _add_exponent(p)
-    p.add_argument("--r-points", type=int, default=256)
+    p.add_argument("--r-points", type=_positive_int, default=256)
     _add_common(p)
     p.set_defaults(fn=cmd_verify_shift)
 
@@ -385,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exponent(p)
     p.add_argument("--family", choices=("shrinking-indicator", "random", "radial-decreasing"),
                    default="shrinking-indicator")
-    p.add_argument("--lambdas", type=int, default=12, help="levels per case")
-    p.add_argument("--level-points", type=int, default=128)
+    p.add_argument("--lambdas", type=_positive_int, default=12, help="levels per case")
+    p.add_argument("--level-points", type=_positive_int, default=128)
     p.add_argument("--radii-per-decade", type=int, default=48)
     _add_common(p)
     p.set_defaults(fn=cmd_weaktype)

@@ -1,10 +1,8 @@
-"""One-dimensional search helpers: golden-section maximization, scalar and batched."""
+"""One-dimensional search helpers: golden-section maximization and its polish."""
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618
 
@@ -67,31 +65,3 @@ def refine_max_by_derivative_sign(f, t: float, half_width: float,
             return mid
     return 0.5 * (lo + hi)
 
-
-def golden_section_max_batch(f, a, b, rel_tol: float = 1e-9, maxit: int = 120) -> np.ndarray:
-    """Batched golden-section maximization in lockstep.
-
-    f maps an array of abscissae (one lane per problem) to an array of
-    values.  Each step evaluates f once on the full batch: the surviving
-    interior point is inherited, the other is fresh.  Returns the argmax
-    per lane once every bracket shrinks below rel_tol times its initial
-    width.
-    """
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    width0 = np.maximum(b - a, 1e-300)
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(maxit):
-        if np.all(b - a <= rel_tol * width0):
-            break
-        left = fc > fd  # maximum bracketed in [a, d]
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        c = b - INVPHI * (b - a)
-        d = a + INVPHI * (b - a)
-        x = np.where(left, c, d)
-        fx = f(x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return 0.5 * (a + b)

@@ -6,8 +6,9 @@ done entirely in log space: panels accumulate with log-sum-exp, and the
 error estimate compares the log Gauss-10 and Kronrod-21 values, both read
 off the same 21 integrand evaluations per panel.  Many integrals with the
 same integrand family are refined together so the integrand evaluations
-stay vectorized; each integral may start from several panels, split where
-its integrand has kinks, and is judged against its own total.
+stay vectorized; each integral starts from the panels its caller passes
+(split where its integrand has kinks), is refined by bisection alone, and
+is judged against its own total.  Every integrand call is a panel call.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .optimize import golden_section_max_batch
 
 NEG_INF = float("-inf")
 
@@ -101,11 +100,8 @@ def _log_abs_diff(la, lb):
     big = np.maximum(la, lb)
     small = np.minimum(la, lb)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.abs(np.expm1(small - big))
-        out = np.where(big == NEG_INF, NEG_INF, big + np.log(rel))
-    out = np.where(small == NEG_INF, big, out)
-    out = np.where((small == NEG_INF) & (big == NEG_INF), NEG_INF, out)
-    return out
+        out = big + np.log(np.abs(np.expm1(small - big)))
+    return np.where(small == NEG_INF, big, out)
 
 
 def _segment_lse(values, seg_ids, n_seg):
@@ -124,9 +120,8 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
 
     lo and hi have shape (n,) or (n, k): row i holds the k initial panels
     of integral i, and empty panels (hi <= lo) are skipped.  log_f(seg, s)
-    gets broadcastable arrays, the integral index and the abscissae, and
-    must return the log integrand in s's shape: seg is (m, 1) and s is
-    (m, 21) in the panel rules, both are 1-D in the peak pre-pass.
+    gets the integral index, shape (m, 1), and the abscissae of m panels,
+    shape (m, 21), and must return the log integrand in s's shape.
     Returns (log_integrals, log_error estimates), one per integral.  Each
     integral is refined until its summed Gauss/Kronrod error estimate is
     within cfg.tol of its own Kronrod total, so a panel that carries only
@@ -142,18 +137,8 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     live = hi > lo
     if not np.any(live):
         return np.full(n_seg, NEG_INF), np.full(n_seg, NEG_INF)
-    idx = np.nonzero(live)[0]
-    lo, hi = lo[live], hi[live]
-
-    # split each panel at its spike before refining: a panel boundary at
-    # the max keeps the Gauss/Kronrod estimate honest on the steep flanks
-    peaks = golden_section_max_batch(lambda x: log_f(idx, x), lo, hi, rel_tol=1e-3, maxit=48)
-    eps = 1e-12 * (hi - lo)
-    peaks = np.clip(peaks, lo + eps, hi - eps)
-
-    p_seg = np.repeat(idx, 2)
-    p_lo = np.stack([lo, peaks], axis=1).ravel()
-    p_hi = np.stack([peaks, hi], axis=1).ravel()
+    p_seg = np.nonzero(live)[0]
+    p_lo, p_hi = lo[live], hi[live]
     p_low, p_high = _panel_logs(log_f, p_seg, p_lo, p_hi)
     p_err = _log_abs_diff(p_low, p_high)
 
@@ -173,15 +158,13 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
         split = bad[p_seg] & (p_err >= worst[p_seg] - math.log(16.0))
         keep = ~split
 
-        counts = np.bincount(p_seg, minlength=n_seg) + np.bincount(
-            p_seg[split], minlength=n_seg
-        )
+        counts = (np.bincount(p_seg, minlength=n_seg)
+                  + np.bincount(p_seg[split], minlength=n_seg))
         if np.any(counts > cfg.max_panels):
             over = int(counts.argmax())
             ach = float(np.exp(seg_err[over] - seg_total[over]))
-            err = QuadratureError(
-                f"quadrature panel budget {cfg.max_panels} exceeded on segment {over}", ach
-            )
+            msg = f"quadrature panel budget {cfg.max_panels} exceeded on segment {over}"
+            err = QuadratureError(msg, ach)
             err.segment = over
             raise err
 

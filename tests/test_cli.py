@@ -208,3 +208,44 @@ def test_maximal1d_eval_bad_profile_exits_usage(tmp_path, capsys):
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("bad profile") and err.count("\n") == 1
+
+
+def test_maximal1d_eval_bad_arguments_exit_usage(tmp_path, capsys):
+    # a measure with beta >= d and an unparseable, non-finite or non-positive
+    # point are usage errors: one stderr line and exit 2, never a traceback
+    prof = tmp_path / "profile.txt"
+    prof.write_text("5 1\n")
+    out = tmp_path / "out.csv"
+    for beta, xs in (("5", "1"), ("0", "1,abc"), ("0", "nan"), ("0", "1,inf"), ("0", "-1")):
+        rc = main(["maximal1d-eval", "--profile", str(prof), "--d", "3", "--beta", beta,
+                   "--x", xs, "--out", str(out)])
+        assert rc == EXIT_USAGE, xs
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+
+
+def test_weaktype_bad_exponent_reports_and_continues(tmp_path):
+    # beta >= d gives an error row for that d; the other dimensions still run
+    rc, _, rows = run_csv(
+        tmp_path,
+        ["weaktype", "--d", "4,2", "--alpha", "3", "--family", "radial-decreasing",
+         "--lambdas", "3", "--level-points", "32", "--radii-per-decade", "8", "--tol", "1e-5"],
+    )
+    assert rc == EXIT_NUMERICAL
+    bad = [r for r in rows if r["d"] == "2"]
+    assert len(bad) == 1 and "beta must be < d" in bad[0]["error"]
+    good = [r for r in rows if r["d"] == "4"]
+    assert len(good) == 3 and all(r["error"] == "" and r["quotient"] for r in good)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-shift", "--d", "4", "--r-points", "0"],
+    ["weaktype", "--d", "4", "--lambdas", "0"],
+    ["weaktype", "--d", "4", "--level-points", "0"],
+    ["weaktype", "--d", "4", "--lambdas", "-2"],
+])
+def test_count_flags_must_be_positive(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE

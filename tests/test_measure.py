@@ -18,7 +18,7 @@ from radialmax.measure import (
     shift_condition_ratio,
     shift_condition_ratios,
 )
-from radialmax import quadrature
+from radialmax import measure, quadrature
 from radialmax.specfun import log_gamma, log_sphere_area
 
 TIGHT = QuadratureConfig(tol=1e-11)
@@ -199,6 +199,18 @@ def test_offcenter_quadrature_vs_closed_form(d):
         assert abs(q - closed) <= 1e-8
 
 
+@pytest.mark.parametrize("d", [400, 800])
+def test_offcenter_c_equals_R_high_dimension_vs_closed_form(d):
+    # mu(B(R e1, R)) = R^(d - beta) mu(B(e1, 1)): the ray integrand is a spike
+    # of relative width ~ 1/sqrt(d) that bisection alone has to resolve
+    for beta in (-5.0, 0.0, d / 2, d - 1.0):
+        m = PowerLawMeasure(d, beta)
+        closed = log_ball_offcenter_unit_closed(m).log
+        for R in (1e-3, 0.7, 5.0):
+            got = log_ball_offcenter(m, BallSpec(R, R)).log
+            assert abs(got - (closed + (d - beta) * math.log(R))) <= 1e-8, (beta, R)
+
+
 def test_offcenter_unit_closed_lebesgue_is_unit_ball():
     for d in (2, 3, 9, 120):
         m = PowerLawMeasure(d, 0.0)
@@ -334,17 +346,67 @@ def _count_sin_power_batch():
 def test_quadrature_work_counts_repeat_and_panel_shapes():
     ms, calls, out = _count_sin_power_batch()
     assert _count_sin_power_batch()[1] == calls  # identical work on a rerun
-    panel_calls = [c for c in calls if len(c[1]) == 2]
-    assert len(panel_calls) >= 2  # the initial rule plus at least one refinement
-    for seg_shape, s_shape in calls:
-        if len(s_shape) == 1:  # the golden-section peak pre-pass
-            assert seg_shape == s_shape
-        else:
-            assert s_shape[1] == 21 and seg_shape == (s_shape[0], 1)
+    assert len(calls) >= 2  # the initial rule plus at least one refinement
+    for seg_shape, s_shape in calls:  # every call is a panel call
+        assert len(s_shape) == 2 and s_shape[1] == 21 and seg_shape == (s_shape[0], 1)
     # int_0^pi sin^m = sqrt(pi) Gamma((m+1)/2) / Gamma(m/2+1)
     exact = [0.5 * math.log(math.pi) + log_gamma(0.5 * (m + 1)) - log_gamma(0.5 * m + 1)
              for m in ms]
     np.testing.assert_allclose(out, exact, rtol=0, atol=1e-9)
+
+
+def test_quadrature_spike_between_kronrod_nodes_vs_mpmath():
+    """sin^m on one initial panel whose spike sits midway between two nodes.
+
+    Bisection alone must find the spike: for every pair of adjacent nodes of
+    the 21-point rule the panel is placed so that pi/2 lies halfway between
+    them, and the spike (width ~ 1/sqrt(m)) is far narrower than the gap.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 30
+    x = quadrature._X01
+    mids = 0.5 * (x[:-1] + x[1:])
+    half = 0.5 * math.pi
+    # panel [0, hi] when the midpoint is right of centre, [lo, pi] otherwise
+    lo = np.where(mids >= 0.5, 0.0, (half - math.pi * mids) / (1.0 - mids))
+    hi = np.where(mids >= 0.5, half / mids, math.pi)
+    ms = np.repeat([400.0, 4000.0, 20000.0], len(mids))
+    lo, hi = np.tile(lo, 3), np.tile(hi, 3)
+    assert np.abs(lo + (hi - lo) * np.tile(mids, 3) - half).max() < 1e-15
+    out, _ = quadrature.log_integrate_batch(lambda seg, s: ms[seg] * np.log(np.sin(s)), lo, hi)
+    for got, m, a, b in zip(out, ms, lo, hi):
+        want = mp.log(mp.quad(lambda t: mp.sin(t) ** int(m), [a, mp.pi / 2, b]))
+        assert abs(got - float(want)) <= 1e-9, (m, a, b)
+
+
+def _count_ball_nodes():
+    """(integrand nodes, integrand calls) of the ball-sweep balls at scale 1."""
+    work = [0, 0]
+    integrate = measure.log_integrate_batch
+
+    def counting(log_f, lo, hi, cfg):
+        def log_f_counted(seg, s):
+            work[0] += np.size(s)
+            work[1] += 1
+            return log_f(seg, s)
+        return integrate(log_f_counted, lo, hi, cfg)
+
+    measure.log_integrate_batch = counting
+    try:
+        for d in (2, 52, 102, 152, 197):
+            for beta in (-2.0, 0.0, 0.5, d / 4, d / 2):
+                log_ball_offcenter(PowerLawMeasure(d, beta), BallSpec(1.0, 1.0))
+    finally:
+        measure.log_integrate_batch = integrate
+    return tuple(work)
+
+
+def test_ball_quadrature_work_repeats_and_stays_bounded():
+    nodes, calls = _count_ball_nodes()
+    assert _count_ball_nodes() == (nodes, calls)  # identical work on a rerun
+    # 25 balls, one integral each; measured 5,061 nodes in 103 calls (with a
+    # golden-section peak pre-pass before bisection: 4,961 nodes in 498 calls)
+    assert nodes <= 5061 and calls <= 103
 
 
 def test_quadrature_error_names_ball_within_batch():
@@ -414,6 +476,11 @@ ORACLE_CASES = [
     (12, -2.0, 1.0, 1.0 - 1e-9, 0.0, math.inf),
     # a far, tiny ball in high dimension
     (60, 0.0, 1.0, 1e-6, 0.0, math.inf),
+    # high dimension: spikes of relative width ~ 1/20
+    (400, -5.0, 1.0, 0.7, 0.5, 1.2),
+    (400, 0.0, 1.0, 0.3, 0.9, 1.05),
+    (400, 200.0, 0.5, 1.1, 0.0, math.inf),
+    (400, 399.0, 1.0, 1.0, 0.0, math.inf),
 ] + [
     (d, beta, c, R, r_in, r_out)
     for d in (2, 12, 40, 200)
