@@ -22,7 +22,7 @@ from . import maximal1d as m1d
 from . import measure as msr
 from . import radial as rad
 from . import specfun as sf
-from .quadrature import QuadratureConfig, QuadratureError
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError
 
 SCHEMA_VERSION = "radialmax-table-1"
 
@@ -95,6 +95,14 @@ def _positive_int(spec: str) -> int:
     return n
 
 
+def _quadrature(spec: str) -> QuadratureConfig:
+    """--tol: a relative tolerance in (0, 1), else a usage error."""
+    try:
+        return QuadratureConfig(tol=float(spec))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _exponent_for(args, d: int) -> float:
     if args.alpha_coef is not None:
         return args.alpha_coef * d
@@ -114,7 +122,6 @@ def _row_status(rows) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bounds_lower(args) -> int:
-    quad = QuadratureConfig(tol=args.tol)
     columns = [
         "d", "exponent", "p", "delta_exact", "delta_stirling_chain", "delta_closed",
         "part1_value", "q1_sqrt_d", "ln_exact_over_d", "ln_part1_over_d",
@@ -141,14 +148,12 @@ def cmd_bounds_lower(args) -> int:
             # (its own measure exponent is alpha * d)
             alpha = args.alpha_coef if args.alpha_coef is not None else args.alpha
             if 0.5 < alpha < 1.0:
-                p1 = bnd.cp_lower_bound(d, alpha, args.p, quad)
+                p1 = bnd.cp_lower_bound(d, alpha, args.p, args.quad)
                 row["part1_value"] = p1.value
                 row["q1_sqrt_d"] = p1.intermediates["q1_sqrt_d"]
                 row["ln_part1_over_d"] = p1.log_value / d
             row["passed"] = bool(ok)
-        except QuadratureError as exc:
-            row["error"] = str(exc)
-        except ValueError as exc:
+        except (QuadratureError, ValueError) as exc:
             row["error"] = str(exc)
         rows.append(row)
     _emit(args, "bounds-lower", columns, rows)
@@ -160,7 +165,6 @@ def cmd_bounds_lower(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_shift(args) -> int:
-    quad = QuadratureConfig(tol=args.tol)
     columns = [
         "d", "alpha", "sup_ratio", "r_argmax", "sup_ratio_small_r", "ratio_at_r1",
         "certified_c", "certified_c_plus_1", "small_r_c", "alpha_within_d_half",
@@ -174,7 +178,7 @@ def cmd_verify_shift(args) -> int:
         row: dict = {"d": d, "alpha": alpha, "error": None}
         try:
             m = msr.PowerLawMeasure(d, alpha)
-            ratios = msr.shift_condition_ratios(m, rs, quad)
+            ratios = msr.shift_condition_ratios(m, rs, args.quad)
             c_prime, c_small = rad._shift_constants(alpha)
             row.update(
                 sup_ratio=float(ratios.max()),
@@ -237,7 +241,7 @@ def cmd_weaktype(args) -> int:
     cfg = rad.MaximalConfig(
         radii_per_decade=args.radii_per_decade,
         refine_rounds=2,
-        quad=QuadratureConfig(tol=args.tol),
+        quad=args.quad,
         level_grid=m1d.GridConfig(points=args.level_points, bisect_rel_tol=1e-6,
                                   max_bisect=30),
     )
@@ -363,8 +367,12 @@ def cmd_specfun_selftest(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--tol", type=float, default=1e-8, help="quadrature relative tolerance")
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_tol(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", dest="quad", metavar="TOL", type=_quadrature,
+                   default=DEFAULT_QUADRATURE,
+                   help="quadrature relative tolerance, in (0, 1) (default 1e-8)")
 
 
 def _add_exponent(p: argparse.ArgumentParser) -> None:
@@ -387,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dimensions: '12..96', '12..96:4' or a comma list")
     _add_exponent(p)
     p.add_argument("--p", type=float, default=1.0, help="L^p exponent for the cap bound")
+    _add_tol(p)
     _add_common(p)
     p.set_defaults(fn=cmd_bounds_lower)
 
@@ -394,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, type=_parse_d_range)
     _add_exponent(p)
     p.add_argument("--r-points", type=_positive_int, default=256)
+    _add_tol(p)
     _add_common(p)
     p.set_defaults(fn=cmd_verify_shift)
 
@@ -404,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="shrinking-indicator")
     p.add_argument("--lambdas", type=_positive_int, default=12, help="levels per case")
     p.add_argument("--level-points", type=_positive_int, default=128)
-    p.add_argument("--radii-per-decade", type=int, default=48)
+    p.add_argument("--radii-per-decade", type=_positive_int, default=48)
+    _add_tol(p)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=cmd_weaktype)
 
@@ -417,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_maximal1d_eval)
 
     p = sub.add_parser("specfun-selftest", help="identity checks for the special functions")
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=cmd_specfun_selftest)
 

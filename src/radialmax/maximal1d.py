@@ -432,10 +432,9 @@ def weak_type_quotient_1d(m: WeightedLineMeasure, f: RadialProfile, lambdas,
     return math.exp(float((np.log(lambdas) + log_mu).max()) - _log_l1(m, f))
 
 
-def default_lambda_grid(m: WeightedLineMeasure, f: RadialProfile, n: int = 32,
-                        lo_frac: float = 1e-3, hi_frac: float = 1.1) -> np.ndarray:
-    """Geometric lambda grid spanning from deep engulfing up past max f."""
+def default_lambda_grid(m: WeightedLineMeasure, f: RadialProfile, n: int = 32) -> np.ndarray:
+    """Geometric lambda grid from 1e-3 max f (deep engulfing) up to 1.1 max f."""
     vmax = max(f.values)
     if vmax <= 0:
         raise ValueError("profile is a.e. zero")
-    return np.geomspace(lo_frac * vmax, hi_frac * vmax, n)
+    return np.geomspace(1e-3 * vmax, 1.1 * vmax, n)

@@ -18,20 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NEG_INF = float("-inf")
+from .specfun import NEG_INF
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and budgets for the ray quadrature.
 
-    tol is relative; exceeding max_panels on any single integral raises
-    QuadratureError rather than returning a silently degraded value.
+    tol is relative, in (0, 1); exceeding max_panels on any single integral
+    raises QuadratureError rather than returning a silently degraded value.
     """
 
     tol: float = 1e-8
     max_panels: int = 2 ** 14
     max_rounds: int = 60
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < 1.0:  # NaN fails the comparison too
+            raise ValueError(f"QuadratureConfig.tol must satisfy 0 < tol < 1, got {self.tol!r}")
+        for name in ("max_panels", "max_rounds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"QuadratureConfig.{name} must be at least 1, "
+                                 f"got {getattr(self, name)!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -46,17 +46,21 @@ __all__ = [
     "mc_ball_average",
 ]
 
+# radius-grid ceiling and samples per refine round (see MaximalConfig)
+_MAX_RADII = 4096
+_REFINE_POINTS = 17
+
 
 @dataclass(frozen=True)
 class MaximalConfig:
     """Radius-search and quadrature settings for the centered operator.
 
     The radius grid holds radii_per_decade log-spaced radii per decade
-    (clipped to [min_radii, max_radii]) from the floor max(distance to the
+    (clipped to [min_radii, _MAX_RADII]) from the floor max(distance to the
     support, rho(c)) up to c + t_n, where rho(c) is the distance from c to
     the nearest breakpoint t > 0; below rho(c) the average is the value of
     c's own piece, known without a grid.  Each of the refine_rounds then
-    samples refine_points radii across the bracket around the best one,
+    samples _REFINE_POINTS radii across the bracket around the best one,
     and one parabolic step through the best radius and its two neighbours
     from the last stage closes the search.
     Points strictly inside a piece of value max f skip it: there
@@ -65,9 +69,7 @@ class MaximalConfig:
 
     radii_per_decade: int = 512
     min_radii: int = 48
-    max_radii: int = 4096
     refine_rounds: int = 3
-    refine_points: int = 17
     quad: QuadratureConfig = field(default_factory=lambda: QuadratureConfig(tol=1e-8))
     level_grid: GridConfig = field(default_factory=GridConfig)
 
@@ -149,7 +151,7 @@ def _radius_grid(f: RadialProfile, c: float, cfg: MaximalConfig) -> np.ndarray:
     if floor >= r_hi:
         floor = 0.5 * r_hi
     n = int(np.clip(math.ceil(math.log10(r_hi / floor) * cfg.radii_per_decade),
-                    cfg.min_radii, cfg.max_radii))
+                    cfg.min_radii, _MAX_RADII))
     grid = np.geomspace(floor, r_hi, n)
     specials = [r_hi]
     for t in f.breakpoints:
@@ -215,16 +217,15 @@ def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
     # ragged grids padded with their last radius; pads average -inf
     R = np.stack([np.pad(g, (0, width - len(g)), mode="edge") for g in grids])
     real = np.arange(width)[None, :] < np.array([len(g) for g in grids])[:, None]
-    A = np.full(R.shape, -np.inf)
+    A = np.full(R.shape, NEG_INF)
     A[real] = _ball_averages_batch(m, f, np.broadcast_to(cs[:, None], R.shape)[real],
                                    R[real], cfg.quad)
     best, x, y = _best_three(R, A)
 
-    npts = cfg.refine_points
     for _ in range(cfg.refine_rounds):
-        R = np.linspace(x[0], x[2], npts, axis=1)  # (n, npts)
-        A = _ball_averages_batch(m, f, np.repeat(cs, npts), R.ravel(),
-                                 cfg.quad).reshape(len(cs), npts)
+        R = np.linspace(x[0], x[2], _REFINE_POINTS, axis=1)  # (n, _REFINE_POINTS)
+        A = _ball_averages_batch(m, f, np.repeat(cs, _REFINE_POINTS), R.ravel(),
+                                 cfg.quad).reshape(len(cs), _REFINE_POINTS)
         a, x, y = _best_three(R, A)
         best = np.maximum(best, a)
 

@@ -244,8 +244,39 @@ def test_weaktype_bad_exponent_reports_and_continues(tmp_path):
     ["weaktype", "--d", "4", "--lambdas", "0"],
     ["weaktype", "--d", "4", "--level-points", "0"],
     ["weaktype", "--d", "4", "--lambdas", "-2"],
+    ["weaktype", "--d", "4", "--radii-per-decade", "0"],
 ])
 def test_count_flags_must_be_positive(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["verify-shift", "--d", "4", "--tol", "nan", "--r-points", "4"], "got nan"),
+    (["bounds-lower", "--d", "4", "--alpha-coef", "0.7", "--tol", "-1"], "got -1.0"),
+])
+def test_bad_tolerance_is_a_usage_error(argv, shown, capsys):
+    # a NaN tolerance used to switch the quadrature's error test off (exit 0,
+    # passed=true); a negative one gave only "math domain error" rows
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "QuadratureConfig.tol" in err and shown in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximal1d-eval", "--d", "3", "--x", "1", "--seed", "1"],
+    ["specfun-selftest", "--tol", "1e-6"],
+])
+def test_flags_a_command_does_not_use_are_rejected(tmp_path, argv):
+    # --seed and --tol are offered only where they change the output
+    prof = tmp_path / "profile.txt"
+    prof.write_text("1.0 2.0\n")
+    if argv[0] == "maximal1d-eval":
+        argv = argv + ["--profile", str(prof)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == EXIT_USAGE
+    assert not (tmp_path / "out.csv").exists()

@@ -311,6 +311,17 @@ def test_quadrature_budget_error_carries_estimate():
     assert "segment" not in msg
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tol", math.nan), ("tol", 0.0), ("tol", -1.0), ("tol", 1.0), ("tol", math.inf),
+    ("max_panels", 0), ("max_rounds", 0),
+])
+def test_quadrature_config_rejects_bad_settings(field, value):
+    # a NaN tol would switch the error test off; tol <= 0 has no log
+    with pytest.raises(ValueError) as exc:
+        QuadratureConfig(**{field: value})
+    assert f"QuadratureConfig.{field}" in str(exc.value) and repr(value) in str(exc.value)
+
+
 def test_gauss_kronrod_rule_exactness():
     """Kronrod-21 is exact through degree 31, its Gauss-10 column through 19."""
     seg, lo, hi = np.zeros(1, dtype=int), np.zeros(1), np.ones(1)
