@@ -265,8 +265,8 @@ def cp_lower_bound(d: int, alpha: float, p: float = 1.0,
     fine as long as they stay in a compact subinterval of (1/2, 1), since
     the geometry degenerates at both endpoints (see part1_geometry).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got p = {p} (d = {d}, alpha = {alpha})")
     if d < 2 or int(d) != d:
         raise ValueError("need an integer d >= 2")
     d = int(d)

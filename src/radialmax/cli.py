@@ -95,6 +95,14 @@ def _positive_int(spec: str) -> int:
     return n
 
 
+def _lp_exponent(spec: str) -> float:
+    """--p: a finite L^p exponent >= 1, else a usage error."""
+    p = float(spec)  # argparse reports a ValueError as a usage error too
+    if not 1.0 <= p < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 1, got {p}")
+    return p
+
+
 def _quadrature(spec: str) -> QuadratureConfig:
     """--tol: a relative tolerance in (0, 1), else a usage error."""
     try:
@@ -394,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, type=_parse_d_range,
                    help="dimensions: '12..96', '12..96:4' or a comma list")
     _add_exponent(p)
-    p.add_argument("--p", type=float, default=1.0, help="L^p exponent for the cap bound")
+    p.add_argument("--p", type=_lp_exponent, default=1.0, help="L^p exponent for the cap bound")
     _add_tol(p)
     _add_common(p)
     p.set_defaults(fn=cmd_bounds_lower)

@@ -58,6 +58,8 @@ class WeightedLineMeasure:
     def __post_init__(self):
         if self.d < 1 or int(self.d) != self.d:
             raise ValueError("dimension d must be an integer >= 1")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got beta = {self.beta} at d = {self.d}")
         if not self.beta < self.d:
             raise ValueError("beta must be < d for gamma0 to be locally finite")
 
@@ -315,9 +317,26 @@ def _level_set_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas):
     return np.logaddexp.reduce(parts, axis=1), sup
 
 
+# ITP constants (Oliveira & Takahashi 2021) for _grid_level_logs: the
+# truncation is kappa_1 w^2 with kappa_1 = _ITP_K1 / w_0 for the initial
+# bracket width w_0, and _ITP_N0 rounds of slack over bisection.  The
+# minmax radius steers toward _ITP_AIM * 2 eps rather than 2 eps itself,
+# so a bracket held on the radius (a step-like g) ends clear of the
+# stopping rule's edge, where rounding in t could cost one more round
+_ITP_K1 = 0.2
+_ITP_N0 = 1
+_ITP_AIM = 0.875
+
+
 @dataclass(frozen=True)
 class GridConfig:
-    """Resolution knobs for level sets of a caller-supplied max_fn (_grid_level_logs)."""
+    """Resolution knobs for level sets of a caller-supplied max_fn (_grid_level_logs).
+
+    points sets the sampling grid.  Each crossing bracket (a, b) is then
+    narrowed by the secant search until b - a <= bisect_rel_tol * b:
+    bisect_rel_tol is the relative bracket tolerance and max_bisect the
+    cap on rounds.
+    """
 
     points: int = 1024
     bisect_rel_tol: float = 1e-10
@@ -365,8 +384,13 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: Gr
 
     For any vectorized c -> M(c) with M <= window_scale * M^u f (radial's
     centered operator, with C + 1): M on one grid shared by all levels up to
-    the window T, gamma0(t_n, T) = window_scale ||f||_1 / min lam, then
-    lockstep bisection of every crossing; measures come from ln a - ln b.
+    the window T, gamma0(t_n, T) = window_scale ||f||_1 / min lam, then a
+    lockstep ITP search (Oliveira & Takahashi 2021) of every crossing: each
+    round is one max_fn call at the regula-falsi points of
+    g = ln M - ln lam in u = ln t, truncated toward each bracket's midpoint
+    and kept within the minmax radius, so g near a power law closes in a
+    few rounds and a step function takes at most _ITP_N0 more than
+    bisection.  Measures come from ln a - ln b of bracket midpoints.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     p = m.power
@@ -394,19 +418,51 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: Gr
     entering = edges[level, k] > 0
     bl = np.concatenate([[0.0], xs])[k]
     bh = np.where(k == 0, 0.0, np.concatenate([xs, xs[-1:]])[k])
-    for _ in range(grid.max_bisect):
+    # g = ln M - ln lam at the bracket ends, from the grid values; the
+    # zero-width brackets at 0 and T start (and stay) converged
+    log_lam = np.log(lambdas)[level]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lM = np.log(Mg)
+        g_lo = np.concatenate([[np.nan], lM])[k] - log_lam
+        g_hi = np.concatenate([lM, [np.nan]])[k] - log_lam
+        w0 = np.log(bh) - np.log(bl)
+        # ITP in u = ln t: brackets of width <= 2 eps meet the stopping rule
+        # below, and none takes more than _ITP_N0 rounds beyond bisection
+        eps = 0.5 * math.log1p(grid.bisect_rel_tol)
+        n_max = np.ceil(np.log2(w0 / (2.0 * eps))) + _ITP_N0
+    for j in range(grid.max_bisect):
         # stop per-bracket relative to its own location, not the window;
         # converged brackets drop out of the (possibly expensive) max_fn
         active = bh - bl > grid.bisect_rel_tol * np.maximum(bh, 1e-300)
         if not active.any():
             break
-        mid = 0.5 * (bl[active] + bh[active])
-        above_mid = max_fn(mid) > lambdas[level[active]]
+        ul, uh = np.log(bl[active]), np.log(bh[active])
+        gl, gh = g_lo[active], g_hi[active]
+        w = uh - ul
+        mid = 0.5 * (ul + uh)
+        # regula falsi, truncated toward the midpoint by kappa_1 w^2 and
+        # projected into the minmax radius r around it; a non-finite end
+        # value (or equal ones) falls back to the midpoint
+        with np.errstate(divide="ignore", invalid="ignore"):
+            falsi = ul - gl * w / (gh - gl)
+        falsi = np.where(np.isfinite(gl) & np.isfinite(gh) & np.isfinite(falsi), falsi, mid)
+        sigma = np.sign(mid - falsi)
+        delta = _ITP_K1 * w * w / w0[active]
+        trunc = np.where(delta <= np.abs(mid - falsi), falsi + sigma * delta, mid)
+        r = np.maximum(_ITP_AIM * eps * 2.0 ** (n_max[active] - j) - 0.5 * w, 0.0)
+        u = np.where(np.abs(trunc - mid) <= r, trunc, mid - sigma * r)
+        t = np.exp(u)
+        M = max_fn(t)
+        up = M > lambdas[level[active]]
+        with np.errstate(divide="ignore"):
+            g = np.log(M) - log_lam[active]
         # entering brackets have the above-level state on their hi side,
         # leaving ones on their lo side
-        move_hi = np.where(entering[active], above_mid, ~above_mid)
-        bh[active] = np.where(move_hi, mid, bh[active])
-        bl[active] = np.where(move_hi, bl[active], mid)
+        move_hi = np.where(entering[active], up, ~up)
+        bh[active] = np.where(move_hi, t, bh[active])
+        g_hi[active] = np.where(move_hi, g, gh)
+        bl[active] = np.where(move_hi, bl[active], t)
+        g_lo[active] = np.where(move_hi, gl, g)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ends = np.log(0.5 * (bl + bh))

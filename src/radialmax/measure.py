@@ -44,6 +44,8 @@ class PowerLawMeasure:
     def __post_init__(self):
         if self.d < 1 or int(self.d) != self.d:
             raise ValueError("dimension d must be an integer >= 1")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got beta = {self.beta} at d = {self.d}")
         if not self.beta < self.d:
             raise ValueError(
                 f"beta={self.beta} >= d={self.d}: measure is not locally finite at the origin"

@@ -6,7 +6,8 @@ supremum at one point, or along a whole grid of points, is a single
 batched quadrature run.  Level sets in R^d are taken through the radial
 section: the angular factor cancels from the weak-type quotient, and
 maximal1d._grid_level_logs samples this module's maximal function on a
-bracketing grid and bisects its crossings, with every measure in logs.
+bracketing grid and closes its crossings with a safeguarded secant in
+ln t, with every measure in logs.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
     strictly inside that piece, see _own_piece), M_mu f(c) = max f
     exactly, since no average exceeds max f; those points skip the search.  The others get
     one batched stage for the radius grid (see _radius_grid), one per
-    refine round on the bracket around the best radius, and a last stage
+    refine round on the interior of the bracket around the best radius
+    (its two ends keep the averages they already have), and a last stage
     at the vertex of the parabola through the best radius and its two
     neighbours, taken only where those three averages are concave.  Each
     stage can only raise the running best.
@@ -221,11 +223,17 @@ def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
     A[real] = _ball_averages_batch(m, f, np.broadcast_to(cs[:, None], R.shape)[real],
                                    R[real], cfg.quad)
     best, x, y = _best_three(R, A)
+    # a maximum at a row's last real radius has its right neighbour on a
+    # pad, which repeats that radius: its average is the maximum itself
+    y[2] = np.where(y[2] == NEG_INF, y[1], y[2])
 
+    inner = _REFINE_POINTS - 2
     for _ in range(cfg.refine_rounds):
+        # linspace reproduces both ends, whose averages are y[0] and y[2]
         R = np.linspace(x[0], x[2], _REFINE_POINTS, axis=1)  # (n, _REFINE_POINTS)
-        A = _ball_averages_batch(m, f, np.repeat(cs, _REFINE_POINTS), R.ravel(),
-                                 cfg.quad).reshape(len(cs), _REFINE_POINTS)
+        A = np.column_stack([y[0], _ball_averages_batch(
+            m, f, np.repeat(cs, inner), R[:, 1:-1].ravel(), cfg.quad).reshape(len(cs), inner),
+            y[2]])
         a, x, y = _best_three(R, A)
         best = np.maximum(best, a)
 

@@ -266,6 +266,18 @@ def test_bad_tolerance_is_a_usage_error(argv, shown, capsys):
     assert "QuadratureConfig.tol" in err and shown in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
+@pytest.mark.parametrize("alpha", ["0.2", "0.7"])
+def test_bad_lp_exponent_is_a_usage_error(alpha, value, capsys):
+    # at alpha = 0.2 the cap bound does not run, so --p nan used to print an
+    # empty p cell with passed=true and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds-lower", "--d", "4", "--alpha", alpha, "--p", value])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--p" in err and f"got {float(value)}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["maximal1d-eval", "--d", "3", "--x", "1", "--seed", "1"],
     ["specfun-selftest", "--tol", "1e-6"],

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,14 @@ def test_gamma0_interval_examples():
     assert gamma0_interval(LEB, 0.7, 0.7) == 0.0
     with pytest.raises(ValueError):
         gamma0_interval(LEB, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_line_measure_rejects_non_finite_beta(beta):
+    # NaN fails "beta < d" too, but that would name the wrong condition
+    with pytest.raises(ValueError) as exc:
+        WeightedLineMeasure(4, beta)
+    assert str(exc.value) == f"beta must be finite, got beta = {beta} at d = 4"
 
 
 def test_gamma0_positive_and_matches_quadrature(rng):
@@ -213,14 +222,17 @@ def test_max_at_breakpoint_sees_both_sides():
     assert uncentered_max(m, f2, 1.0) >= 3.0 - 1e-12
 
 
+def _step_max_fn(ts, high=2.0, low=0.5):
+    """A synthetic maximal function, above the level 1 on (0, 0.3), (0.6, 0.9)
+    and (1.1, T]."""
+    return np.where((ts < 0.3) | ((ts > 0.6) & (ts < 0.9)) | (ts > 1.1), high, low)
+
+
 def test_level_set_runs_at_both_window_ends():
-    # a synthetic maximal function above the level on (0, 0.3), (0.6, 0.9)
-    # and (1.1, T]: one run starts at the first grid point, one is interior
-    # and one ends at the window edge T
+    # one run starts at the first grid point, one is interior and one ends
+    # at the window edge T
     m = WeightedLineMeasure(3, 0.0)
-    max_fn = lambda ts: np.where((ts < 0.3) | ((ts > 0.6) & (ts < 0.9)) | (ts > 1.1),
-                                 2.0, 0.5)
-    log_mu, log_width = _grid_level_logs(m, CHI01, [1.0], GridConfig(), max_fn, 1.0)
+    log_mu, log_width = _grid_level_logs(m, CHI01, [1.0], GridConfig(), _step_max_fn, 1.0)
     # the window: gamma0(1, T) = ||f||_1 / lam
     T = (1.0 + 3.0 * profile_l1_norm(m, CHI01)) ** (1.0 / 3.0)
     assert T > 1.1
@@ -228,6 +240,46 @@ def test_level_set_runs_at_both_window_ends():
     want = gamma(0.3) + gamma(0.9) - gamma(0.6) + gamma(T) - gamma(1.1)
     assert math.exp(log_width[0]) < 1e-8
     assert math.exp(log_mu[0]) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("high,low", [(2.0, 0.5), (1e3, 0.999)])
+def test_crossing_search_on_a_step_is_within_one_round_of_bisection(high, low):
+    # on a step max_fn the secant carries no information (at 2 and 0.5 it
+    # is the midpoint in ln t; at 1e3 and 0.999 plain regula falsi would
+    # crawl from the low side); the minmax radius bounds the search by one
+    # round more than lockstep bisection of the same brackets, which the
+    # grid call (the first max_fn call) fixes
+    calls = []
+
+    def counted(ts):
+        calls.append(np.array(ts))
+        return _step_max_fn(ts, high, low)
+
+    grid = GridConfig()
+    _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [1.0], grid, counted, 1.0)
+    xs = calls[0]
+    k = np.flatnonzero(np.diff(_step_max_fn(xs) > 1.0)) + 1
+    assert len(k) == 4
+    bl, bh = xs[k - 1], xs[k]
+    hi_above = _step_max_fn(bh) > 1.0
+    bisect_rounds = 0
+    while np.any(active := bh - bl > grid.bisect_rel_tol * bh):
+        mid = 0.5 * (bl + bh)
+        move_hi = (_step_max_fn(mid) > 1.0) == hi_above
+        bh = np.where(active & move_hi, mid, bh)
+        bl = np.where(active & ~move_hi, mid, bl)
+        bisect_rounds += 1
+    assert len(calls) - 1 <= bisect_rounds + 1, (len(calls) - 1, bisect_rounds)
+
+
+def test_crossing_search_emits_no_runtime_warning():
+    # the step max_fn gives zero-width brackets at 0 and at T, whose ends
+    # have ln 0 - ln 0 and no finite g
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        log_mu, log_width = _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [1.0],
+                                             GridConfig(), _step_max_fn, 1.0)
+    assert np.isfinite(log_mu).all() and np.isfinite(log_width).all()
 
 
 def test_level_sets_multi_matches_single(rng):

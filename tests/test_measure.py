@@ -39,6 +39,14 @@ def test_power_law_rejects_non_finite_measure():
     PowerLawMeasure(3, -4.0)    # radially increasing weight is allowed
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_power_law_rejects_non_finite_beta(beta):
+    # NaN fails "beta < d" too, but that would name the wrong condition
+    with pytest.raises(ValueError) as exc:
+        PowerLawMeasure(4, beta)
+    assert str(exc.value) == f"beta must be finite, got beta = {beta} at d = 4"
+
+
 def test_ball_spec_validation():
     with pytest.raises(ValueError):
         BallSpec(-0.1, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -256,6 +257,74 @@ def test_radius_search_work_units(monkeypatch):
     assert max(runs[0]) <= 220, runs[0]
 
 
+def _search_recomputing_ends(m, f, c, cfg):
+    """centered_max_radial's radius search with every refine radius averaged
+    afresh: the result and the averages each stage compares."""
+    if radial._own_piece(f, c)[1] == max(f.values):
+        return max(f.values), []    # inside the top piece: no search
+
+    def avg(Rs):
+        return radial._ball_averages_batch(m, f, np.full(len(Rs), c), Rs, cfg.quad)[None, :]
+
+    R = radial._radius_grid(f, c, cfg)[None, :]
+    stages = [avg(R[0])]
+    best, x, y = radial._best_three(R, stages[-1])
+    for _ in range(cfg.refine_rounds):
+        R = np.linspace(x[0], x[2], radial._REFINE_POINTS, axis=1)
+        stages.append(avg(R[0]))
+        a, x, y = radial._best_three(R, stages[-1])
+        best = np.maximum(best, a)
+    v = radial._parabola_vertex(x, y)
+    if not np.isnan(v[0]):
+        best = np.maximum(best, avg(v)[0])
+    return float(best[0]), stages
+
+
+def _record_stages(monkeypatch):
+    """The averages each stage of the radius search compares, as it runs."""
+    seen = []
+    best_three = radial._best_three
+
+    def spy(R, A):
+        seen.append(A.copy())
+        return best_three(R, A)
+
+    monkeypatch.setattr(radial, "_best_three", spy)
+    return seen
+
+
+def test_refine_reuses_its_bracket_ends_bit_for_bit(monkeypatch):
+    # linspace reproduces both bracket ends, whose averages the search
+    # already has, so reusing them changes no output bit; an end averaged
+    # again in another batch can differ from the kept one in its last bits
+    want = [_search_recomputing_ends(PowerLawMeasure(d, beta), f, c, CRITERION9)
+            for d, beta, c, f in BENCH_CASES]
+    stages = _record_stages(monkeypatch)
+    for (d, beta, c, f), (value, want_stages) in zip(BENCH_CASES, want):
+        stages.clear()
+        assert centered_max_radial(PowerLawMeasure(d, beta), f, c, CRITERION9) == value
+        assert len(stages) == len(want_stages)
+        for got, ref in zip(stages, want_stages):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+def test_refine_never_reuses_a_pad_average(monkeypatch):
+    # with averages rising in R every row peaks at its last real radius, so
+    # rows padded to the longest grid put their right bracket end on a pad
+    # (average -inf), which repeats that radius; the refine rounds must see
+    # its real average
+    monkeypatch.setattr(radial, "_ball_averages_batch",
+                        lambda m, f, cs, Rs, quad: np.asarray(Rs) / (1.0 + np.asarray(Rs)))
+    seen = _record_stages(monkeypatch)
+    m = PowerLawMeasure(4, 1.0)
+    f = RadialProfile((0.0, 0.6, 1.4, 2.5), (0.8, 2.5, 1.7))
+    cs = [0.3, 1.6, 3.0]
+    got = centered_max_radial_grid(m, f, cs, CRITERION9)
+    assert np.isneginf(seen[0]).any()  # the grid stage pads the shorter rows
+    assert all(np.isfinite(A).all() for A in seen[1:])
+    assert list(got) == [centered_max_radial(m, f, c, CRITERION9) for c in cs]
+
+
 # ---------------------------------------------------------------------------
 # domination by the 1D uncentered operator
 # ---------------------------------------------------------------------------
@@ -320,6 +389,38 @@ def test_weak_type_radial_finite_past_the_double_range():
                                   [0.5], cfg)
     assert math.isfinite(q)
     assert 0.499 <= q <= 4.0
+
+
+CRITERION10 = MaximalConfig(radii_per_decade=48, min_radii=32, refine_rounds=2,
+                            quad=QuadratureConfig(tol=1e-6),
+                            level_grid=GridConfig(points=128, bisect_rel_tol=1e-6, max_bisect=30))
+
+
+def test_crossing_search_on_criterion_10(monkeypatch):
+    # criterion 10's d = 12, beta = 3, r0 = 0.004 case: lockstep bisection
+    # of its 10 crossings takes 17 rounds, the secant search in ln t at most
+    # 8; the bracket tolerance 1e-6 moves each end by at most 1e-6
+    # relative, so gamma0 and the quotient by at most (p + 1) 1e-6
+    d, beta, r0 = 12, 3.0, 0.004
+    m = PowerLawMeasure(d, beta)
+    f = RadialProfile.indicator(r0)
+    lam_star = math.exp(log_ball_centered(m, r0).log
+                        - log_ball_offcenter(m, BallSpec(1.0, 1.0 + r0)).log)
+    lams = np.geomspace(0.25 * lam_star, 1.02 * lam_star, 10)
+    sizes = []
+    grid_max = radial.centered_max_radial_grid
+
+    def counted(m, f, ts, cfg):
+        sizes.append(len(ts))
+        return grid_max(m, f, ts, cfg)
+
+    monkeypatch.setattr(radial, "centered_max_radial_grid", counted)
+    q = weak_type_quotient_radial(m, f, lams, CRITERION10)
+    rounds = len(sizes) - 1
+    assert rounds <= 8, sizes
+    fine = dataclasses.replace(CRITERION10, level_grid=GridConfig(points=128))
+    q_fine = weak_type_quotient_radial(m, f, lams, fine)
+    assert abs(q - q_fine) <= (d - beta + 1) * 1e-6 * q_fine, (q, q_fine)
 
 
 def test_weak_type_radial_empty_lambda():
