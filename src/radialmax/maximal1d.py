@@ -379,7 +379,7 @@ def level_sets(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> list[LevelS
 
 
 def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: GridConfig,
-                     max_fn, window_scale: float):
+                     max_fn, window_scale: float, lower_fn=None):
     """(ln gamma0{M > lam}, ln gamma0-width of its unresolved brackets) per level.
 
     For any vectorized c -> M(c) with M <= window_scale * M^u f (radial's
@@ -391,6 +391,12 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: Gr
     and kept within the minmax radius, so g near a power law closes in a
     few rounds and a step function takes at most _ITP_N0 more than
     bisection.  Measures come from ln a - ln b of bracket midpoints.
+
+    lower_fn, a vectorized c -> lower bound of M(c), settles a grid point
+    whose bound exceeds the top level: it lies in every level set.  max_fn
+    then runs only on the unsettled points and their settled neighbours,
+    the only points that can end a bracket, so the search reads the same
+    values as without the bound.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     p = m.power
@@ -407,7 +413,16 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: Gr
     lin = np.linspace(0.0, min(2.0 * t_n, T), grid.points // 4 + 2)[1:]
     bp = np.asarray(f.breakpoints)
     xs = np.unique(np.concatenate([geo, lin, bp[(bp > 0) & (bp < T)]]))
-    Mg = max_fn(xs)
+    if lower_fn is None:
+        Mg = max_fn(xs)
+    else:
+        # a settled point reads +inf: above every level, and never a bracket end
+        settled = lower_fn(xs) > lambdas.max()
+        need = ~settled
+        need[1:] |= ~settled[:-1]
+        need[:-1] |= ~settled[1:]
+        Mg = np.full(len(xs), np.inf)
+        Mg[need] = max_fn(xs[need])
 
     # edge k of a level's zero-padded mask is a crossing in (x_{k-1}, x_k);
     # row-major, each level's edges alternate entering and leaving, and a run

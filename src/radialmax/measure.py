@@ -2,7 +2,8 @@
 
 Rotational symmetry reduces every ball to (center distance c, radius R).
 In polar coordinates about the origin, each ray meets the ball in one
-interval, so the measure of the ball inside a shell r_in <= |y| <= r_out is
+interval, so the measure of the ball inside a shell r_in <= |y| <= r_out,
+or the mass in the ball of a radial step profile (a stack of shells), is
 a one-dimensional integral over the ray angle of elementary functions,
 which goes to the adaptive log-space quadrature.  Everything returns logs
 since the quantities overflow doubles once d reaches the low hundreds.
@@ -117,30 +118,71 @@ def _crossing_angles(c, R, r, tangent: bool):
     return np.where((q_minus > 0) & (q_plus > 0), x, 0.0)
 
 
-def _ray_log_integrand(m: PowerLawMeasure, C, RR, R_IN, R_OUT, tangent: bool):
-    """ln of omega_{d-2} sin^{d-2}(theta) (b^p - a^p)/p per ray, batched over balls.
+def _whole_piece_table(p: float, bp, log_v):
+    """table[i, j] = ln of the mass of the whole pieces i < k < j, of
+    gamma0-mass times value exp(log_v[k - 1]) for the piece (t_{k-1}, t_k]
+    of the breakpoints bp, k = 1..K; pieces 0 (below t_0) and K + 1 (past
+    t_K) are zero.  A piece thinner than half its outer radius takes ln(a/b)
+    from the exact gap b - a (Sterbenz), a wider one from ln a - ln b, where
+    b - a would round a away.
+    """
+    a, b = bp[:-1], bp[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(a > 0.5 * b, np.log1p((a - b) / b), np.log(a) - np.log(b))
+        w = log_v + _log_power_interval(p, np.log(b), log_ratio)
+    table = np.full((len(bp) + 1, len(bp) + 1), NEG_INF)
+    for j in range(2, len(bp) + 1):
+        # piece j - 1 joins every run that starts below it
+        table[:j - 1, j] = np.logaddexp(table[:j - 1, j - 1], w[j - 2])
+    return table
 
-    The ray at angle theta from e1 meets B(c e1, R) in [t-, t+]; the ball's
-    share of the shell is a = max(t-, r_in) to b = min(t+, r_out), p = d - beta.
-    With the origin inside the ball (c < R) the variable is theta in [0, pi]
-    and t- = 0.  Otherwise it is phi in [0, pi/2] with c sin(theta) =
-    R sin(phi): the chord is exactly 2R cos(phi), with no square-root
-    endpoint at the tangent ray, and the jacobian is (R/c) cos(phi)/cos(theta).
-    Each gap b - a is formed from the distances d+ = c + R - t+ and
-    d- = t- - (c - R) (d- = t- = 0 around the origin) and the exact
-    per-ball distances c + R - r_in and r_out - (c - R), so tiny balls and
-    tangent shells keep their digits.
+
+def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, with_chord: bool):
+    """Log ray integrand of the f-mass of B(c e1, R), batched over balls.
+
+    f is the step function with value v_k = exp(log_v[k - 1]) on the piece
+    (t_{k-1}, t_k] of the breakpoints bp = (t_0, .., t_K), and 0 below t_0
+    and past t_K; a shell r_in <= |y| <= r_out is the one piece (r_in, r_out]
+    of value 1.  The ray at angle theta from e1 meets B(c e1, R) in
+    [t-, t+], and its integrand is omega_{d-2} sin^{d-2}(theta) times the
+    f-mass of the chord, the sum of v_k (b^p - a^p)/p over its overlap
+    [a, b] with each piece, p = d - beta.  Only the pieces holding t- and
+    t+ are clipped; the whole pieces between them come from a table.  With
+    with_chord the integrand has a second component ahead of it, the
+    measure (t+^p - t-^p)/p of the whole chord, in shape (m, 2, 21).
+
+    With the origin inside the ball (c < R) the variable is theta in
+    [0, pi] and t- = 0.  Otherwise it is phi in [0, pi/2] with
+    c sin(theta) = R sin(phi): the chord is exactly 2R cos(phi), with no
+    square-root endpoint at the tangent ray, and the jacobian is
+    (R/c) cos(phi)/cos(theta).  Each clipped gap is formed from the
+    distances d+ = c + R - t+ and d- = t- - (c - R) (d- = t- = 0 around the
+    origin) and the exact per-ball distances c + R - t_k and t_k - (c - R),
+    so tiny balls and thin pieces keep their digits.
     """
     lw = log_sphere_area(m.d - 1)
     p = m.homogeneity
     d = m.d
+    bp = np.asarray(bp, dtype=float)
+    # every chord starts at or beyond |y| = 0 and ends short of infinity:
+    # o breakpoints lie at the origin, and the spheres a chord can cross
+    # are t_cross = bp[o:o + n]; with none, no chord is clipped
+    o = int(np.count_nonzero(bp <= 0.0))
+    t_cross = bp[(bp > 0.0) & (bp < math.inf)]
+    n = len(t_cross)
+    log_v = np.asarray(log_v, dtype=float)
+    lv = np.concatenate([[NEG_INF], log_v, [NEG_INF]])  # ln v_k on pieces 0..K + 1
+    table = _whole_piece_table(p, bp, log_v) if n else None
     S, eS = _two_sum(C, RR)
     D, eD = _two_sum(C, -RR)
-    FAR_IN = (S - R_IN) + eS
-    NEAR_OUT = (R_OUT - D) - eD if tangent else R_OUT
+    FAR = (S[:, None] - t_cross) + eS[:, None]
+    NEAR = (t_cross - D[:, None]) - eD[:, None]
+
+    def log_cut(log_b, b, gap):
+        return _log_power_interval(p, log_b, np.log1p(-np.minimum(gap, b) / b))
 
     def log_f(seg, x):
-        c, R, r_in, r_out = C[seg], RR[seg], R_IN[seg], R_OUT[seg]
+        c, R = C[seg], RR[seg]
         sx, cx = np.sin(x), np.cos(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             if tangent:
@@ -157,59 +199,84 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, R_IN, R_OUT, tangent: bool):
                 t_plus = np.where(cx >= 0, c * cx + root, (R - c) * (R + c) / (root - c * cx))
                 one_minus_cos = np.where(cx >= 0, sx * sx / (1.0 + cx), 1.0 - cx)
                 d_plus = c * one_minus_cos + (c * sx) ** 2 / (R + root)
-                t_minus = d_minus = 0.0
                 chord = t_plus
                 log_w = (d - 2) * np.log(sx)
-            b_ray = t_plus <= r_out
-            a_ray = t_minus >= r_in
-            gap = np.where(b_ray,
-                           np.where(a_ray, chord, FAR_IN[seg] - d_plus),
-                           np.where(a_ray, NEAR_OUT[seg] - d_minus, r_out - r_in))
-            b = np.minimum(t_plus, r_out)
-            log_ratio = np.log1p(-np.minimum(gap, b) / b)
-            log_b = np.log(b)
-        # the node arrays are (panels, 21) each: dropping these two before
-        # the power interval lowers the peak memory of large batches
-        del gap, b
-        return lw + log_w + _log_power_interval(p, log_b, log_ratio)
+            log_tp = np.log(t_plus)
+            whole = log_cut(log_tp, t_plus, chord)
+            # t- lies in [t_{q-1}, t_q) and t+ in (t_{q-1}, t_q] for q = lo, hi,
+            # both decided by the exact distances, as the gaps are
+            hi = sum((FAR[seg, j] > d_plus for j in range(n)), o)
+            lo = sum((NEAR[seg, j] <= d_minus for j in range(n)), o) if tangent else o
+            mass = lv[hi] + whole
+            # flat indices of the chords that cross a sphere, whose end
+            # pieces are clipped; t_{hi-1} and t_lo lie in t_cross
+            cut = np.flatnonzero(lo < hi) if n else ()
+            if len(cut):
+                s = np.broadcast_to(seg, x.shape).ravel()[cut] * n - o
+                r = hi.ravel()[cut]
+                # around the origin t- = 0, and every piece below t+'s is whole
+                q = lo.ravel()[cut] if tangent else 0
+                terms = [table[q, r],
+                         lv[r] + log_cut(log_tp.ravel()[cut], t_plus.ravel()[cut],
+                                         FAR.ravel()[s + r - 1] - d_plus.ravel()[cut])]
+                if tangent:
+                    b = bp[q]
+                    terms.append(lv[q] + log_cut(np.log(b), b,
+                                                 NEAR.ravel()[s + q] - d_minus.ravel()[cut]))
+                top = np.maximum.reduce(terms)
+                top = np.where(top > NEG_INF, top, 0.0)
+                np.put(mass, cut, top + np.log(sum(np.exp(t - top) for t in terms)))
+        base = lw + log_w
+        # the node arrays are (panels, 21) each: dropping these before the
+        # result is formed lowers the peak memory of large batches
+        del sx, cx, t_plus, d_plus, chord, log_tp
+        if with_chord:
+            return np.stack([whole, mass], axis=1) + base[:, None, :]
+        return mass + base
 
     return log_f
 
 
-def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, r_ins, r_outs,
-                        quad: QuadratureConfig) -> np.ndarray:
-    """log mu(B(c_i e1, R_i) intersect {r_in_i <= |y| <= r_out_i}) for many balls.
+def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureConfig,
+                        with_chord: bool = False) -> np.ndarray:
+    """ln of the f-mass of B(c_i e1, R_i) for many balls, f a stack of shells.
 
-    Integrates along rays from the origin, one batched quadrature run for
-    the balls around the origin and one for the rest, which is what keeps
-    parameter sweeps (shift ratios, radius grids, level sets) fast.  Each
-    ball starts from the pieces between the angles where its ball boundary
-    crosses the two shell spheres; pieces outside the shell are dropped.
+    f is v_k = exp(log_v[k - 1]) on the shell t_{k-1} < |y| <= t_k of the
+    breakpoints bp (see _ray_log_integrand); bp = (r_in, r_out) with
+    log_v = (0,) gives mu(B intersect {r_in <= |y| <= r_out}).  Integrates
+    along rays from the origin, one batched quadrature run for the balls
+    around the origin and one for the rest, which is what keeps parameter
+    sweeps (shift ratios, radius grids, level sets) fast.  Each ball starts
+    from the pieces between the angles where its boundary crosses the
+    spheres |y| = t_k.  Returns shape (n,), or (n, 2) with the ball's
+    measure ahead of its f-mass when with_chord.  Without it, pieces where
+    the integrand vanishes are dropped.
     """
-    if m.d < 2:
-        raise ValueError("off-center ball measures require d >= 2")
     cs = np.asarray(cs, dtype=float)
     Rs = np.asarray(Rs, dtype=float)
-    r_ins = np.asarray(r_ins, dtype=float)
-    r_outs = np.asarray(r_outs, dtype=float)
-    out = np.full(len(cs), NEG_INF)
+    if m.d < 2:
+        c, R = (float(cs[0]), float(Rs[0])) if len(cs) else (None, None)
+        raise ValueError(f"off-center ball measures require d >= 2, got d={m.d} "
+                         f"beta={m.beta!r} for the ball c={c!r} R={R!r}")
+    bp = np.asarray(bp, dtype=float)
+    out = np.full((len(cs), 2) if with_chord else len(cs), NEG_INF)
     origin_inside = cs < Rs
     for tangent, top in ((False, math.pi), (True, 0.5 * math.pi)):
         idx = np.nonzero(origin_inside != tangent)[0]
         if idx.size == 0:
             continue
-        c, R, r_in, r_out = cs[idx], Rs[idx], r_ins[idx], r_outs[idx]
-        log_f = _ray_log_integrand(m, c, R, r_in, r_out, tangent)
-        edges = np.sort(np.stack([
+        c, R = cs[idx], Rs[idx]
+        log_f = _ray_log_integrand(m, c, R, bp, log_v, tangent, with_chord)
+        edges = np.sort(np.column_stack([
             np.zeros(idx.size),
-            _crossing_angles(c, R, r_in, tangent),
-            _crossing_angles(c, R, r_out, tangent),
+            _crossing_angles(c[:, None], R[:, None], bp, tangent),
             np.full(idx.size, top),
-        ], axis=1), axis=1)
+        ]), axis=1)
         lo, hi = edges[:, :-1], edges[:, 1:]
-        rows = np.repeat(np.arange(idx.size), lo.shape[1])
-        inside = log_f(rows, 0.5 * (lo + hi).ravel()).reshape(lo.shape) > NEG_INF
-        hi = np.where(inside, hi, lo)
+        if not with_chord:
+            rows = np.repeat(np.arange(idx.size), lo.shape[1])
+            inside = log_f(rows, 0.5 * (lo + hi).ravel()).reshape(lo.shape) > NEG_INF
+            hi = np.where(inside, hi, lo)
         try:
             out[idx], _ = log_integrate_batch(log_f, lo, hi, quad)
         except QuadratureError as exc:
@@ -218,7 +285,7 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, r_ins, r_outs,
                 # no commas: the CLI writes this message into a CSV cell
                 f"shell measure did not reach tol {quad.tol:g} for the ball d={m.d} "
                 f"beta={m.beta!r} c={float(cs[i])!r} R={float(Rs[i])!r} "
-                f"r_in={float(r_ins[i])!r} r_out={float(r_outs[i])!r}",
+                f"r_in={float(bp[0])!r} r_out={float(bp[-1])!r}",
                 exc.achieved,
             )
             err.segment = int(i)
@@ -229,7 +296,8 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, r_ins, r_outs,
 def log_ball_offcenter_shell(m: PowerLawMeasure, ball: BallSpec, r_in: float, r_out: float,
                              quad: QuadratureConfig = DEFAULT_QUADRATURE) -> LogValue:
     """mu(B(c e1, R) intersect {r_in <= |y| <= r_out}) by ray quadrature."""
-    out = _batched_shell_logs(m, [ball.center_distance], [ball.radius], [r_in], [r_out], quad)
+    out = _batched_shell_logs(m, [ball.center_distance], [ball.radius], [r_in, r_out], [0.0],
+                              quad)
     return LogValue(float(out[0]))
 
 
@@ -282,9 +350,7 @@ def shift_condition_ratios(m: PowerLawMeasure, rs,
     shifted_c = np.sqrt(np.maximum(0.0, 1.0 - rs * rs))
     cs = np.concatenate([shifted_c, np.ones_like(rs)])
     RR = np.concatenate([rs, rs])
-    inner = np.zeros_like(cs)
-    outer = np.full_like(cs, math.inf)
-    logs = _batched_shell_logs(m, cs, RR, inner, outer, quad)
+    logs = _batched_shell_logs(m, cs, RR, [0.0, math.inf], [0.0], quad)
     k = len(rs)
     return np.exp(logs[:k] - logs[k:])
 

@@ -8,7 +8,10 @@ off the same 21 integrand evaluations per panel.  Many integrals with the
 same integrand family are refined together so the integrand evaluations
 stay vectorized; each integral starts from the panels its caller passes
 (split where its integrand has kinks), is refined by bisection alone, and
-is judged against its own total.  Every integrand call is a panel call.
+is judged against its own total.  An integrand may return several
+components per node (a ball's measure and a profile's mass over it, say);
+they share every node, and each is judged against its own total.  Every
+integrand call is a panel call.
 """
 
 from __future__ import annotations
@@ -90,17 +93,23 @@ _W01_G = 0.5 * np.concatenate([_WG, _WG[::-1]])
 def _panel_logs(log_f, seg, lo, hi):
     """(log Gauss-10, log Kronrod-21) integrals of panels [lo, hi].
 
-    One log_f call per batch: seg[:, None] against the (m, 21) nodes.  A
-    panel where exp(log_f) vanishes sums to 0 and gets -inf.
+    One log_f call per batch: seg[:, None] against the (m, 21) nodes.  The
+    result has log_f's shape less its node axis, (m,) or (m, k).  A panel
+    where exp(log_f) vanishes sums to 0 and gets -inf.  The weighted sums
+    are einsum loops, not BLAS products, so a panel's value does not depend
+    on where it sits in the batch.
     """
     width = hi - lo
     lf = log_f(seg[:, None], lo[:, None] + width[:, None] * _X01)
-    top = lf.max(axis=1)
+    if lf.ndim == 3:
+        width = width[:, None]
+    top = lf.max(axis=-1)
     safe = np.where(top == NEG_INF, 0.0, top)
-    e = np.exp(lf - safe[:, None])
+    e = np.exp(lf - safe[..., None])
     with np.errstate(divide="ignore"):
         scale = safe + np.log(width)
-        return np.log(e[:, 1::2] @ _W01_G) + scale, np.log(e @ _W01_K) + scale
+        return (np.log(np.einsum("...j,j->...", e[..., 1::2], _W01_G)) + scale,
+                np.log(np.einsum("...j,j->...", e, _W01_K)) + scale)
 
 
 def _log_abs_diff(la, lb):
@@ -112,13 +121,13 @@ def _log_abs_diff(la, lb):
     return np.where(small == NEG_INF, big, out)
 
 
-def _segment_lse(values, seg_ids, n_seg):
-    """Per-segment log-sum-exp of panel values."""
-    m = np.full(n_seg, NEG_INF)
-    np.maximum.at(m, seg_ids, values)
-    acc = np.zeros(n_seg)
+def _segment_lse(values, ids, n_out):
+    """Log-sum-exp of the values that share an id, for ids 0 .. n_out - 1."""
+    m = np.full(n_out, NEG_INF)
+    np.maximum.at(m, ids, values)
+    acc = np.zeros(n_out)
     safe_m = np.where(m == NEG_INF, 0.0, m)
-    np.add.at(acc, seg_ids, np.where(values == NEG_INF, 0.0, np.exp(values - safe_m[seg_ids])))
+    np.add.at(acc, ids, np.where(values == NEG_INF, 0.0, np.exp(values - safe_m[ids])))
     with np.errstate(divide="ignore"):
         return np.where(m == NEG_INF, NEG_INF, safe_m + np.log(np.maximum(acc, 1e-300)))
 
@@ -129,13 +138,14 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     lo and hi have shape (n,) or (n, k): row i holds the k initial panels
     of integral i, and empty panels (hi <= lo) are skipped.  log_f(seg, s)
     gets the integral index, shape (m, 1), and the abscissae of m panels,
-    shape (m, 21), and must return the log integrand in s's shape.
-    Returns (log_integrals, log_error estimates), one per integral.  Each
-    integral is refined until its summed Gauss/Kronrod error estimate is
-    within cfg.tol of its own Kronrod total, so a panel that carries only
-    rounding noise cannot hold it back.  Raises QuadratureError, with
-    .segment set to the failing integral, if any integral needs more than
-    cfg.max_panels panels.
+    shape (m, 21), and returns the log integrand in s's shape, or with a
+    component axis, shape (m, c, 21), for c integrands on shared nodes.
+    Returns (log_integrals, log_error estimates), shape (n,) or (n, c).
+    Each integral is refined until, in every component, its summed
+    Gauss/Kronrod error estimate is within cfg.tol of its own Kronrod
+    total, so a panel that carries only rounding noise cannot hold it back.
+    Raises QuadratureError, with .segment set to the failing integral, if
+    any integral needs more than cfg.max_panels panels.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -149,11 +159,23 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     p_lo, p_hi = lo[live], hi[live]
     p_low, p_high = _panel_logs(log_f, p_seg, p_lo, p_hi)
     p_err = _log_abs_diff(p_low, p_high)
+    # the component axis, () or (c,): sums per (integral, component) go
+    # through flat ids, which keeps the one-dimensional fast path of ufunc.at
+    comp = p_high.shape[1:]
+    k = comp[0] if comp else 1
+
+    def flat(values, seg):
+        if not comp:
+            return values, seg
+        return values.ravel(), (seg[:, None] * k + np.arange(k)).ravel()
+
+    def per_segment(values, seg):
+        return _segment_lse(*flat(values, seg), n_seg * k).reshape((n_seg,) + comp)
 
     log_tol = math.log(cfg.tol)
     for _ in range(cfg.max_rounds):
-        seg_total = _segment_lse(p_high, p_seg, n_seg)
-        seg_err = _segment_lse(p_err, p_seg, n_seg)
+        seg_total = per_segment(p_high, p_seg)
+        seg_err = per_segment(p_err, p_seg)
         with np.errstate(invalid="ignore"):
             bad = seg_err > seg_total + log_tol
         bad &= seg_total != NEG_INF
@@ -161,16 +183,20 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
             return seg_total, seg_err
 
         # split every panel within a factor 16 of its integral's worst panel
-        worst = np.full(n_seg, NEG_INF)
-        np.maximum.at(worst, p_seg, p_err)
-        split = bad[p_seg] & (p_err >= worst[p_seg] - math.log(16.0))
+        # in a component that has not converged
+        values, ids = flat(p_err, p_seg)
+        worst = np.full(n_seg * k, NEG_INF)
+        np.maximum.at(worst, ids, values)
+        split = bad[p_seg] & (p_err >= worst.reshape((n_seg,) + comp)[p_seg] - math.log(16.0))
+        if comp:
+            split = split.any(axis=1)
         keep = ~split
 
         counts = (np.bincount(p_seg, minlength=n_seg)
                   + np.bincount(p_seg[split], minlength=n_seg))
         if np.any(counts > cfg.max_panels):
             over = int(counts.argmax())
-            ach = float(np.exp(seg_err[over] - seg_total[over]))
+            ach = float(np.exp(seg_err[over] - seg_total[over]).max())
             msg = f"quadrature panel budget {cfg.max_panels} exceeded on segment {over}"
             err = QuadratureError(msg, ach)
             err.segment = over
@@ -189,10 +215,12 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
         p_high = np.concatenate([p_high[keep], c_high])
         p_err = np.concatenate([p_err[keep], c_err])
 
-    seg_total = _segment_lse(p_high, p_seg, n_seg)
-    seg_err = _segment_lse(p_err, p_seg, n_seg)
+    seg_total = per_segment(p_high, p_seg)
+    seg_err = per_segment(p_err, p_seg)
     with np.errstate(invalid="ignore"):
         rel = np.where(seg_total != NEG_INF, np.exp(seg_err - seg_total), 0.0)
+    if comp:
+        rel = rel.max(axis=1)
     over = int(rel.argmax())
     err = QuadratureError("quadrature did not converge within the round budget",
                           float(rel[over]))

@@ -1,13 +1,16 @@
 """Centered maximal operator of radial profiles under power-law measures.
 
-Averages over B(c e1, R) of a radial step profile reduce to shell
-measures from the measure module, so evaluating the radius
+The average over B(c e1, R) of a radial step profile is one ray
+quadrature of the measure module with two components on shared nodes,
+the ball's measure and the profile's mass, so evaluating the radius
 supremum at one point, or along a whole grid of points, is a single
 batched quadrature run.  Level sets in R^d are taken through the radial
 section: the angular factor cancels from the weak-type quotient, and
 maximal1d._grid_level_logs samples this module's maximal function on a
 bracketing grid and closes its crossings with a safeguarded secant in
-ln t, with every measure in logs.
+ln t, with every measure in logs.  The average over B(t e1, t + t_n),
+which holds all of f, bounds M(t) from below and settles the grid points
+that lie above every level without a radius search.
 """
 
 from __future__ import annotations
@@ -87,30 +90,16 @@ def _positive_pieces(f: RadialProfile):
 
 def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
                          quad: QuadratureConfig) -> np.ndarray:
-    """Averages of f over B(c_i e1, R_i) for many balls in one quadrature run.
+    """Averages of f over B(c_i e1, R_i) for many balls, one quadrature pass each.
 
-    No average exceeds max f; the ratio of two separately rounded
-    integrals can, by a few ulps, so it is clamped there.
+    The ball's measure and its f-mass are two components on shared nodes
+    (measure._batched_shell_logs).  Node by node the f-mass is at most
+    max f times the measure, so the clamp to max f only guards rounding.
     """
-    cs = np.asarray(cs, dtype=float)
-    Rs = np.asarray(Rs, dtype=float)
-    pieces = _positive_pieces(f)
-    n = len(cs)
-    k = len(pieces)
-    # entry layout: n denominators followed by n*k numerator shells
-    ec = np.concatenate([cs, np.repeat(cs, k)])
-    er = np.concatenate([Rs, np.repeat(Rs, k)])
-    lo = np.concatenate([np.zeros(n), np.tile([p[0] for p in pieces], n)])
-    hi = np.concatenate([np.full(n, math.inf), np.tile([p[1] for p in pieces], n)])
-    logs = _batched_shell_logs(m, ec, er, lo, hi, quad)
-    den = logs[:n]
-    log_v = np.log([p[2] for p in pieces])
-    num_terms = logs[n:].reshape(n, k) + log_v[None, :]
-    mx = num_terms.max(axis=1)
-    safe_mx = np.where(mx == NEG_INF, 0.0, mx)
-    sums = np.exp(num_terms - safe_mx[:, None]).sum(axis=1)
-    num = np.where(mx == NEG_INF, NEG_INF, safe_mx + np.log(np.maximum(sums, 1e-300)))
-    return np.minimum(np.exp(num - den), max(f.values))
+    with np.errstate(divide="ignore"):
+        log_v = np.log(f.values)
+    logs = _batched_shell_logs(m, cs, Rs, f.breakpoints, log_v, quad, with_chord=True)
+    return np.minimum(np.exp(logs[:, 1] - logs[:, 0]), max(f.values))
 
 
 def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
@@ -310,7 +299,12 @@ def weak_type_quotient_radial(m: PowerLawMeasure, f: RadialProfile, lambdas,
     # bracketing window via the 1D control: M_mu f <= (C+1) M^u f0
     C = _window_shift_constant(m, cfg.quad)
     max_fn = lambda ts: centered_max_radial_grid(m, f, ts, cfg)
-    log_mu, _ = _grid_level_logs(line, f, lambdas, cfg.level_grid, max_fn, C + 1.0)
+    # B(t e1, t + t_n) holds all of f, and its radius is the last one of the
+    # radius search (_radius_grid), so M(t) is at least its average, which
+    # is the search's own value there: averages do not depend on the batch
+    t_n = f.positive_support()[1]
+    lower_fn = lambda ts: _ball_averages_batch(m, f, ts, ts + t_n, cfg.quad)
+    log_mu, _ = _grid_level_logs(line, f, lambdas, cfg.level_grid, max_fn, C + 1.0, lower_fn)
     return math.exp(float((np.log(lambdas) + log_mu).max()) - _log_l1(line, f))
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialmax.maximal1d import (
     GridConfig,
@@ -17,6 +19,7 @@ from radialmax.measure import (
     log_ball_centered,
     log_ball_offcenter,
 )
+import radialmax.measure as measure
 import radialmax.radial as radial
 from radialmax.radial import (
     MaximalConfig,
@@ -94,6 +97,76 @@ def test_average_domain():
         ball_average(m, RadialProfile.indicator(1.0), 0.5, 0.0, FAST)
 
 
+def test_average_at_d1_names_its_inputs():
+    with pytest.raises(ValueError) as exc:
+        ball_average(PowerLawMeasure(1, 0.5), RadialProfile.indicator(1.0), 1.0, 0.5)
+    msg = str(exc.value)
+    assert "d >= 2" in msg
+    for part in ("d=1", "beta=0.5", "c=1.0", "R=0.5"):
+        assert part in msg, msg
+
+
+def _per_shell_averages(m, f, cs, Rs, quad):
+    """Ball averages from separate shell integrals: the ball's measure over
+    [0, inf) and one shell per positive piece, each its own quadrature run."""
+    den = measure._batched_shell_logs(m, cs, Rs, [0.0, math.inf], [0.0], quad)
+    num = np.full(len(cs), -np.inf)
+    for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values):
+        if v > 0:
+            shell = measure._batched_shell_logs(m, cs, Rs, [a, b], [0.0], quad)
+            num = np.logaddexp(num, math.log(v) + shell)
+    return np.exp(num - den)
+
+
+def test_one_pass_averages_match_per_shell_integrals():
+    # random balls of every kind: around the origin or not, tiny to wide,
+    # inside one piece or across all of them
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(60):
+        d = int(rng.integers(2, 31))
+        m = PowerLawMeasure(d, float(rng.uniform(-1.0, d / 2)))
+        f = random_profile(rng, max_pieces=4)
+        cs = rng.uniform(0.01, 3.0, 8)
+        Rs = np.exp(rng.uniform(-6.0, 1.5, 8))
+        got = radial._ball_averages_batch(m, f, cs, Rs, QuadratureConfig(tol=1e-8))
+        want = _per_shell_averages(m, f, cs, Rs, QuadratureConfig(tol=1e-12))
+        err = np.abs(got - want)
+        assert np.all(err <= 1e-9 * want), (d, m.beta, f, cs, Rs, got, want)
+        worst = max(worst, float((err / np.where(want > 0, want, 1.0)).max()))
+    assert worst > 0.0  # the two formulations do differ in rounding
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40))
+def test_ball_values_do_not_depend_on_the_batch(seed, n):
+    # a ball's average and shell measure are the same bits alone, inside a
+    # batch and in any order, so refactors that regroup balls change nothing
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 25))
+    m = PowerLawMeasure(d, float(rng.uniform(-1.0, d / 2)))
+    f = random_profile(rng, max_pieces=4)
+    cs = rng.uniform(0.01, 3.0, n)
+    Rs = np.exp(rng.uniform(-6.0, 1.5, n))
+    order = rng.permutation(n)
+    quad = QuadratureConfig(tol=1e-8)
+    shell = list(np.sort(rng.uniform(0.0, 3.0, 2)))
+    for batch in (lambda c, R: radial._ball_averages_batch(m, f, c, R, quad),
+                  lambda c, R: measure._batched_shell_logs(m, c, R, shell, [0.0], quad)):
+        together = batch(cs[order], Rs[order])
+        alone = [batch(cs[i:i + 1], Rs[i:i + 1])[0] for i in order]
+        assert [float(v).hex() for v in together] == [float(v).hex() for v in alone]
+
+
+def test_centered_max_does_not_depend_on_the_batch():
+    for d, beta, _, f in BENCH_CASES:
+        m = PowerLawMeasure(d, beta)
+        cs = np.array([0.05, 0.7, 1.3, 2.4])
+        together = centered_max_radial_grid(m, f, cs, FAST)
+        alone = [centered_max_radial_grid(m, f, cs[i:i + 1], FAST)[0] for i in range(len(cs))]
+        assert [v.hex() for v in together] == [float(v).hex() for v in alone]
+
+
 # ---------------------------------------------------------------------------
 # centered maximal function
 # ---------------------------------------------------------------------------
@@ -166,7 +239,8 @@ def test_max_at_origin_is_centered_case():
 
 def _dense_oracle_max(m, f, c, n=4001, rounds=6, points=33):
     """sup_R of the ball average on 4001 log-spaced radii plus every kink
-    radius, then zoom rounds around the best radius, at quadrature tol 1e-10."""
+    radius, then zoom rounds around the best radius, at quadrature tol 1e-10,
+    with averages from separate shell integrals (_per_shell_averages)."""
     quad = QuadratureConfig(tol=1e-10)
     t_hi = max(t for t, v in zip(f.breakpoints[1:], f.values) if v > 0)
     r_hi = c + t_hi
@@ -174,7 +248,7 @@ def _dense_oracle_max(m, f, c, n=4001, rounds=6, points=33):
     R = np.unique(np.concatenate([np.geomspace(1e-6 * r_hi, r_hi, n), kinks]))
     best = 0.0
     for _ in range(rounds + 1):
-        A = radial._ball_averages_batch(m, f, np.full(len(R), c), R, quad)
+        A = _per_shell_averages(m, f, np.full(len(R), c), R, quad)
         k = int(A.argmax())
         best = max(best, float(A[k]))
         R = np.linspace(R[max(k - 1, 0)], R[min(k + 1, len(R) - 1)], points)
@@ -198,11 +272,11 @@ def test_max_matches_dense_oracle():
 
 def test_max_inside_top_piece_is_max_value(monkeypatch):
     # no average exceeds max f and small balls inside the top piece attain
-    # it, so no ball measure is computed; c = 0 sees only the first piece
+    # it, so no quadrature runs; c = 0 sees only the first piece
     def no_quadrature(*args, **kwargs):
-        raise AssertionError("ball measure computed")
+        raise AssertionError("quadrature run")
 
-    monkeypatch.setattr(radial, "_batched_shell_logs", no_quadrature)
+    monkeypatch.setattr(measure, "log_integrate_batch", no_quadrature)
     m = PowerLawMeasure(5, 2.0)
     f = RadialProfile((0.0, 0.5, 1.5, 2.0), (2.5, 0.5, 1.0))
     got = centered_max_radial_grid(m, f, [0.0, 1e-9, 0.2, 0.4999], FAST)
@@ -396,17 +470,24 @@ CRITERION10 = MaximalConfig(radii_per_decade=48, min_radii=32, refine_rounds=2,
                             level_grid=GridConfig(points=128, bisect_rel_tol=1e-6, max_bisect=30))
 
 
+def _criterion_10_levels(m, r0):
+    f = RadialProfile.indicator(r0)
+    lam_star = math.exp(log_ball_centered(m, r0).log
+                        - log_ball_offcenter(m, BallSpec(1.0, 1.0 + r0)).log)
+    return f, np.geomspace(0.25 * lam_star, 1.02 * lam_star, 10)
+
+
 def test_crossing_search_on_criterion_10(monkeypatch):
     # criterion 10's d = 12, beta = 3, r0 = 0.004 case: lockstep bisection
     # of its 10 crossings takes 17 rounds, the secant search in ln t at most
     # 8; the bracket tolerance 1e-6 moves each end by at most 1e-6
-    # relative, so gamma0 and the quotient by at most (p + 1) 1e-6
+    # relative, so gamma0 and the quotient by at most (p + 1) 1e-6.  The
+    # grid stage radius-searches only the points the lower bound leaves
+    # unsettled and their neighbours (162 points without the bound), and
+    # the work repeats exactly
     d, beta, r0 = 12, 3.0, 0.004
     m = PowerLawMeasure(d, beta)
-    f = RadialProfile.indicator(r0)
-    lam_star = math.exp(log_ball_centered(m, r0).log
-                        - log_ball_offcenter(m, BallSpec(1.0, 1.0 + r0)).log)
-    lams = np.geomspace(0.25 * lam_star, 1.02 * lam_star, 10)
+    f, lams = _criterion_10_levels(m, r0)
     sizes = []
     grid_max = radial.centered_max_radial_grid
 
@@ -416,11 +497,29 @@ def test_crossing_search_on_criterion_10(monkeypatch):
 
     monkeypatch.setattr(radial, "centered_max_radial_grid", counted)
     q = weak_type_quotient_radial(m, f, lams, CRITERION10)
+    first = list(sizes)
     rounds = len(sizes) - 1
     assert rounds <= 8, sizes
+    assert sizes[0] <= 12, sizes
+    sizes.clear()
+    assert weak_type_quotient_radial(m, f, lams, CRITERION10) == q
+    assert sizes == first
     fine = dataclasses.replace(CRITERION10, level_grid=GridConfig(points=128))
     q_fine = weak_type_quotient_radial(m, f, lams, fine)
     assert abs(q - q_fine) <= (d - beta + 1) * 1e-6 * q_fine, (q, q_fine)
+
+
+@pytest.mark.parametrize("d,beta,r0", [(12, 3.0, 0.004), (4, 3.0, 0.02)])
+def test_settled_grid_points_change_no_level_set(monkeypatch, d, beta, r0):
+    # the lower bound is the average at the radius search's last radius, so
+    # a settled point is one the search puts above every level too; beta = 3
+    # > d/2 = 2 takes the measured shift constant
+    m = PowerLawMeasure(d, beta)
+    f, lams = _criterion_10_levels(m, r0)
+    q = weak_type_quotient_radial(m, f, lams, CRITERION10)
+    grid_logs = radial._grid_level_logs
+    monkeypatch.setattr(radial, "_grid_level_logs", lambda *args: grid_logs(*args[:6]))
+    assert weak_type_quotient_radial(m, f, lams, CRITERION10) == q
 
 
 def test_weak_type_radial_empty_lambda():
