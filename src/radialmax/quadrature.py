@@ -140,7 +140,8 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     gets the integral index, shape (m, 1), and the abscissae of m panels,
     shape (m, 21), and returns the log integrand in s's shape, or with a
     component axis, shape (m, c, 21), for c integrands on shared nodes.
-    Returns (log_integrals, log_error estimates), shape (n,) or (n, c).
+    Returns (log_integrals, log_error estimates), shape (n,) or (n, c);
+    with no live panel at all, shape (n,) of -inf.
     Each integral is refined until, in every component, its summed
     Gauss/Kronrod error estimate is within cfg.tol of its own Kronrod
     total, so a panel that carries only rounding noise cannot hold it back.
