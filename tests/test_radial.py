@@ -517,8 +517,22 @@ def test_settled_grid_points_change_no_level_set(monkeypatch, d, beta, r0):
     # > d/2 = 2 takes the measured shift constant
     m = PowerLawMeasure(d, beta)
     f, lams = _criterion_10_levels(m, r0)
-    q = weak_type_quotient_radial(m, f, lams, CRITERION10)
     grid_logs = radial._grid_level_logs
+    fns = []
+
+    def spy(*args):
+        fns.append(args[4:7])
+        return grid_logs(*args)
+
+    monkeypatch.setattr(radial, "_grid_level_logs", spy)
+    q = weak_type_quotient_radial(m, f, lams, CRITERION10)
+    # the bound never exceeds the searched maximum, and far out, where the
+    # best ball nearly holds all of f, it is within 1 % of it
+    max_fn, _, lower_fn = fns[0]
+    ts = np.geomspace(1e-3, 3.0, 25)
+    lower, upper = lower_fn(ts), max_fn(ts)
+    assert np.all(lower <= upper)
+    assert lower[-1] > 0.99 * upper[-1]
     monkeypatch.setattr(radial, "_grid_level_logs", lambda *args: grid_logs(*args[:6]))
     assert weak_type_quotient_radial(m, f, lams, CRITERION10) == q
 
