@@ -422,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="shrinking-indicator")
     p.add_argument("--lambdas", type=_positive_int, default=12, help="levels per case")
     p.add_argument("--level-points", type=_positive_int, default=128)
-    p.add_argument("--radii-per-decade", type=_positive_int, default=48)
+    p.add_argument("--radii-per-decade", type=_positive_int, default=48,
+                   help="accepted for compatibility; the kink-bracket radius search "
+                        "no longer uses it")
     _add_tol(p)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)

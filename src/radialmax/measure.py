@@ -11,6 +11,7 @@ since the quantities overflow doubles once d reaches the low hundreds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,14 +119,17 @@ def _crossing_angles(c, R, r, tangent: bool):
     return np.where((q_minus > 0) & (q_plus > 0), x, 0.0)
 
 
-def _whole_piece_table(p: float, bp, log_v):
+@functools.lru_cache(maxsize=64)
+def _whole_piece_table(p: float, bp: tuple, log_v: tuple):
     """table[i, j] = ln of the mass of the whole pieces i < k < j, of
     gamma0-mass times value exp(log_v[k - 1]) for the piece (t_{k-1}, t_k]
     of the breakpoints bp, k = 1..K; pieces 0 (below t_0) and K + 1 (past
     t_K) are zero.  A piece thinner than half its outer radius takes ln(a/b)
     from the exact gap b - a (Sterbenz), a wider one from ln a - ln b, where
-    b - a would round a away.
+    b - a would round a away.  Cached per profile, since a radius search
+    asks for it in every round; callers must not write to it.
     """
+    bp, log_v = np.array(bp), np.array(log_v)
     a, b = bp[:-1], bp[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where(a > 0.5 * b, np.log1p((a - b) / b), np.log(a) - np.log(b))
@@ -137,7 +141,7 @@ def _whole_piece_table(p: float, bp, log_v):
     return table
 
 
-def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, with_chord: bool):
+def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, parts: int):
     """Log ray integrand of the f-mass of B(c e1, R), batched over balls.
 
     f is the step function with value v_k = exp(log_v[k - 1]) on the piece
@@ -148,8 +152,13 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, with
     f-mass of the chord, the sum of v_k (b^p - a^p)/p over its overlap
     [a, b] with each piece, p = d - beta.  Only the pieces holding t- and
     t+ are clipped; the whole pieces between them come from a table.  With
-    with_chord the integrand has a second component ahead of it, the
-    measure (t+^p - t-^p)/p of the whole chord, in shape (m, 2, 21).
+    parts = 2 the integrand has a second component ahead of it, the
+    measure (t+^p - t-^p)/p of the whole chord, in shape (m, 2, 21); with
+    parts = 4 two more follow, the R-derivatives of those two (by co-area,
+    the weighted area of the sphere |y - c e1| = R and f's mass on it):
+    v(t+) t+^(p-1) dt+/dR + v(t-) t-^(p-1) |dt-/dR| with v = 1 for the chord,
+    that is (R/c)/cos(theta) times the sum in the tangent form, and
+    R/sqrt(R^2 - c^2 sin^2 theta) v(t+) t+^(p-1) around the origin.
 
     With the origin inside the ball (c < R) the variable is theta in
     [0, pi] and t- = 0.  Otherwise it is phi in [0, pi/2] with
@@ -172,11 +181,15 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, with
     n = len(t_cross)
     log_v = np.asarray(log_v, dtype=float)
     lv = np.concatenate([[NEG_INF], log_v, [NEG_INF]])  # ln v_k on pieces 0..K + 1
-    table = _whole_piece_table(p, bp, log_v) if n else None
+    table = _whole_piece_table(p, tuple(bp), tuple(log_v)) if n else None
     S, eS = _two_sum(C, RR)
     D, eD = _two_sum(C, -RR)
     FAR = (S[:, None] - t_cross) + eS[:, None]
     NEAR = (t_cross - D[:, None]) - eD[:, None]
+
+    def pw(log_t):
+        # ln t^(p-1); p = 1 gives 1 even at t = 0
+        return (p - 1.0) * log_t if p != 1.0 else np.zeros_like(log_t)
 
     def log_cut(log_b, b, gap):
         return _log_power_interval(p, log_b, np.log1p(-np.minimum(gap, b) / b))
@@ -193,7 +206,8 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, with
                 t_minus = (c - R) * (c + R) / t_plus
                 d_minus = (c - R) * d_plus / t_plus
                 chord = 2.0 * R * cx
-                log_w = (d - 2) * np.log(k * sx) + np.log(k * cx / cos_t)
+                log_sin = (d - 2) * np.log(k * sx)
+                log_w = log_sin + np.log(k * cx / cos_t)
             else:
                 root = np.sqrt((R - c * sx) * (R + c * sx))
                 t_plus = np.where(cx >= 0, c * cx + root, (R - c) * (R + c) / (root - c * cx))
@@ -226,19 +240,33 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, with
                 top = np.maximum.reduce(terms)
                 top = np.where(top > NEG_INF, top, 0.0)
                 np.put(mass, cut, top + np.log(sum(np.exp(t - top) for t in terms)))
+            if parts == 4:
+                # sphere terms v t^(p-1); t- = 0 only on a sphere through
+                # the origin, which every ray then meets once, at t+
+                ends = [(lv[hi], pw(log_tp))]
+                if tangent:
+                    ends.append((lv[lo], np.where(t_minus > 0, pw(np.log(t_minus)), NEG_INF)))
+                    log_dw = lw + log_sin + np.log(k / cos_t)
+                else:
+                    log_dw = lw + log_w + np.log(R / root)
+                sphere = [np.logaddexp.reduce([e[1] for e in ends]),
+                          np.logaddexp.reduce([v + e for v, e in ends])]
         base = lw + log_w
         # the node arrays are (panels, 21) each: dropping these before the
         # result is formed lowers the peak memory of large batches
         del sx, cx, t_plus, d_plus, chord, log_tp
-        if with_chord:
-            return np.stack([whole, mass], axis=1) + base[:, None, :]
-        return mass + base
+        if parts == 1:
+            return mass + base
+        out = [whole + base, mass + base]
+        if parts == 4:
+            out += [s + log_dw for s in sphere]
+        return np.stack(out, axis=1)
 
     return log_f
 
 
 def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureConfig,
-                        with_chord: bool = False) -> np.ndarray:
+                        parts: int = 1) -> np.ndarray:
     """ln of the f-mass of B(c_i e1, R_i) for many balls, f a stack of shells.
 
     f is v_k = exp(log_v[k - 1]) on the shell t_{k-1} < |y| <= t_k of the
@@ -246,11 +274,13 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
     log_v = (0,) gives mu(B intersect {r_in <= |y| <= r_out}).  Integrates
     along rays from the origin, one batched quadrature run for the balls
     around the origin and one for the rest, which is what keeps parameter
-    sweeps (shift ratios, radius grids, level sets) fast.  Each ball starts
+    sweeps (shift ratios, radius searches, level sets) fast.  Each ball starts
     from the pieces between the angles where its boundary crosses the
-    spheres |y| = t_k.  Returns shape (n,), or (n, 2) with the ball's
-    measure ahead of its f-mass when with_chord.  Without it, pieces where
-    the integrand vanishes are dropped.
+    spheres |y| = t_k.  Returns shape (n,), or (n, parts) with parts = 2
+    (the ball's measure ahead of its f-mass) or 4 (then their derivatives in
+    R, which ride on the nodes the first two choose; see
+    _ray_log_integrand).  With parts = 1, pieces where the integrand
+    vanishes are dropped.
     """
     cs = np.asarray(cs, dtype=float)
     Rs = np.asarray(Rs, dtype=float)
@@ -259,26 +289,28 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
         raise ValueError(f"off-center ball measures require d >= 2, got d={m.d} "
                          f"beta={m.beta!r} for the ball c={c!r} R={R!r}")
     bp = np.asarray(bp, dtype=float)
-    out = np.full((len(cs), 2) if with_chord else len(cs), NEG_INF)
+    out = np.full((len(cs), parts) if parts > 1 else len(cs), NEG_INF)
     origin_inside = cs < Rs
+    # the two derivatives ride on the nodes the measure and the mass choose
+    riders = {"riders": 2} if parts == 4 else {}
     for tangent, top in ((False, math.pi), (True, 0.5 * math.pi)):
         idx = np.nonzero(origin_inside != tangent)[0]
         if idx.size == 0:
             continue
         c, R = cs[idx], Rs[idx]
-        log_f = _ray_log_integrand(m, c, R, bp, log_v, tangent, with_chord)
+        log_f = _ray_log_integrand(m, c, R, bp, log_v, tangent, parts)
         edges = np.sort(np.column_stack([
             np.zeros(idx.size),
             _crossing_angles(c[:, None], R[:, None], bp, tangent),
             np.full(idx.size, top),
         ]), axis=1)
         lo, hi = edges[:, :-1], edges[:, 1:]
-        if not with_chord:
+        if parts == 1:
             rows = np.repeat(np.arange(idx.size), lo.shape[1])
             inside = log_f(rows, 0.5 * (lo + hi).ravel()).reshape(lo.shape) > NEG_INF
             hi = np.where(inside, hi, lo)
         try:
-            out[idx], _ = log_integrate_batch(log_f, lo, hi, quad)
+            out[idx], _ = log_integrate_batch(log_f, lo, hi, quad, **riders)
         except QuadratureError as exc:
             i = idx[exc.segment]
             err = QuadratureError(

@@ -10,8 +10,9 @@ stay vectorized; each integral starts from the panels its caller passes
 (split where its integrand has kinks), is refined by bisection alone, and
 is judged against its own total.  An integrand may return several
 components per node (a ball's measure and a profile's mass over it, say);
-they share every node, and each is judged against its own total.  Every
-integrand call is a panel call.
+they share every node, and each is judged against its own total, except
+trailing riders (their derivatives, say), which are summed on the panels
+the judged components choose.  Every integrand call is a panel call.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def _segment_lse(values, ids, n_out):
         return np.where(m == NEG_INF, NEG_INF, safe_m + np.log(np.maximum(acc, 1e-300)))
 
 
-def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+                        riders: int = 0):
     """Integrate exp(log_f) for many integrals at once.
 
     lo and hi have shape (n,) or (n, k): row i holds the k initial panels
@@ -145,6 +147,9 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     Each integral is refined until, in every component, its summed
     Gauss/Kronrod error estimate is within cfg.tol of its own Kronrod
     total, so a panel that carries only rounding noise cannot hold it back.
+    The last `riders` components are summed but never judged: they do not
+    change a panel split, so the judged integrals are the same bits with or
+    without them, and their error estimates read -inf.
     Raises QuadratureError, with .segment set to the failing integral, if
     any integral needs more than cfg.max_panels panels.
     """
@@ -158,30 +163,39 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
         return np.full(n_seg, NEG_INF), np.full(n_seg, NEG_INF)
     p_seg = np.nonzero(live)[0]
     p_lo, p_hi = lo[live], hi[live]
+    # the judged components; riders get no error estimate
+    judged = slice(None, -riders) if riders else slice(None)
     p_low, p_high = _panel_logs(log_f, p_seg, p_lo, p_hi)
-    p_err = _log_abs_diff(p_low, p_high)
+    p_err = _log_abs_diff(p_low[..., judged], p_high[..., judged])
     # the component axis, () or (c,): sums per (integral, component) go
     # through flat ids, which keeps the one-dimensional fast path of ufunc.at
-    comp = p_high.shape[1:]
+    comp = p_err.shape[1:]
     k = comp[0] if comp else 1
 
     def flat(values, seg):
-        if not comp:
+        if values.ndim == 1:
             return values, seg
-        return values.ravel(), (seg[:, None] * k + np.arange(k)).ravel()
+        w = values.shape[1]
+        return values.ravel(), (seg[:, None] * w + np.arange(w)).ravel()
 
     def per_segment(values, seg):
-        return _segment_lse(*flat(values, seg), n_seg * k).reshape((n_seg,) + comp)
+        return _segment_lse(*flat(values, seg), n_seg * values[0].size).reshape(
+            (n_seg,) + values.shape[1:])
+
+    def result(seg_err):
+        if riders:
+            seg_err = np.pad(seg_err, ((0, 0), (0, riders)), constant_values=NEG_INF)
+        return per_segment(p_high, p_seg), seg_err
 
     log_tol = math.log(cfg.tol)
     for _ in range(cfg.max_rounds):
-        seg_total = per_segment(p_high, p_seg)
+        seg_total = per_segment(p_high[..., judged], p_seg)
         seg_err = per_segment(p_err, p_seg)
         with np.errstate(invalid="ignore"):
             bad = seg_err > seg_total + log_tol
         bad &= seg_total != NEG_INF
         if not np.any(bad):
-            return seg_total, seg_err
+            return result(seg_err)
 
         # split every panel within a factor 16 of its integral's worst panel
         # in a component that has not converged
@@ -208,7 +222,7 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
         c_lo = np.concatenate([p_lo[split], mid])
         c_hi = np.concatenate([mid, p_hi[split]])
         c_low, c_high = _panel_logs(log_f, c_seg, c_lo, c_hi)
-        c_err = _log_abs_diff(c_low, c_high)
+        c_err = _log_abs_diff(c_low[..., judged], c_high[..., judged])
 
         p_seg = np.concatenate([p_seg[keep], c_seg])
         p_lo = np.concatenate([p_lo[keep], c_lo])
@@ -216,7 +230,7 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
         p_high = np.concatenate([p_high[keep], c_high])
         p_err = np.concatenate([p_err[keep], c_err])
 
-    seg_total = per_segment(p_high, p_seg)
+    seg_total = per_segment(p_high[..., judged], p_seg)
     seg_err = per_segment(p_err, p_seg)
     with np.errstate(invalid="ignore"):
         rel = np.where(seg_total != NEG_INF, np.exp(seg_err - seg_total), 0.0)

@@ -2,10 +2,11 @@
 
 The average over B(c e1, R) of a radial step profile is one ray
 quadrature of the measure module with two components on shared nodes,
-the ball's measure and the profile's mass, so evaluating the radius
-supremum at one point, or along a whole grid of points, is a single
-batched quadrature run.  Level sets in R^d are taken through the radial
-section: the angular factor cancels from the weak-type quotient, and
+the ball's measure and the profile's mass, and its slope in R rides on
+the same nodes.  The radius supremum is a bracketed search on the sign
+of that slope between the kink radii, run in lockstep for a whole grid
+of points as a few batched quadrature runs.  Level sets in R^d are taken
+through the radial section: the angular factor cancels from the weak-type quotient, and
 maximal1d._grid_level_logs samples this module's maximal function on a
 bracketing grid and closes its crossings with a safeguarded secant in
 ln t, with every measure in logs.  The average over B(t e1, t + t_n),
@@ -50,24 +51,28 @@ __all__ = [
     "mc_ball_average",
 ]
 
-# radius-grid ceiling and samples per refine round (see MaximalConfig)
-_MAX_RADII = 4096
-_REFINE_POINTS = 17
+# the bracketed search for the radius supremum: its round cap, the share of
+# quad.tol to which the end tangents of ln A must bound a bracket's gain,
+# the least share of a bracket kept between a trial radius and its ends,
+# and the floating-point flags its bracket algebra raises on purpose
+# (ln 0 = -inf, and inf - inf = NaN at a bracket end where A = 0)
+_SEARCH_ROUNDS = 6
+_GAIN_SHARE = 0.001
+_EDGE = 0.02
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 @dataclass(frozen=True)
 class MaximalConfig:
     """Radius-search and quadrature settings for the centered operator.
 
-    The radius grid holds radii_per_decade log-spaced radii per decade
-    (clipped to [min_radii, _MAX_RADII]) from the floor max(distance to the
-    support, rho(c)) up to c + t_n, where rho(c) is the distance from c to
-    the nearest breakpoint t > 0; below rho(c) the average is the value of
-    c's own piece, known without a grid.  Each of the refine_rounds then
-    samples _REFINE_POINTS radii across the bracket around the best one,
-    and one parabolic step through the best radius and its two neighbours
-    from the last stage closes the search.
-    Points strictly inside a piece of value max f skip it: there
+    The radius supremum is searched in the brackets between the kink
+    radii, where the ball's boundary meets a breakpoint sphere (see
+    _radius_supremum); its quad sets the accuracy of every average and,
+    through it, when a bracket's search stops.  radii_per_decade, min_radii
+    and refine_rounds steered an earlier radius grid and no longer change
+    any result; they stay so that existing callers keep constructing.
+    Points strictly inside a piece of value max f skip the search: there
     M_mu f = max f exactly.
     """
 
@@ -89,17 +94,27 @@ def _positive_pieces(f: RadialProfile):
 
 
 def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
-                         quad: QuadratureConfig) -> np.ndarray:
+                         quad: QuadratureConfig, slopes: bool = False):
     """Averages of f over B(c_i e1, R_i) for many balls, one quadrature pass each.
 
     The ball's measure and its f-mass are two components on shared nodes
     (measure._batched_shell_logs).  Node by node the f-mass is at most
     max f times the measure, so the clamp to max f only guards rounding.
+    With slopes, returns (A, d ln A / d ln R): by co-area the derivatives
+    of the measure and the mass are the weighted area sigma(R) of the
+    ball's sphere and f's mass on it, sigma S, which ride on the same
+    nodes, and R (sigma S / F - sigma / mu) = (R sigma / mu)(S / A - 1).
+    The slope is +inf where the ball misses f (A = 0).
     """
     with np.errstate(divide="ignore"):
         log_v = np.log(f.values)
-    logs = _batched_shell_logs(m, cs, Rs, f.breakpoints, log_v, quad, with_chord=True)
-    return np.minimum(np.exp(logs[:, 1] - logs[:, 0]), max(f.values))
+    logs = _batched_shell_logs(m, cs, Rs, f.breakpoints, log_v, quad, parts=4 if slopes else 2)
+    avg = np.minimum(np.exp(logs[:, 1] - logs[:, 0]), max(f.values))
+    if not slopes:
+        return avg
+    with np.errstate(invalid="ignore", over="ignore"):
+        slope = np.asarray(Rs) * (np.exp(logs[:, 3] - logs[:, 1]) - np.exp(logs[:, 2] - logs[:, 0]))
+    return avg, np.where(logs[:, 1] == NEG_INF, np.inf, slope)
 
 
 def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
@@ -110,72 +125,191 @@ def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
     return float(_ball_averages_batch(m, f, [c], [R], cfg.quad)[0])
 
 
+def _rho(f: RadialProfile, c: float) -> float:
+    """min |c - t_i| over breakpoints t_i > 0 (see _own_piece)."""
+    return min(abs(c - t) for t in f.breakpoints if t > 0)
+
+
 def _own_piece(f: RadialProfile, c: float) -> tuple[float, float]:
-    """(rho, v): rho = min |c - t_i| over breakpoints t_i > 0, and the value v
-    that f takes on every ball B(c e1, R) with R < rho.
+    """(rho, v): rho = _rho(f, c), and the value v that f takes on every
+    ball B(c e1, R) with R < rho.
 
     Such a ball stays inside one constancy piece up to the origin, which
     has measure zero (hence t = 0 is left out, and c = 0 sees the first
     piece when it starts at 0).  rho = 0 when c sits on a breakpoint
     t > 0, and then every ball straddles two pieces.
     """
-    rho = min(abs(c - t) for t in f.breakpoints if t > 0)
+    rho = _rho(f, c)
     return rho, (f.value_at(c + 0.5 * rho) if rho > 0 else 0.0)
 
 
-def _radius_grid(f: RadialProfile, c: float, cfg: MaximalConfig) -> np.ndarray:
-    """Candidate radii for the supremum at center distance c.
+def _in_top_piece(f: RadialProfile, cs) -> np.ndarray:
+    """Points strictly inside a piece of value max f, where M_mu f = max f."""
+    vmax = max(f.values)
+    return np.array([_own_piece(f, c)[1] == vmax for c in cs], dtype=bool)
 
-    Log-spaced from the floor max(distance to the support, rho(c)) up to
-    c + t_n, plus the kink radii |c - t_i| and c + t_i where the ball
-    boundary crosses a breakpoint.  Below rho(c) the ball lies inside c's
-    own piece and the average is that piece's value exactly, so one radius
-    0.5 rho(c) stands for the whole R -> 0 side.
+
+def _kink_radii(f: RadialProfile, c: float) -> np.ndarray:
+    """The radii that split the search at center distance c, ascending.
+
+    The floor max(distance to the support, rho(c)), below which the ball
+    misses f or stays in c's own piece (a point on a breakpoint, rho = 0,
+    starts at 1e-6 r_hi); the kink radii |c - t_i| and c + t_i, where the
+    ball's boundary meets a breakpoint sphere t_i > 0; and r_hi = c + t_n,
+    past which the ball holds all of f and its average falls.
     """
     pieces = _positive_pieces(f)
-    t_hi = max(p[1] for p in pieces)
-    r_hi = c + t_hi
+    r_hi = c + max(p[1] for p in pieces)
     dist_pos = min(max(p[0] - c, c - p[1], 0.0) for p in pieces)
-    rho, own = _own_piece(f, c)
-    floor = max(dist_pos, rho, 1e-6 * r_hi)
+    floor = max(dist_pos, _rho(f, c), 1e-6 * r_hi)
     if floor >= r_hi:
         floor = 0.5 * r_hi
-    n = int(np.clip(math.ceil(math.log10(r_hi / floor) * cfg.radii_per_decade),
-                    cfg.min_radii, _MAX_RADII))
-    grid = np.geomspace(floor, r_hi, n)
-    specials = [r_hi]
-    for t in f.breakpoints:
-        for cand in (abs(c - t), c + t):
-            if floor < cand <= r_hi:
-                specials.append(cand)
-    if own > 0:
-        specials.append(0.5 * rho)
-    return np.unique(np.concatenate([grid, specials]))
+    kinks = [r for t in f.breakpoints if t > 0 for r in (abs(c - t), c + t) if floor < r < r_hi]
+    return np.unique([floor, r_hi, *kinks])
 
 
-def _best_three(R: np.ndarray, A: np.ndarray):
-    """Per row: the best average and the radii/averages at argmax-1, argmax, argmax+1.
+# the bracket helpers below run under np.errstate(**_QUIET)
 
-    Neighbours are clipped at the row ends, so an edge maximum repeats its
-    own radius and gets no parabola.
+
+def _concave_ends(ua, ub, ya, yb, sa, sb):
+    """Brackets whose end data fit a concave ln A: sa >= secant >= sb, all finite."""
+    secant = (yb - ya) / (ub - ua)
+    return (sa >= secant) & (secant >= sb) & np.isfinite(ya + yb + sa + sb)
+
+
+def _holds_max(ya, yb, sa, sb):
+    """Brackets whose end data force an interior maximum of ln A.
+
+    The slope goes from + (or 0) to -, or both slopes have one sign while
+    the ends step the other way, so that ln A rises and then falls in
+    between.  A NaN slope counts as either sign.
     """
-    k = A.argmax(axis=1)
-    row = np.arange(len(R))
-    idx = (np.maximum(k - 1, 0), k, np.minimum(k + 1, R.shape[1] - 1))
-    return A[row, k], [R[row, j] for j in idx], [A[row, j] for j in idx]
+    dy = yb - ya
+    return ((~(sa < 0) & ~(sb >= 0)) | ((sa < 0) & (sb < 0) & (dy > 0))
+            | ((sa > 0) & (sb > 0) & (dy < 0)))
 
 
-def _parabola_vertex(x, y):
-    """Vertex of the parabola through three points, clipped to [x0, x2]; NaN
-    where the points are not strictly ordered or not strictly concave."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s0 = (y1 - y0) / (x1 - x0)
-        s2 = (y2 - y1) / (x2 - x1)
-        v = x1 + 0.5 * ((x1 - x0) * s2 + (x2 - x1) * s0) / (s0 - s2)
-    ok = (x0 < x1) & (x1 < x2) & (s2 < s0)
-    return np.where(ok, np.clip(v, x0, x2), np.nan)
+def _tangent_gain(ua, ub, ya, yb, sa, sb):
+    """Bound on max ln A over [ua, ub] from the end tangents of ln A in u = ln R.
+
+    The peak of min(ya + sa (u - ua), yb + sb (u - ub)), which bounds a
+    concave ln A; +inf where the end data do not fit a concave ln A.
+    """
+    u = np.clip((yb - ya + sa * ua - sb * ub) / (sa - sb), ua, ub)
+    peak = np.minimum(ya + sa * (u - ua), yb + sb * (u - ub))
+    return np.where(_concave_ends(ua, ub, ya, yb, sa, sb), peak, np.inf)
+
+
+def _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old):
+    """Next radius (in u = ln R) inside brackets that hold a maximum.
+
+    The local maximizer of the cubic Hermite interpolant of ln A on the
+    bracket, kept off the ends by _EDGE of it; where an end value is not
+    finite (A = 0), the root of the secant of the slopes, or the midpoint
+    where that is not inside either.  Where the end that the last round
+    replaced, (u_old, s_old), lies closer to the newer end than the other
+    end does, the secant of their slopes extrapolates to the root instead,
+    as long as it lands inside the bracket: a far end, past a kink's convex
+    start or a steep fall, then no longer steers the step.
+    """
+    w = ub - ua
+    # p'(x) = a x^2 + b x + c0 on x in [0, 1]; its root with p'' < 0
+    dy = yb - ya
+    a = 3.0 * w * (sa + sb) - 6.0 * dy
+    b = 6.0 * dy - 2.0 * w * (2.0 * sa + sb)
+    c0 = w * sa
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c0, 0.0)), b))
+    r1, r2 = q / a, c0 / q
+    peak = lambda r: (r > 0) & (r < 1) & (2.0 * a * r + b < 0)
+    hermite = np.where(peak(r2), r2, np.where(peak(r1), r1, np.nan))
+    secant = sa / (sa - sb)
+    x = np.where(np.isfinite(ya + yb + sa + sb + hermite), hermite,
+                 np.where((secant > 0) & (secant < 1), secant, 0.5))
+    u = ua + w * np.clip(x, _EDGE, 1.0 - _EDGE)
+    left = u_old < ua
+    newer, s_new = np.where(left, ua, ub), np.where(left, sa, sb)
+    extra = newer - s_new * (newer - u_old) / (s_new - s_old)
+    use = (np.abs(newer - u_old) < w) & (extra > ua + _EDGE * w) & (extra < ub - _EDGE * w)
+    return np.where(use, extra, u)
+
+
+def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureConfig):
+    """(sup_R A(c, R), ln-gap bound) per center distance c, off the top piece.
+
+    Between consecutive kink radii (_kink_radii) the average is smooth and
+    A'(R) = sigma(R) / mu(B_R) (S(R) - A(R)), S the sphere average, so an
+    interior maximum shows as a sign change of the slope (_holds_max).  All
+    points share one batched stage at their kink radii and the geometric
+    midpoint of every bracket between them; then, in lockstep, every
+    bracket that holds a maximum takes one average per round at
+    _trial_point, for at most _SEARCH_ROUNDS rounds, and keeps the half
+    that still holds one (the one with the higher end, if both do).  A
+    bracket stops once the tangents at its ends bound its gain over the
+    point's best average by _GAIN_SHARE quad.tol in ln A.  The gap is the
+    largest such bound left per point (0 where every bracket closed).
+
+    At the floor rho(c) the ball touches a breakpoint sphere from inside
+    c's own piece: S = A there and the slope is 0, and it counts as + so
+    that a rise and fall right past the contact is searched.  A point on a
+    breakpoint also has the limit R -> 0, where the sphere halves the ball:
+    the mean of the two pieces beside it.
+    """
+    cs = np.asarray(cs, dtype=float)
+    kinks = [_kink_radii(f, c) for c in cs]
+    radii = [np.sort(np.concatenate([k, np.sqrt(k[:-1] * k[1:])])) for k in kinks]
+    sizes = np.array([len(r) for r in radii])
+    first = np.cumsum(sizes) - sizes
+    pt = np.repeat(np.arange(len(cs)), sizes)
+    R = np.concatenate(radii)
+    A, slope = _ball_averages_batch(m, f, cs[pt], R, quad, slopes=True)
+    with np.errstate(**_QUIET):
+        rho = np.array([_rho(f, c) for c in cs])
+        slope[first[(R[first] == rho) & (A[first] > 0)]] = 0.0
+        best = np.array([_breakpoint_limit(f, c) for c in cs])
+        np.maximum.at(best, pt, A)
+        u, y = np.log(R), np.log(A)
+        # brackets between consecutive radii of a point: (point, ua, ub, ya,
+        # yb, sa, sb, and the end replaced last round, u_old and s_old)
+        left = np.flatnonzero(np.arange(len(R)) + 1 < (first + sizes)[pt])
+        nan = np.full(len(left), np.nan)
+        br = [pt[left], u[left], u[left + 1], y[left], y[left + 1],
+              slope[left], slope[left + 1], nan, nan]
+        br = [v[_holds_max(*br[3:7])] for v in br]
+    gain_tol = _GAIN_SHARE * quad.tol
+    for _ in range(_SEARCH_ROUNDS):
+        with np.errstate(**_QUIET):
+            open_ = _tangent_gain(*br[1:7]) - np.log(best[br[0]]) > gain_tol
+            if not open_.any():
+                break
+            p, ua, ub, ya, yb, sa, sb, u_old, s_old = (v[open_] for v in br)
+            ut = _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old)
+        At, st = _ball_averages_batch(m, f, cs[p], np.exp(ut), quad, slopes=True)
+        np.maximum.at(best, p, At)
+        with np.errstate(**_QUIET):
+            yt = np.log(At)
+            # keep the half that holds a maximum, the one with the higher end
+            # if both do, or else the one next to the higher end
+            in_lo, in_hi = _holds_max(ya, yt, sa, st), _holds_max(yt, yb, st, sb)
+        hi = np.where(in_lo == in_hi, yb > ya, in_hi)
+        br = [p, np.where(hi, ut, ua), np.where(hi, ub, ut), np.where(hi, yt, ya),
+              np.where(hi, yb, yt), np.where(hi, st, sa), np.where(hi, sb, st),
+              np.where(hi, ua, ub), np.where(hi, sa, sb)]
+    with np.errstate(**_QUIET):
+        gain = _tangent_gain(*br[1:7]) - np.log(best[br[0]])
+    log_gap = np.zeros(len(cs))
+    np.maximum.at(log_gap, br[0], gain)
+    return best, log_gap
+
+
+def _breakpoint_limit(f: RadialProfile, c: float) -> float:
+    """lim_{R -> 0} of the average at c on a breakpoint t > 0, else 0: the
+    sphere |y| = t halves small balls, and the weight is flat across them."""
+    bp = f.breakpoints
+    if c <= 0 or c not in bp:
+        return 0.0
+    i = bp.index(c)
+    vals = (0.0, *f.values, 0.0)
+    return 0.5 * (vals[i] + vals[i + 1])
 
 
 def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
@@ -184,53 +318,18 @@ def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
 
     Where every small ball around c lies in a piece of value max f (c
     strictly inside that piece, see _own_piece), M_mu f(c) = max f
-    exactly, since no average exceeds max f; those points skip the search.  The others get
-    one batched stage for the radius grid (see _radius_grid), one per
-    refine round on the interior of the bracket around the best radius
-    (its two ends keep the averages they already have), and a last stage
-    at the vertex of the parabola through the best radius and its two
-    neighbours, taken only where those three averages are concave.  Each
-    stage can only raise the running best.
+    exactly, since no average exceeds max f; those points skip the search.
+    The others share the kink-bracket search of _radius_supremum.
     """
     cs = np.asarray(cs, dtype=float)
     if f.positive_support() is None:
         warnings.warn("profile carries no mass: empty radius window, returning 0",
                       RuntimeWarning)
         return np.zeros(len(cs))
-    vmax = max(f.values)
-    out = np.full(len(cs), vmax)
-    todo = np.flatnonzero([_own_piece(f, c)[1] < vmax for c in cs])
-    if len(todo) == 0:
-        return out
-    cs = cs[todo]
-    grids = [_radius_grid(f, c, cfg) for c in cs]
-    width = max(len(g) for g in grids)
-    # ragged grids padded with their last radius; pads average -inf
-    R = np.stack([np.pad(g, (0, width - len(g)), mode="edge") for g in grids])
-    real = np.arange(width)[None, :] < np.array([len(g) for g in grids])[:, None]
-    A = np.full(R.shape, NEG_INF)
-    A[real] = _ball_averages_batch(m, f, np.broadcast_to(cs[:, None], R.shape)[real],
-                                   R[real], cfg.quad)
-    best, x, y = _best_three(R, A)
-    # a maximum at a row's last real radius has its right neighbour on a
-    # pad, which repeats that radius: its average is the maximum itself
-    y[2] = np.where(y[2] == NEG_INF, y[1], y[2])
-
-    inner = _REFINE_POINTS - 2
-    for _ in range(cfg.refine_rounds):
-        # linspace reproduces both ends, whose averages are y[0] and y[2]
-        R = np.linspace(x[0], x[2], _REFINE_POINTS, axis=1)  # (n, _REFINE_POINTS)
-        A = np.column_stack([y[0], _ball_averages_batch(
-            m, f, np.repeat(cs, inner), R[:, 1:-1].ravel(), cfg.quad).reshape(len(cs), inner),
-            y[2]])
-        a, x, y = _best_three(R, A)
-        best = np.maximum(best, a)
-
-    v = _parabola_vertex(x, y)
-    ok = ~np.isnan(v)
-    if ok.any():
-        best[ok] = np.maximum(best[ok], _ball_averages_batch(m, f, cs[ok], v[ok], cfg.quad))
-    out[todo] = best
+    out = np.full(len(cs), max(f.values))
+    todo = ~_in_top_piece(f, cs)
+    if todo.any():
+        out[todo] = _radius_supremum(m, f, cs[todo], cfg.quad)[0]
     return out
 
 
@@ -299,11 +398,19 @@ def weak_type_quotient_radial(m: PowerLawMeasure, f: RadialProfile, lambdas,
     # bracketing window via the 1D control: M_mu f <= (C+1) M^u f0
     C = _window_shift_constant(m, cfg.quad)
     max_fn = lambda ts: centered_max_radial_grid(m, f, ts, cfg)
-    # B(t e1, t + t_n) holds all of f, and its radius is the last one of the
-    # radius search (_radius_grid), so M(t) is at least its average, which
-    # is the search's own value there: averages do not depend on the batch
+    # B(t e1, t + t_n) holds all of f, and its radius is r_hi of the radius
+    # search (_kink_radii), so M(t) is at least its average, which is the
+    # search's own value there: averages do not depend on the batch, and
+    # the slopes ride on the nodes the average chooses.  Inside the top
+    # piece M(t) = max f, with no quadrature.
     t_n = f.positive_support()[1]
-    lower_fn = lambda ts: _ball_averages_batch(m, f, ts, ts + t_n, cfg.quad)
+
+    def lower_fn(ts):
+        out = np.full(len(ts), max(f.values))
+        todo = ~_in_top_piece(f, ts)
+        out[todo] = _ball_averages_batch(m, f, ts[todo], ts[todo] + t_n, cfg.quad)
+        return out
+
     log_mu, _ = _grid_level_logs(line, f, lambdas, cfg.level_grid, max_fn, C + 1.0, lower_fn)
     return math.exp(float((np.log(lambdas) + log_mu).max()) - _log_l1(line, f))
 

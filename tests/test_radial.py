@@ -12,6 +12,7 @@ from radialmax.maximal1d import (
     WeightedLineMeasure,
     uncentered_max,
 )
+from radialmax.specfun import log_sphere_area
 from radialmax.measure import (
     BallSpec,
     PowerLawMeasure,
@@ -43,6 +44,10 @@ FAST = MaximalConfig(
 # acceptance criterion 9's radius search
 CRITERION9 = MaximalConfig(radii_per_decade=128, refine_rounds=2,
                            quad=QuadratureConfig(tol=1e-7))
+# acceptance criterion 10's weak-type settings
+CRITERION10 = MaximalConfig(radii_per_decade=48, min_radii=32, refine_rounds=2,
+                            quad=QuadratureConfig(tol=1e-6),
+                            level_grid=GridConfig(points=128, bisect_rel_tol=1e-6, max_bisect=30))
 # (d, beta, c, profile): the benchmark's three criterion-9 geometries
 # (perfbench/workloads.py) with fixed values, c off the max-f piece
 BENCH_CASES = (
@@ -135,6 +140,84 @@ def test_one_pass_averages_match_per_shell_integrals():
         assert np.all(err <= 1e-9 * want), (d, m.beta, f, cs, Rs, got, want)
         worst = max(worst, float((err / np.where(want > 0, want, 1.0)).max()))
     assert worst > 0.0  # the two formulations do differ in rounding
+
+
+def _cap_fraction(d, c, R, t):
+    """Share of the sphere |y - c e1| = R inside |y| < t, closed form.
+
+    Its points with cos(angle to e1) < x0 = (t^2 - c^2 - R^2) / (2cR) lie
+    inside; a cap of half-angle a <= pi/2 holds I_{sin^2 a}((d-1)/2, 1/2) / 2
+    of the sphere, and a cap past a hemisphere is the complement of one.
+    """
+    from scipy.special import betainc
+
+    x0 = min(max((t * t - c * c - R * R) / (2.0 * c * R), -1.0), 1.0)
+    cap = 0.5 * betainc(0.5 * (d - 1), 0.5, 1.0 - x0 * x0)
+    return cap if x0 <= 0 else 1.0 - cap
+
+
+def test_sphere_components_match_cap_fractions():
+    # beta = 0, f = 1 on B(0, t): the slope components are the sphere's
+    # area omega_{d-1} R^(d-1) and its share S inside B(0, t), balls around
+    # the origin (c < R) and off it, tangent to |y| = t or nearly so
+    rng = np.random.default_rng(3)
+    quad = QuadratureConfig(tol=1e-10)
+    for _ in range(40):
+        d = int(rng.integers(2, 30))
+        c, t = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.1, 2.0))
+        lo, hi = abs(c - t), c + t
+        R = float(lo + (hi - lo) * rng.choice([rng.uniform(), 1e-6, 1.0 - 1e-6]))
+        logs = measure._batched_shell_logs(PowerLawMeasure(d, 0.0), [c], [R], [0.0, t], [0.0],
+                                           quad, parts=4)[0]
+        sigma = math.exp(log_sphere_area(d) + (d - 1) * math.log(R))
+        assert math.exp(logs[2]) == pytest.approx(sigma, rel=1e-9), (d, c, R, t)
+        S = _cap_fraction(d, c, R, t)
+        assert abs(math.exp(logs[3] - logs[2]) - S) <= 1e-8 * max(S, 1e-3), (d, c, R, t, S)
+
+
+def test_sphere_components_match_central_differences():
+    # any beta: the slope components are d/dR of the ball's measure and its
+    # f-mass, compared with central differences of both at tol 1e-13, on
+    # balls kept clear of every kink radius
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for _ in range(60):
+        d = int(rng.integers(2, 25))
+        m = PowerLawMeasure(d, float(rng.uniform(-1.0, d - 1.2)))
+        f = random_profile(rng, max_pieces=4)
+        c = float(rng.uniform(0.05, 2.5))
+        kinks = np.array([r for t in f.breakpoints for r in (abs(c - t), c + t)] + [c])
+        R = float(np.exp(rng.uniform(-2.0, 1.2)))
+        if np.min(np.abs(kinks - R)) < 0.01 * R:
+            continue
+        h = 1e-5 * R
+        log_v = np.log(np.maximum(f.values, 1e-300))
+        logs = measure._batched_shell_logs(m, [c] * 3, [R - h, R, R + h], f.breakpoints, log_v,
+                                           QuadratureConfig(tol=1e-13), parts=4)
+        for k in (0, 1):
+            fd = (math.exp(logs[2, k]) - math.exp(logs[0, k])) / (2.0 * h)
+            got = math.exp(logs[1, 2 + k])
+            # the mass derivative is judged against the sphere's area times max f
+            scale = math.exp(logs[1, 2]) * (max(f.values) if k else 1.0)
+            assert abs(got - fd) <= 1e-7 * scale, (d, m.beta, f, c, R, k, got, fd)
+            worst = max(worst, abs(got - fd) / scale)
+    assert 0.0 < worst
+
+
+def test_sphere_components_change_no_bit_of_the_average():
+    # the derivatives ride on the nodes the measure and the mass choose, so
+    # both are the same bits with or without them
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        d = int(rng.integers(2, 25))
+        m = PowerLawMeasure(d, float(rng.uniform(-1.0, d / 2)))
+        f = random_profile(rng, max_pieces=4)
+        cs, Rs = rng.uniform(0.01, 3.0, 12), np.exp(rng.uniform(-6.0, 1.5, 12))
+        log_v = np.log(np.maximum(f.values, 1e-300))
+        args = (m, cs, Rs, f.breakpoints, log_v, QuadratureConfig(tol=1e-8))
+        two = measure._batched_shell_logs(*args, parts=2)
+        four = measure._batched_shell_logs(*args, parts=4)
+        assert [v.hex() for v in two.ravel()] == [v.hex() for v in four[:, :2].ravel()]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -239,13 +322,14 @@ def test_max_at_origin_is_centered_case():
 
 def _dense_oracle_max(m, f, c, n=4001, rounds=6, points=33):
     """sup_R of the ball average on 4001 log-spaced radii plus every kink
-    radius, then zoom rounds around the best radius, at quadrature tol 1e-10,
-    with averages from separate shell integrals (_per_shell_averages)."""
+    radius and 1e-12 r_hi (the R -> 0 limit on a breakpoint), then zoom
+    rounds around the best radius, at quadrature tol 1e-10, with averages
+    from separate shell integrals (_per_shell_averages)."""
     quad = QuadratureConfig(tol=1e-10)
     t_hi = max(t for t, v in zip(f.breakpoints[1:], f.values) if v > 0)
     r_hi = c + t_hi
     kinks = [r for t in f.breakpoints for r in (abs(c - t), c + t) if 0 < r <= r_hi]
-    R = np.unique(np.concatenate([np.geomspace(1e-6 * r_hi, r_hi, n), kinks]))
+    R = np.unique(np.concatenate([np.geomspace(1e-6 * r_hi, r_hi, n), kinks, [1e-12 * r_hi]]))
     best = 0.0
     for _ in range(rounds + 1):
         A = _per_shell_averages(m, f, np.full(len(R), c), R, quad)
@@ -263,6 +347,16 @@ def test_max_matches_dense_oracle():
         beta = float(rng.uniform(0.05, d / 2))
         f = random_profile(rng, max_pieces=4, allow_zero_pieces=False)
         cases.append((d, beta, float(rng.uniform(0.05, 2.5)), f))
+    # centers on a breakpoint, off the top piece: their searches start at
+    # 1e-6 r_hi, and their R -> 0 limit is the mean of the two pieces
+    for d, beta, c, f in BENCH_CASES:
+        t = next(t for t in f.breakpoints if t > 0 and abs(t - c) > 0.1)
+        cases.append((d, beta, t, f))
+    # criterion 10's geometry, where the best ball just holds the spike
+    for c in (0.9, 1.0, 1.1):
+        cases.append((12, 3.0, c, RadialProfile.indicator(0.004)))
+    # beta near d - 1, where sphere weights blow up at the origin
+    cases.append((6, 4.95, 0.8, RadialProfile((0.0, 0.5, 1.2, 2.0), (1.5, 0.4, 2.0))))
     for d, beta, c, f in cases:
         m = PowerLawMeasure(d, beta)
         want = _dense_oracle_max(m, f, c)
@@ -290,14 +384,6 @@ def test_max_on_top_piece_breakpoint_is_below_max():
     assert 0.5 < centered_max_radial(m, f, 0.5, FAST) < 2.5
 
 
-def test_radius_grid_one_radius_inside_own_piece():
-    f = RadialProfile((0.0, 0.5, 1.5, 2.0), (2.5, 0.5, 1.0))
-    for c, rho in ((1.1, 0.4), (0.2, 0.3), (1.8, 0.2)):
-        grid = radial._radius_grid(f, c, FAST)
-        assert np.count_nonzero(grid < rho - 1e-15) == 1
-        assert grid[0] == pytest.approx(0.5 * rho)
-
-
 def test_max_grid_empty_input_and_no_refine():
     m = PowerLawMeasure(4, 1.0)
     f = RadialProfile((0.0, 0.6, 1.4, 2.5), (0.8, 2.5, 1.7))
@@ -310,94 +396,29 @@ def test_max_grid_empty_input_and_no_refine():
 
 def test_radius_search_work_units(monkeypatch):
     # ball averages per point at criterion-9 settings (the dense log grid
-    # from 1e-6 r_hi spent 809-813), identical across reruns
+    # from 1e-6 r_hi spent 809-813, the kink-bracket search at most 24),
+    # identical across reruns; c = 0.004 on a breakpoint of indicator(0.004)
+    # gets its lowest bracket like any other point (the log grid spent 289)
     counted = []
     batch = radial._ball_averages_batch
 
-    def counting(m, f, cs, Rs, quad):
+    def counting(m, f, cs, Rs, quad, slopes=False):
         counted[-1] += len(Rs)
-        return batch(m, f, cs, Rs, quad)
+        return batch(m, f, cs, Rs, quad, slopes)
 
     monkeypatch.setattr(radial, "_ball_averages_batch", counting)
+    cases = [(PowerLawMeasure(d, beta), f, c, CRITERION9) for d, beta, c, f in BENCH_CASES]
+    cases += [(PowerLawMeasure(12, 3.0), RadialProfile.indicator(0.004), 0.004, CRITERION10)]
     runs = []
     for _ in range(2):
         per_point = []
-        for d, beta, c, f in BENCH_CASES:
+        for m, f, c, cfg in cases:
             counted.append(0)
-            centered_max_radial(PowerLawMeasure(d, beta), f, c, CRITERION9)
+            centered_max_radial(m, f, c, cfg)
             per_point.append(counted[-1])
         runs.append(per_point)
     assert runs[0] == runs[1]
-    assert max(runs[0]) <= 220, runs[0]
-
-
-def _search_recomputing_ends(m, f, c, cfg):
-    """centered_max_radial's radius search with every refine radius averaged
-    afresh: the result and the averages each stage compares."""
-    if radial._own_piece(f, c)[1] == max(f.values):
-        return max(f.values), []    # inside the top piece: no search
-
-    def avg(Rs):
-        return radial._ball_averages_batch(m, f, np.full(len(Rs), c), Rs, cfg.quad)[None, :]
-
-    R = radial._radius_grid(f, c, cfg)[None, :]
-    stages = [avg(R[0])]
-    best, x, y = radial._best_three(R, stages[-1])
-    for _ in range(cfg.refine_rounds):
-        R = np.linspace(x[0], x[2], radial._REFINE_POINTS, axis=1)
-        stages.append(avg(R[0]))
-        a, x, y = radial._best_three(R, stages[-1])
-        best = np.maximum(best, a)
-    v = radial._parabola_vertex(x, y)
-    if not np.isnan(v[0]):
-        best = np.maximum(best, avg(v)[0])
-    return float(best[0]), stages
-
-
-def _record_stages(monkeypatch):
-    """The averages each stage of the radius search compares, as it runs."""
-    seen = []
-    best_three = radial._best_three
-
-    def spy(R, A):
-        seen.append(A.copy())
-        return best_three(R, A)
-
-    monkeypatch.setattr(radial, "_best_three", spy)
-    return seen
-
-
-def test_refine_reuses_its_bracket_ends_bit_for_bit(monkeypatch):
-    # linspace reproduces both bracket ends, whose averages the search
-    # already has, so reusing them changes no output bit; an end averaged
-    # again in another batch gives the same bits, since averages do not
-    # depend on the batch
-    want = [_search_recomputing_ends(PowerLawMeasure(d, beta), f, c, CRITERION9)
-            for d, beta, c, f in BENCH_CASES]
-    stages = _record_stages(monkeypatch)
-    for (d, beta, c, f), (value, want_stages) in zip(BENCH_CASES, want):
-        stages.clear()
-        assert centered_max_radial(PowerLawMeasure(d, beta), f, c, CRITERION9) == value
-        assert len(stages) == len(want_stages)
-        for got, ref in zip(stages, want_stages):
-            np.testing.assert_array_equal(got, ref)
-
-
-def test_refine_never_reuses_a_pad_average(monkeypatch):
-    # with averages rising in R every row peaks at its last real radius, so
-    # rows padded to the longest grid put their right bracket end on a pad
-    # (average -inf), which repeats that radius; the refine rounds must see
-    # its real average
-    monkeypatch.setattr(radial, "_ball_averages_batch",
-                        lambda m, f, cs, Rs, quad: np.asarray(Rs) / (1.0 + np.asarray(Rs)))
-    seen = _record_stages(monkeypatch)
-    m = PowerLawMeasure(4, 1.0)
-    f = RadialProfile((0.0, 0.6, 1.4, 2.5), (0.8, 2.5, 1.7))
-    cs = [0.3, 1.6, 3.0]
-    got = centered_max_radial_grid(m, f, cs, CRITERION9)
-    assert np.isneginf(seen[0]).any()  # the grid stage pads the shorter rows
-    assert all(np.isfinite(A).all() for A in seen[1:])
-    assert list(got) == [centered_max_radial(m, f, c, CRITERION9) for c in cs]
+    assert max(runs[0]) <= 24, runs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +485,6 @@ def test_weak_type_radial_finite_past_the_double_range():
                                   [0.5], cfg)
     assert math.isfinite(q)
     assert 0.499 <= q <= 4.0
-
-
-CRITERION10 = MaximalConfig(radii_per_decade=48, min_radii=32, refine_rounds=2,
-                            quad=QuadratureConfig(tol=1e-6),
-                            level_grid=GridConfig(points=128, bisect_rel_tol=1e-6, max_bisect=30))
 
 
 def _criterion_10_levels(m, r0):
