@@ -126,8 +126,8 @@ def _whole_piece_table(p: float, bp: tuple, log_v: tuple):
     of the breakpoints bp, k = 1..K; pieces 0 (below t_0) and K + 1 (past
     t_K) are zero.  A piece thinner than half its outer radius takes ln(a/b)
     from the exact gap b - a (Sterbenz), a wider one from ln a - ln b, where
-    b - a would round a away.  Cached per profile, since a radius search
-    asks for it in every round; callers must not write to it.
+    b - a would round a away.  Cached per profile, read-only, since a
+    radius search asks for it in every round.
     """
     bp, log_v = np.array(bp), np.array(log_v)
     a, b = bp[:-1], bp[1:]
@@ -138,6 +138,7 @@ def _whole_piece_table(p: float, bp: tuple, log_v: tuple):
     for j in range(2, len(bp) + 1):
         # piece j - 1 joins every run that starts below it
         table[:j - 1, j] = np.logaddexp(table[:j - 1, j - 1], w[j - 2])
+    table.flags.writeable = False
     return table
 
 

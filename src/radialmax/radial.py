@@ -51,14 +51,14 @@ __all__ = [
     "mc_ball_average",
 ]
 
-# the bracketed search for the radius supremum: its round cap, the share of
-# quad.tol to which the end tangents of ln A must bound a bracket's gain,
-# the least share of a bracket kept between a trial radius and its ends,
-# and the floating-point flags its bracket algebra raises on purpose
-# (ln 0 = -inf, and inf - inf = NaN at a bracket end where A = 0)
-_SEARCH_ROUNDS = 6
-_GAIN_SHARE = 0.001
-_EDGE = 0.02
+# the bracketed search for the radius supremum (_radius_supremum)
+_SEARCH_ROUNDS = 6   # round cap
+_GAIN_SHARE = 0.001  # share of quad.tol to which a bracket's tangents bound its gain
+_EDGE = 0.02         # least share of a bracket between a trial radius and an end,
+_EDGE_NEW = 0.005    # and next to the end that the last round placed
+_MERGE = 1e-9        # relative distance below which two kink radii are one
+# floating-point flags its bracket algebra raises on purpose (ln 0 = -inf,
+# and inf - inf = NaN at a bracket end where A = 0)
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
@@ -156,7 +156,10 @@ def _kink_radii(f: RadialProfile, c: float) -> np.ndarray:
     misses f or stays in c's own piece (a point on a breakpoint, rho = 0,
     starts at 1e-6 r_hi); the kink radii |c - t_i| and c + t_i, where the
     ball's boundary meets a breakpoint sphere t_i > 0; and r_hi = c + t_n,
-    past which the ball holds all of f and its average falls.
+    past which the ball holds all of f and its average falls.  A kink within
+    _MERGE (relative) of a radius below it, or of r_hi, is the same kink
+    formed by another rounding (|1 - 0.6| and |1 - 1.4|, say), and is left
+    out: the bracket between them would be empty.
     """
     pieces = _positive_pieces(f)
     r_hi = c + max(p[1] for p in pieces)
@@ -164,8 +167,11 @@ def _kink_radii(f: RadialProfile, c: float) -> np.ndarray:
     floor = max(dist_pos, _rho(f, c), 1e-6 * r_hi)
     if floor >= r_hi:
         floor = 0.5 * r_hi
-    kinks = [r for t in f.breakpoints if t > 0 for r in (abs(c - t), c + t) if floor < r < r_hi]
-    return np.unique([floor, r_hi, *kinks])
+    radii = [floor]
+    for r in sorted(r for t in f.breakpoints if t > 0 for r in (abs(c - t), c + t)):
+        if radii[-1] * (1.0 + _MERGE) < r < r_hi * (1.0 - _MERGE):
+            radii.append(r)
+    return np.array(radii + [r_hi])
 
 
 # the bracket helpers below run under np.errstate(**_QUIET)
@@ -204,9 +210,10 @@ def _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old):
     """Next radius (in u = ln R) inside brackets that hold a maximum.
 
     The local maximizer of the cubic Hermite interpolant of ln A on the
-    bracket, kept off the ends by _EDGE of it; where an end value is not
-    finite (A = 0), the root of the secant of the slopes, or the midpoint
-    where that is not inside either.  Where the end that the last round
+    bracket, kept off its ends by _EDGE of it, or by _EDGE_NEW next to the
+    end that the last round placed, which lies near the root once the steps
+    close in; where an end value is not finite (A = 0), the root of the
+    secant of the slopes, or the midpoint where that is not inside either.  Where the end that the last round
     replaced, (u_old, s_old), lies closer to the newer end than the other
     end does, the secant of their slopes extrapolates to the root instead,
     as long as it lands inside the bracket: a far end, past a kink's convex
@@ -225,8 +232,9 @@ def _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old):
     secant = sa / (sa - sb)
     x = np.where(np.isfinite(ya + yb + sa + sb + hermite), hermite,
                  np.where((secant > 0) & (secant < 1), secant, 0.5))
-    u = ua + w * np.clip(x, _EDGE, 1.0 - _EDGE)
-    left = u_old < ua
+    left, right = u_old < ua, u_old > ub  # the end the last round placed
+    x = np.clip(x, np.where(left, _EDGE_NEW, _EDGE), 1.0 - np.where(right, _EDGE_NEW, _EDGE))
+    u = ua + w * x
     newer, s_new = np.where(left, ua, ub), np.where(left, sa, sb)
     extra = newer - s_new * (newer - u_old) / (s_new - s_old)
     use = (np.abs(newer - u_old) < w) & (extra > ua + _EDGE * w) & (extra < ub - _EDGE * w)

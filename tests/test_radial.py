@@ -421,6 +421,26 @@ def test_radius_search_work_units(monkeypatch):
     assert max(runs[0]) <= 24, runs[0]
 
 
+def test_one_kink_rounded_two_ways_is_one_radius(monkeypatch):
+    # at c = 1, |c - 0.6| and |c - 1.4| round to 0.4 and 0.39999999999999991:
+    # kept apart, they bounded an empty bracket, and the search probed it up
+    # to its round cap (6 rounds, 20 averages)
+    f = RadialProfile((0.0, 0.6, 1.4, 2.5), (3.2128239280300233, 0.12230552253144772,
+                                             1.1906054610444206))
+    R = radial._kink_radii(f, 1.0)
+    assert np.all(R[1:] > R[:-1] * (1.0 + 1e-9)), R
+    sizes = []
+    batch = radial._ball_averages_batch
+
+    def counting(m, f, cs, Rs, quad, slopes=False):
+        sizes.append(len(Rs))
+        return batch(m, f, cs, Rs, quad, slopes)
+
+    monkeypatch.setattr(radial, "_ball_averages_batch", counting)
+    centered_max_radial(PowerLawMeasure(4, 1.0), f, 1.0, CRITERION9)
+    assert len(sizes) <= 4 and sum(sizes) <= 14, sizes
+
+
 # ---------------------------------------------------------------------------
 # domination by the 1D uncentered operator
 # ---------------------------------------------------------------------------
