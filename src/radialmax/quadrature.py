@@ -182,11 +182,6 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
         return _segment_lse(*flat(values, seg), n_seg * values[0].size).reshape(
             (n_seg,) + values.shape[1:])
 
-    def result(seg_err):
-        if riders:
-            seg_err = np.pad(seg_err, ((0, 0), (0, riders)), constant_values=NEG_INF)
-        return per_segment(p_high, p_seg), seg_err
-
     log_tol = math.log(cfg.tol)
     for _ in range(cfg.max_rounds):
         seg_total = per_segment(p_high[..., judged], p_seg)
@@ -195,7 +190,10 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
             bad = seg_err > seg_total + log_tol
         bad &= seg_total != NEG_INF
         if not np.any(bad):
-            return result(seg_err)
+            if riders:
+                seg_total = np.concatenate([seg_total, per_segment(p_high[:, -riders:], p_seg)], 1)
+                seg_err = np.pad(seg_err, ((0, 0), (0, riders)), constant_values=NEG_INF)
+            return seg_total, seg_err
 
         # split every panel within a factor 16 of its integral's worst panel
         # in a component that has not converged

@@ -213,11 +213,12 @@ def _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old):
     bracket, kept off its ends by _EDGE of it, or by _EDGE_NEW next to the
     end that the last round placed, which lies near the root once the steps
     close in; where an end value is not finite (A = 0), the root of the
-    secant of the slopes, or the midpoint where that is not inside either.  Where the end that the last round
-    replaced, (u_old, s_old), lies closer to the newer end than the other
-    end does, the secant of their slopes extrapolates to the root instead,
-    as long as it lands inside the bracket: a far end, past a kink's convex
-    start or a steep fall, then no longer steers the step.
+    secant of the slopes, or the midpoint where that is not inside either.
+    Where the end that the last round replaced, (u_old, s_old), lies
+    closer to the newer end than the other end does, the secant of their
+    slopes extrapolates to the root instead, as long as it lands inside
+    the bracket: a far end, past a kink's convex start or a steep fall,
+    then no longer steers the step.
     """
     w = ub - ua
     # p'(x) = a x^2 + b x + c0 on x in [0, 1]; its root with p'' < 0
