@@ -280,8 +280,7 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
     spheres |y| = t_k.  Returns shape (n,), or (n, parts) with parts = 2
     (the ball's measure ahead of its f-mass) or 4 (then their derivatives in
     R, which ride on the nodes the first two choose; see
-    _ray_log_integrand).  With parts = 1, pieces where the integrand
-    vanishes are dropped.
+    _ray_log_integrand).
     """
     cs = np.asarray(cs, dtype=float)
     Rs = np.asarray(Rs, dtype=float)
@@ -305,13 +304,8 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
             _crossing_angles(c[:, None], R[:, None], bp, tangent),
             np.full(idx.size, top),
         ]), axis=1)
-        lo, hi = edges[:, :-1], edges[:, 1:]
-        if parts == 1:
-            rows = np.repeat(np.arange(idx.size), lo.shape[1])
-            inside = log_f(rows, 0.5 * (lo + hi).ravel()).reshape(lo.shape) > NEG_INF
-            hi = np.where(inside, hi, lo)
         try:
-            out[idx], _ = log_integrate_batch(log_f, lo, hi, quad, **riders)
+            out[idx], _ = log_integrate_batch(log_f, edges[:, :-1], edges[:, 1:], quad, **riders)
         except QuadratureError as exc:
             i = idx[exc.segment]
             err = QuadratureError(

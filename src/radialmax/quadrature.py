@@ -7,12 +7,17 @@ error estimate compares the log Gauss-10 and Kronrod-21 values, both read
 off the same 21 integrand evaluations per panel.  Many integrals with the
 same integrand family are refined together so the integrand evaluations
 stay vectorized; each integral starts from the panels its caller passes
-(split where its integrand has kinks), is refined by bisection alone, and
-is judged against its own total.  An integrand may return several
-components per node (a ball's measure and a profile's mass over it, say);
-they share every node, and each is judged against its own total, except
-trailing riders (their derivatives, say), which are summed on the panels
-the judged components choose.  Every integrand call is a panel call.
+(split where its integrand has kinks, graded toward layers the caller
+knows of), is refined by bisection alone, and is judged against its own
+total.  An integrand may return several components per node (a ball's
+measure and a profile's mass over it, say); they share every node, and
+each is judged against its own total, except trailing riders (their
+derivatives, say), which are summed on the panels the judged components
+choose.  Every integrand call is a panel call.  A round is one reduction
+over the panels of the integrals still refined, giving each its totals,
+errors and worst panel; an integral leaves in the round it converges,
+with that round's sums, so its value is the same bits whatever the rest
+of the batch does.
 """
 
 from __future__ import annotations
@@ -122,15 +127,24 @@ def _log_abs_diff(la, lb):
     return np.where(small == NEG_INF, big, out)
 
 
-def _segment_lse(values, ids, n_out):
-    """Log-sum-exp of the values that share an id, for ids 0 .. n_out - 1."""
-    m = np.full(n_out, NEG_INF)
-    np.maximum.at(m, ids, values)
-    acc = np.zeros(n_out)
-    safe_m = np.where(m == NEG_INF, 0.0, m)
-    np.add.at(acc, ids, np.where(values == NEG_INF, 0.0, np.exp(values - safe_m[ids])))
+def _segment_reduce(values, ids, n_out):
+    """Per-id (log-sum-exp, max) of the rows of values, for ids 0 .. n_out - 1.
+
+    values has shape (m, w): each column of an id is reduced alone, in row
+    order, so an id's result depends on its own rows only.  The sums go
+    through flat ids, which keeps the one-dimensional fast path of ufunc.at.
+    """
+    w = values.shape[1]
+    flat_ids = (ids[:, None] * w + np.arange(w)).ravel()
+    flat = values.ravel()
+    top = np.full(n_out * w, NEG_INF)
+    np.maximum.at(top, flat_ids, flat)
+    acc = np.zeros(n_out * w)
+    safe = np.where(top == NEG_INF, 0.0, top)
+    np.add.at(acc, flat_ids, np.where(flat == NEG_INF, 0.0, np.exp(flat - safe[flat_ids])))
     with np.errstate(divide="ignore"):
-        return np.where(m == NEG_INF, NEG_INF, safe_m + np.log(np.maximum(acc, 1e-300)))
+        lse = np.where(top == NEG_INF, NEG_INF, safe + np.log(np.maximum(acc, 1e-300)))
+    return lse.reshape(n_out, w), top.reshape(n_out, w)
 
 
 def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
@@ -150,8 +164,11 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     The last `riders` components are summed but never judged: they do not
     change a panel split, so the judged integrals are the same bits with or
     without them, and their error estimates read -inf.
+    An integral leaves in the round it converges, with that round's sums:
+    its panels would never change again.
     Raises QuadratureError, with .segment set to the failing integral, if
-    any integral needs more than cfg.max_panels panels.
+    any integral needs more than cfg.max_panels panels or more than
+    cfg.max_rounds rounds of bisection.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -161,81 +178,71 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     live = hi > lo
     if not np.any(live):
         return np.full(n_seg, NEG_INF), np.full(n_seg, NEG_INF)
-    p_seg = np.nonzero(live)[0]
-    p_lo, p_hi = lo[live], hi[live]
-    # the judged components; riders get no error estimate
-    judged = slice(None, -riders) if riders else slice(None)
-    p_low, p_high = _panel_logs(log_f, p_seg, p_lo, p_hi)
-    p_err = _log_abs_diff(p_low[..., judged], p_high[..., judged])
-    # the component axis, () or (c,): sums per (integral, component) go
-    # through flat ids, which keeps the one-dimensional fast path of ufunc.at
-    comp = p_err.shape[1:]
-    k = comp[0] if comp else 1
+    # the integrals still refined, and for each live panel its integral's
+    # place among them
+    active = np.nonzero(live.any(axis=1))[0]
+    p_at = np.nonzero(live[active])[0]
+    p_lo, p_hi = lo[active][live[active]], hi[active][live[active]]
+    low, high = _panel_logs(log_f, active[p_at], p_lo, p_hi)
+    scalar = high.ndim == 1
+    n_comp = 1 if scalar else high.shape[1]
+    k = n_comp - riders  # the judged components; riders get no error estimate
 
-    def flat(values, seg):
-        if values.ndim == 1:
-            return values, seg
-        w = values.shape[1]
-        return values.ravel(), (seg[:, None] * w + np.arange(w)).ravel()
+    def with_errors(low, high):
+        # per panel, the Kronrod values of every component, then the error
+        # estimates of the judged ones
+        low, high = low.reshape(len(low), -1), high.reshape(len(high), -1)
+        return np.concatenate([high, _log_abs_diff(low[:, :k], high[:, :k])], axis=1)
 
-    def per_segment(values, seg):
-        return _segment_lse(*flat(values, seg), n_seg * values[0].size).reshape(
-            (n_seg,) + values.shape[1:])
-
+    p_val = with_errors(low, high)
+    total = np.full((n_seg, n_comp), NEG_INF)
+    error = np.full((n_seg, n_comp), NEG_INF)
     log_tol = math.log(cfg.tol)
-    for _ in range(cfg.max_rounds):
-        seg_total = per_segment(p_high[..., judged], p_seg)
-        seg_err = per_segment(p_err, p_seg)
+    for rounds in range(cfg.max_rounds + 1):
+        sums, tops = _segment_reduce(p_val, p_at, len(active))
+        seg_total, seg_err = sums[:, :n_comp], sums[:, n_comp:]
+        judged_total = seg_total[:, :k]
         with np.errstate(invalid="ignore"):
-            bad = seg_err > seg_total + log_tol
-        bad &= seg_total != NEG_INF
-        if not np.any(bad):
-            if riders:
-                seg_total = np.concatenate([seg_total, per_segment(p_high[:, -riders:], p_seg)], 1)
-                seg_err = np.pad(seg_err, ((0, 0), (0, riders)), constant_values=NEG_INF)
-            return seg_total, seg_err
+            bad = seg_err > judged_total + log_tol
+        bad &= judged_total != NEG_INF
+        still = bad.any(axis=1)
+        total[active[~still]] = seg_total[~still]
+        error[active[~still], :k] = seg_err[~still]
+        if not np.any(still):
+            return (total[:, 0], error[:, 0]) if scalar else (total, error)
+        if rounds == cfg.max_rounds:
+            with np.errstate(invalid="ignore"):
+                rel = np.where(judged_total != NEG_INF, np.exp(seg_err - judged_total), 0.0)
+            rel = rel.max(axis=1)
+            over = int(rel.argmax())
+            err = QuadratureError("quadrature did not converge within the round budget",
+                                  float(rel[over]))
+            err.segment = int(active[over])
+            raise err
 
         # split every panel within a factor 16 of its integral's worst panel
         # in a component that has not converged
-        values, ids = flat(p_err, p_seg)
-        worst = np.full(n_seg * k, NEG_INF)
-        np.maximum.at(worst, ids, values)
-        split = bad[p_seg] & (p_err >= worst.reshape((n_seg,) + comp)[p_seg] - math.log(16.0))
-        if comp:
-            split = split.any(axis=1)
-        keep = ~split
-
-        counts = (np.bincount(p_seg, minlength=n_seg)
-                  + np.bincount(p_seg[split], minlength=n_seg))
+        near_worst = p_val[:, n_comp:] >= tops[p_at, n_comp:] - math.log(16.0)
+        split = (bad[p_at] & near_worst).any(axis=1)
+        counts = (np.bincount(p_at, minlength=len(active))
+                  + np.bincount(p_at[split], minlength=len(active)))
         if np.any(counts > cfg.max_panels):
             over = int(counts.argmax())
-            ach = float(np.exp(seg_err[over] - seg_total[over]).max())
-            msg = f"quadrature panel budget {cfg.max_panels} exceeded on segment {over}"
+            ach = float(np.exp(seg_err[over] - judged_total[over]).max())
+            msg = f"quadrature panel budget {cfg.max_panels} exceeded on segment {active[over]}"
             err = QuadratureError(msg, ach)
-            err.segment = over
+            err.segment = int(active[over])
             raise err
 
         mid = 0.5 * (p_lo[split] + p_hi[split])
-        c_seg = np.concatenate([p_seg[split], p_seg[split]])
+        c_at = np.concatenate([p_at[split], p_at[split]])
         c_lo = np.concatenate([p_lo[split], mid])
         c_hi = np.concatenate([mid, p_hi[split]])
-        c_low, c_high = _panel_logs(log_f, c_seg, c_lo, c_hi)
-        c_err = _log_abs_diff(c_low[..., judged], c_high[..., judged])
+        c_val = with_errors(*_panel_logs(log_f, active[c_at], c_lo, c_hi))
 
-        p_seg = np.concatenate([p_seg[keep], c_seg])
+        keep = still[p_at] & ~split
+        p_at = (np.cumsum(still) - 1)[np.concatenate([p_at[keep], c_at])]
+        active = active[still]
         p_lo = np.concatenate([p_lo[keep], c_lo])
         p_hi = np.concatenate([p_hi[keep], c_hi])
-        p_high = np.concatenate([p_high[keep], c_high])
-        p_err = np.concatenate([p_err[keep], c_err])
-
-    seg_total = per_segment(p_high[..., judged], p_seg)
-    seg_err = per_segment(p_err, p_seg)
-    with np.errstate(invalid="ignore"):
-        rel = np.where(seg_total != NEG_INF, np.exp(seg_err - seg_total), 0.0)
-    if comp:
-        rel = rel.max(axis=1)
-    over = int(rel.argmax())
-    err = QuadratureError("quadrature did not converge within the round budget",
-                          float(rel[over]))
-    err.segment = over
-    raise err
+        p_val = np.concatenate([p_val[keep], c_val])

@@ -81,4 +81,4 @@ def log_sphere_area(d: int) -> float:
     if d < 1 or int(d) != d:
         raise ValueError("log_sphere_area requires an integer d >= 1")
     d = int(d)
-    return math.log(2.0) + 0.5 * d * math.log(math.pi) - log_gamma(0.5 * d)
+    return math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
