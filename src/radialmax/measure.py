@@ -266,6 +266,38 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
     return log_f
 
 
+# the widest layer at pi/2 that gets graded first panels
+_LAYER_MAX = math.pi / 32
+
+
+def _layer_edges(c, R, tangent: bool, tol: float):
+    """Panel edges graded into the ray integrand's layer at pi/2, per ball.
+
+    With eps = sqrt|c^2 - R^2| / c, the tangent form has
+    cos(theta) = sqrt(cos^2 phi + eps^2 sin^2 phi) and the origin form
+    sqrt(R^2 - c^2 sin^2 theta) = c sqrt(eps^2 + cos^2 theta): both change
+    over a width eps at pi/2, which bisection reaches one halving per round.
+    A ball with sqrt(tol)/32 <= eps < pi/32 gets edges at pi/2 -+ eps 2^j
+    up to pi/4 away (wider layers take a round or two of bisection).  Below
+    sqrt(tol)/32 the layer moves the integral by about eps^2 relative,
+    under tol, and no panel needs to see it.  Every other ball of the batch
+    gets edges at 0 or at the top of its range, empty panels, so its own
+    panels and bits do not change.  With no thin ball, which a few array
+    operations tell, there are no edges: shape (n, 0).
+    """
+    q = np.abs((c - R) * (c + R))  # (eps c)^2, no division at c = 0
+    thin = (q < (_LAYER_MAX * c) ** 2) & (32.0 ** 2 * q >= tol * c * c)
+    if not np.any(thin):
+        return np.zeros((len(c), 0))
+    eps = np.sqrt(q[thin]) / c[thin]
+    w = eps[:, None] * 2.0 ** np.arange(math.ceil(math.log2(0.25 * math.pi / eps.min())))
+    w = np.where(w < 0.25 * math.pi, w, 0.5 * math.pi)
+    sides = [0.5 * math.pi - w] if tangent else [0.5 * math.pi - w, 0.5 * math.pi + w]
+    extra = np.zeros((len(c), len(sides) * w.shape[1]))
+    extra[thin] = np.concatenate(sides, axis=1)
+    return extra
+
+
 def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureConfig,
                         parts: int = 1) -> np.ndarray:
     """ln of the f-mass of B(c_i e1, R_i) for many balls, f a stack of shells.
@@ -277,7 +309,9 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
     around the origin and one for the rest, which is what keeps parameter
     sweeps (shift ratios, radius searches, level sets) fast.  Each ball starts
     from the pieces between the angles where its boundary crosses the
-    spheres |y| = t_k.  Returns shape (n,), or (n, parts) with parts = 2
+    spheres |y| = t_k, and a ball whose boundary passes close to the
+    origin also from panels graded into the layer at the angle pi/2 (see
+    _layer_edges).  Returns shape (n,), or (n, parts) with parts = 2
     (the ball's measure ahead of its f-mass) or 4 (then their derivatives in
     R, which ride on the nodes the first two choose; see
     _ray_log_integrand).
@@ -303,6 +337,7 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
             np.zeros(idx.size),
             _crossing_angles(c[:, None], R[:, None], bp, tangent),
             np.full(idx.size, top),
+            _layer_edges(c, R, tangent, quad.tol),
         ]), axis=1)
         try:
             out[idx], _ = log_integrate_batch(log_f, edges[:, :-1], edges[:, 1:], quad, **riders)

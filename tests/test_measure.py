@@ -428,6 +428,48 @@ def test_ball_quadrature_work_repeats_and_stays_bounded():
     assert nodes <= 5061 and calls <= 103
 
 
+@pytest.mark.parametrize("c", [0.1, 0.3, 1.0, 5.0])
+def test_thin_layer_balls_converge_in_few_rounds(c):
+    """A ball whose boundary passes t = 0.004 from the origin, either side.
+
+    R = sqrt(c^2 -+ t^2) is the radius search's geometric midpoint between
+    the kinks c - t and c + t; the ray integrand then changes over a width
+    t/c at the angle pi/2, which bisection alone reaches one halving per
+    round (8 rounds at c = 1).  The same batch holds c = 0 and c = R, which
+    have no such layer.
+    """
+    m, t = PowerLawMeasure(12, 3.0), 0.004
+    cs = np.array([c, c, 0.0, c])
+    Rs = np.array([math.sqrt(c * c - t * t), math.sqrt(c * c + t * t), c, c])
+    rounds = []
+    integrate = measure.log_integrate_batch
+
+    def counting(log_f, lo, hi, cfg, **kw):
+        def log_f_counted(seg, s):
+            rounds[-1] += 1
+            return log_f(seg, s)
+        rounds.append(0)
+        return integrate(log_f_counted, lo, hi, cfg, **kw)
+
+    measure.log_integrate_batch = counting
+    try:
+        got = measure._batched_shell_logs(m, cs, Rs, [0.0, t], [0.0],
+                                          QuadratureConfig(tol=1e-8), parts=4)
+    finally:
+        measure.log_integrate_batch = integrate
+    # one quadrature run for the balls around the origin, one for the rest
+    assert len(rounds) == 2 and max(rounds) <= 3, rounds
+    tight = QuadratureConfig(tol=1e-12)
+    ball = measure._batched_shell_logs(m, cs, Rs, [0.0, math.inf], [0.0], tight)
+    mass = measure._batched_shell_logs(m, cs, Rs, [0.0, t], [0.0], tight)
+    np.testing.assert_allclose(np.exp(got[:, 0] - ball), 1.0, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(np.exp(got[:, 1] - mass), 1.0, rtol=1e-9, atol=0)
+    # the balls without a layer against their closed forms
+    assert got[2, 0] == pytest.approx(log_ball_centered(m, c).log, abs=1e-12)
+    unit = log_ball_offcenter_unit_closed(m).log + m.homogeneity * math.log(c)
+    assert got[3, 0] == pytest.approx(unit, abs=1e-9)
+
+
 def test_quadrature_error_names_ball_within_batch():
     m = PowerLawMeasure(12, 3.0)
     starved = QuadratureConfig(tol=1e-15, max_panels=3, max_rounds=6)
