@@ -287,7 +287,7 @@ def _layer_edges(c, R, tangent: bool, tol: float):
     """
     q = np.abs((c - R) * (c + R))  # (eps c)^2, no division at c = 0
     thin = (q < (_LAYER_MAX * c) ** 2) & (32.0 ** 2 * q >= tol * c * c)
-    if not np.any(thin):
+    if not thin.any():
         return np.zeros((len(c), 0))
     eps = np.sqrt(q[thin]) / c[thin]
     w = eps[:, None] * 2.0 ** np.arange(math.ceil(math.log2(0.25 * math.pi / eps.min())))

@@ -176,7 +176,7 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
         lo, hi = lo[:, None], hi[:, None]
     n_seg = len(lo)
     live = hi > lo
-    if not np.any(live):
+    if not live.any():
         return np.full(n_seg, NEG_INF), np.full(n_seg, NEG_INF)
     # the integrals still refined, and for each live panel its integral's
     # place among them
@@ -205,10 +205,10 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
         with np.errstate(invalid="ignore"):
             bad = seg_err > judged_total + log_tol
         bad &= judged_total != NEG_INF
-        still = bad.any(axis=1)
+        still = bad[:, 0] if k == 1 else bad.any(axis=1)
         total[active[~still]] = seg_total[~still]
         error[active[~still], :k] = seg_err[~still]
-        if not np.any(still):
+        if not still.any():
             return (total[:, 0], error[:, 0]) if scalar else (total, error)
         if rounds == cfg.max_rounds:
             with np.errstate(invalid="ignore"):
@@ -222,11 +222,11 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
 
         # split every panel within a factor 16 of its integral's worst panel
         # in a component that has not converged
-        near_worst = p_val[:, n_comp:] >= tops[p_at, n_comp:] - math.log(16.0)
-        split = (bad[p_at] & near_worst).any(axis=1)
+        split = bad[p_at] & (p_val[:, n_comp:] >= tops[p_at, n_comp:] - math.log(16.0))
+        split = split[:, 0] if k == 1 else split.any(axis=1)
         counts = (np.bincount(p_at, minlength=len(active))
                   + np.bincount(p_at[split], minlength=len(active)))
-        if np.any(counts > cfg.max_panels):
+        if (counts > cfg.max_panels).any():
             over = int(counts.argmax())
             ach = float(np.exp(seg_err[over] - judged_total[over]).max())
             msg = f"quadrature panel budget {cfg.max_panels} exceeded on segment {active[over]}"
