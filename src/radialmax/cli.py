@@ -303,15 +303,20 @@ def cmd_maximal1d_eval(args) -> int:
         print("evaluation points must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
     columns = ["x", "uncentered_max", "profile_value"]
-    rows = [
-        {
-            "x": x,
-            "uncentered_max": m1d.uncentered_max(m, f, x),
-            "profile_value": float(f.value_at(x)),
-        }
-        for x in xs
-    ]
+    rows, under = [], []
+    for x in xs:
+        log_max = m1d._log_uncentered_max_grid(m, f, np.array([x]))
+        value = float(np.exp(log_max)[0])
+        if value == 0.0 and log_max[0] > sf.NEG_INF:
+            # below the double range: an empty cell, not a silent 0
+            under.append(f"x={x!r} ln M^u={float(log_max[0])!r}")
+            value = math.nan
+        rows.append({"x": x, "uncentered_max": value, "profile_value": float(f.value_at(x))})
     _emit(args, "maximal1d-eval", columns, rows)
+    if under:
+        print(f"uncentered_max is below the double range at d={m.d} beta={m.beta!r}: "
+              + "; ".join(under), file=sys.stderr)
+        return EXIT_NUMERICAL
     if not all(math.isfinite(r["uncentered_max"]) for r in rows):
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -191,7 +191,13 @@ def profile_l1_norm(m: WeightedLineMeasure, f: RadialProfile) -> float:
 
 
 def uncentered_max_grid(m: WeightedLineMeasure, f: RadialProfile, xs) -> np.ndarray:
-    """M^u f at many points, by exact candidate enumeration in logs (vectorized).
+    """M^u f at many points: exp of _log_uncentered_max_grid, which stays
+    finite where a value lies below the double range and reads 0 here."""
+    return np.exp(_log_uncentered_max_grid(m, f, xs))
+
+
+def _log_uncentered_max_grid(m: WeightedLineMeasure, f: RadialProfile, xs) -> np.ndarray:
+    """ln M^u f at many points, by exact candidate enumeration in logs (vectorized).
 
     Candidate left endpoints: the breakpoints capped at x; right endpoints:
     the breakpoints floored at x, and x.  Capping and flooring turn
@@ -238,7 +244,7 @@ def uncentered_max_grid(m: WeightedLineMeasure, f: RadialProfile, xs) -> np.ndar
         den = np.logaddexp(gamma_a[:, :, None],
                            np.concatenate([empty, gamma_b[:, None, :]], axis=2))
         log_avg = np.where(den > NEG_INF, num - den, NEG_INF)
-    return np.exp(log_avg.max(axis=(1, 2)))
+    return log_avg.max(axis=(1, 2))
 
 
 def uncentered_max(m: WeightedLineMeasure, f: RadialProfile, x: float) -> float:

@@ -3,10 +3,16 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from radialmax.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _emit, main
-from radialmax.maximal1d import RadialProfile, WeightedLineMeasure, uncentered_max
+from radialmax.maximal1d import (
+    RadialProfile,
+    WeightedLineMeasure,
+    _log_uncentered_max_grid,
+    uncentered_max,
+)
 
 
 def run_csv(tmp_path, argv):
@@ -193,6 +199,30 @@ def test_maximal1d_eval_high_dimension_values(tmp_path):
     assert got[0] == 1.0
     for x, g in zip((10.0, 12.0), got[1:]):
         assert math.log(g) == pytest.approx(400 * math.log(5.0 / x), rel=1e-13)
+
+
+def test_maximal1d_eval_below_double_range_exits_numerical(tmp_path, capsys):
+    # (5/x)^400 is below the double range at x = 100 and 1000: the log core
+    # keeps it, and the CLI leaves those cells empty, names each point on one
+    # stderr line and exits 3 instead of printing a silent 0
+    m, f = WeightedLineMeasure(400, 0.0), RadialProfile((0.0, 5.0), (1.0,))
+    xs = (10.0, 100.0, 1000.0)
+    got = _log_uncentered_max_grid(m, f, xs)
+    np.testing.assert_allclose(got, [400 * math.log(5.0 / x) for x in xs], rtol=1e-13)
+    prof = tmp_path / "profile.txt"
+    prof.write_text("5 1\n")
+    rc, _, rows = run_csv(
+        tmp_path,
+        ["maximal1d-eval", "--profile", str(prof), "--d", "400", "--beta", "0",
+         "--x", "10,100,1000"],
+    )
+    assert rc == EXIT_NUMERICAL
+    assert math.log(float(rows[0]["uncentered_max"])) == pytest.approx(got[0], rel=1e-13)
+    assert [r["uncentered_max"] for r in rows[1:]] == ["", ""]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "d=400" in err and "beta=0.0" in err
+    for x, log_m in zip(xs[1:], got[1:]):
+        assert f"x={x!r} ln M^u={float(log_m)!r}" in err
 
 
 def test_maximal1d_eval_bad_profile_exits_usage(tmp_path, capsys):
