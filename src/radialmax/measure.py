@@ -268,6 +268,9 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
 
 # the widest layer at pi/2 that gets graded first panels
 _LAYER_MAX = math.pi / 32
+# first panels are at most _SPIKE/sqrt(d) wide: the ray integrand's factor
+# sin^(d-2) is a spike of width ~ 1/sqrt(d)
+_SPIKE = 4.0
 
 
 def _layer_edges(c, R, tangent: bool, tol: float):
@@ -298,6 +301,23 @@ def _layer_edges(c, R, tangent: bool, tol: float):
     return extra
 
 
+def _spike_panels(edges, h: float):
+    """First panels (lo, hi) from sorted piece edges, none wider than h.
+
+    Each piece [a, b] of a row is cut into k = ceil((b - a)/h) equal
+    panels starting at a + (b - a) i/k, the last one ending at b exactly.
+    A piece that needs fewer panels than the widest of the batch is padded
+    with empty panels [b, b], so a row's live panels, and so its bits, do
+    not depend on the rest of the batch.
+    """
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
+    k = np.maximum(np.ceil((b - a) / h), 1.0)
+    i = np.arange(k.max())
+    start = np.where(i < k, a + (b - a) * (i / k), b)
+    end = np.concatenate([start[..., 1:], b], axis=2)
+    return start.reshape(len(edges), -1), end.reshape(len(edges), -1)
+
+
 def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureConfig,
                         parts: int = 1) -> np.ndarray:
     """ln of the f-mass of B(c_i e1, R_i) for many balls, f a stack of shells.
@@ -311,7 +331,10 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
     from the pieces between the angles where its boundary crosses the
     spheres |y| = t_k, and a ball whose boundary passes close to the
     origin also from panels graded into the layer at the angle pi/2 (see
-    _layer_edges).  Returns shape (n,), or (n, parts) with parts = 2
+    _layer_edges); every piece wider than the sin^(d-2) spike, 4/sqrt(d),
+    is cut into equal panels no wider than that (see _spike_panels), so
+    bisection does not spend a round per halving to reach the spike.
+    Returns shape (n,), or (n, parts) with parts = 2
     (the ball's measure ahead of its f-mass) or 4 (then their derivatives in
     R, which ride on the nodes the first two choose; see
     _ray_log_integrand).
@@ -339,8 +362,9 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
             np.full(idx.size, top),
             _layer_edges(c, R, tangent, quad.tol),
         ]), axis=1)
+        lo, hi = _spike_panels(edges, _SPIKE / math.sqrt(m.d))
         try:
-            out[idx], _ = log_integrate_batch(log_f, edges[:, :-1], edges[:, 1:], quad, **riders)
+            out[idx], _ = log_integrate_batch(log_f, lo, hi, quad, **riders)
         except QuadratureError as exc:
             i = idx[exc.segment]
             err = QuadratureError(

@@ -8,16 +8,17 @@ off the same 21 integrand evaluations per panel.  Many integrals with the
 same integrand family are refined together so the integrand evaluations
 stay vectorized; each integral starts from the panels its caller passes
 (split where its integrand has kinks, graded toward layers the caller
-knows of), is refined by bisection alone, and is judged against its own
-total.  An integrand may return several components per node (a ball's
-measure and a profile's mass over it, say); they share every node, and
-each is judged against its own total, except trailing riders (their
+knows of, and no wider than its spike, since bisection spends a round per
+halving to reach it), is refined by bisection alone, and is judged against
+its own total.  An integrand may return several components per node (a
+ball's measure and a profile's mass over it, say); they share every node,
+and each is judged against its own total, except trailing riders (their
 derivatives, say), which are summed on the panels the judged components
 choose.  Every integrand call is a panel call.  A round is one reduction
 over the panels of the integrals still refined, giving each its totals,
-errors and worst panel; an integral leaves in the round it converges,
-with that round's sums, so its value is the same bits whatever the rest
-of the batch does.
+errors and worst panel; an integral leaves in the round it converges, with
+that round's sums, so its value is the same bits whatever the rest of the
+batch does.
 """
 
 from __future__ import annotations

@@ -420,12 +420,48 @@ def _count_ball_nodes():
     return tuple(work)
 
 
+def _with_rounds(run):
+    """(run(), rounds): the integrand calls of each log_integrate_batch run."""
+    rounds = []
+    integrate = measure.log_integrate_batch
+
+    def counting(log_f, lo, hi, cfg, **kw):
+        def log_f_counted(seg, s):
+            rounds[-1] += 1
+            return log_f(seg, s)
+        rounds.append(0)
+        return integrate(log_f_counted, lo, hi, cfg, **kw)
+
+    measure.log_integrate_batch = counting
+    try:
+        return run(), rounds
+    finally:
+        measure.log_integrate_batch = integrate
+
+
 def test_ball_quadrature_work_repeats_and_stays_bounded():
     nodes, calls = _count_ball_nodes()
     assert _count_ball_nodes() == (nodes, calls)  # identical work on a rerun
-    # 25 balls, one integral each; measured 5,061 nodes in 103 calls (with a
-    # golden-section peak pre-pass before bisection: 4,961 nodes in 498 calls)
-    assert nodes <= 5061 and calls <= 103
+    # 25 balls, one integral each, starting from panels no wider than the
+    # sin^(d-2) spike; measured 3,633 nodes in 56 calls (from the crossing
+    # pieces alone: 5,061 nodes in 103 calls)
+    assert nodes <= 3633 and calls <= 56
+
+
+@pytest.mark.parametrize("d", [12, 50, 197, 400])
+def test_lone_ball_through_origin_takes_at_most_two_rounds(d):
+    """B(c e1, c) starts from panels no wider than its spike, 4/sqrt(d).
+
+    From the one piece [0, pi/2] alone, bisection spends a round per halving
+    before it reaches the spike: 2 to 6 rounds over these d and beta.
+    """
+    for beta in (-5.0, 0.0, d / 2, d - 1e-6):
+        m = PowerLawMeasure(d, beta)
+        for c in (0.3, 1.0, 7.0):
+            got, rounds = _with_rounds(lambda: log_ball_offcenter(m, BallSpec(c, c)).log)
+            assert len(rounds) == 1 and rounds[0] <= 2, (beta, c, rounds)
+            want = log_ball_offcenter_unit_closed(m).log + m.homogeneity * math.log(c)
+            assert abs(got - want) <= 1e-8, (beta, c)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.3, 1.0, 5.0])
@@ -441,22 +477,8 @@ def test_thin_layer_balls_converge_in_few_rounds(c):
     m, t = PowerLawMeasure(12, 3.0), 0.004
     cs = np.array([c, c, 0.0, c])
     Rs = np.array([math.sqrt(c * c - t * t), math.sqrt(c * c + t * t), c, c])
-    rounds = []
-    integrate = measure.log_integrate_batch
-
-    def counting(log_f, lo, hi, cfg, **kw):
-        def log_f_counted(seg, s):
-            rounds[-1] += 1
-            return log_f(seg, s)
-        rounds.append(0)
-        return integrate(log_f_counted, lo, hi, cfg, **kw)
-
-    measure.log_integrate_batch = counting
-    try:
-        got = measure._batched_shell_logs(m, cs, Rs, [0.0, t], [0.0],
-                                          QuadratureConfig(tol=1e-8), parts=4)
-    finally:
-        measure.log_integrate_batch = integrate
+    got, rounds = _with_rounds(lambda: measure._batched_shell_logs(
+        m, cs, Rs, [0.0, t], [0.0], QuadratureConfig(tol=1e-8), parts=4))
     # one quadrature run for the balls around the origin, one for the rest
     assert len(rounds) == 2 and max(rounds) <= 3, rounds
     tight = QuadratureConfig(tol=1e-12)

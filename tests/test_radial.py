@@ -228,7 +228,9 @@ def test_ball_values_do_not_depend_on_the_batch(seed, n):
     # a ball's average and shell measure are the same bits alone, inside a
     # batch and in any order, so refactors that regroup balls change nothing
     rng = np.random.default_rng(seed)
-    d = int(rng.integers(2, 25))
+    # a high d cuts wide pieces into several first panels, a different
+    # number per ball, which the batch pads with empty ones
+    d = int(rng.integers(2, 25) if rng.random() < 0.5 else rng.integers(50, 200))
     m = PowerLawMeasure(d, float(rng.uniform(-1.0, d / 2)))
     f = random_profile(rng, max_pieces=4)
     cs = rng.uniform(0.01, 3.0, n)
