@@ -331,9 +331,10 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
     from the pieces between the angles where its boundary crosses the
     spheres |y| = t_k, and a ball whose boundary passes close to the
     origin also from panels graded into the layer at the angle pi/2 (see
-    _layer_edges); every piece wider than the sin^(d-2) spike, 4/sqrt(d),
-    is cut into equal panels no wider than that (see _spike_panels), so
-    bisection does not spend a round per halving to reach the spike.
+    _layer_edges); every piece wider than the sin^(d-2) spike,
+    _SPIKE/sqrt(d), is cut into equal panels no wider than that (see
+    _spike_panels), so bisection does not spend a round per halving to
+    reach the spike.
     Returns shape (n,), or (n, parts) with parts = 2
     (the ball's measure ahead of its f-mass) or 4 (then their derivatives in
     R, which ride on the nodes the first two choose; see
