@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -216,39 +217,53 @@ def cmd_verify_shift(args) -> int:
 # weaktype
 # ---------------------------------------------------------------------------
 
+def _indicator_levels(mm: msr.PowerLawMeasure, r0: float, n: int) -> np.ndarray:
+    """n levels around lambda* = mu(B(0, r0)) / mu(B(e1, 1 + r0)).
+
+    Raises ValueError naming d, beta, r0 and ln lambda* where lambda*
+    rounds to 0 (no commas: the message goes into a CSV cell).
+    """
+    log_lam = (msr.log_ball_centered(mm, r0).log
+               - msr.log_ball_offcenter(mm, msr.BallSpec(1.0, 1.0 + r0)).log)
+    lam_star = math.exp(log_lam)
+    if lam_star == 0.0:
+        raise ValueError(f"lambda* rounds to 0 for d={mm.d} beta={mm.beta!r} r0={r0:g} "
+                         f"(ln lambda*={log_lam:.17g})")
+    return np.geomspace(0.25 * lam_star, 1.02 * lam_star, n)
+
+
 def _weaktype_cases(args, d: int, beta: float, rng):
-    """(label, profile, lambda-grid) triples for the selected family."""
+    """(label, profile, levels) triples for the selected family.
+
+    levels() gives the case's lambda grid, or raises ValueError for that
+    case alone.
+    """
     m1 = m1d.WeightedLineMeasure(d, beta)
     cases = []
     if args.family == "shrinking-indicator":
         mm = msr.PowerLawMeasure(d, beta)
         for r0 in (0.1, 0.02, 0.005):
-            f = m1d.RadialProfile.indicator(r0)
-            lam_star = math.exp(
-                msr.log_ball_centered(mm, r0).log
-                - msr.log_ball_offcenter(mm, msr.BallSpec(1.0, 1.0 + r0)).log
-            )
-            lams = np.geomspace(0.25 * lam_star, 1.02 * lam_star, args.lambdas)
-            cases.append((f"indicator r0={r0:g}", f, lams))
+            cases.append((f"indicator r0={r0:g}", m1d.RadialProfile.indicator(r0),
+                          functools.partial(_indicator_levels, mm, r0, args.lambdas)))
     elif args.family == "radial-decreasing":
         for k, vals in enumerate([(3.0, 1.0, 0.25), (1.0, 0.5, 0.1), (5.0, 0.2, 0.02)]):
             f = m1d.RadialProfile((0.0, 0.4, 1.1, 2.0), vals)
-            cases.append((f"decreasing #{k}", f, m1d.default_lambda_grid(m1, f, args.lambdas)))
+            cases.append((f"decreasing #{k}", f,
+                          functools.partial(m1d.default_lambda_grid, m1, f, args.lambdas)))
     else:  # random
         for k in range(3):
             nb = int(rng.integers(2, 6))
             bp = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 2.5, nb))])
             vals = rng.uniform(0.05, 3.0, nb)
             f = m1d.RadialProfile(tuple(bp), tuple(vals))
-            cases.append((f"random #{k}", f, m1d.default_lambda_grid(m1, f, args.lambdas)))
+            cases.append((f"random #{k}", f,
+                          functools.partial(m1d.default_lambda_grid, m1, f, args.lambdas)))
     return cases
 
 
 def cmd_weaktype(args) -> int:
     rng = np.random.default_rng(args.seed)
     cfg = rad.MaximalConfig(
-        radii_per_decade=args.radii_per_decade,
-        refine_rounds=2,
         quad=args.quad,
         level_grid=m1d.GridConfig(points=args.level_points, bisect_rel_tol=1e-6,
                                   max_bisect=30),
@@ -265,10 +280,11 @@ def cmd_weaktype(args) -> int:
         except ValueError as exc:
             rows.append({"d": d, "beta": beta, "family": args.family, "error": str(exc)})
             continue
-        for label, f, lams in cases:
+        for label, f, levels in cases:
             row: dict = {"d": d, "beta": beta, "family": args.family, "case": label,
                          "error": None}
             try:
+                lams = levels()
                 m = msr.PowerLawMeasure(d, beta)
                 lower = bnd.delta_lower_bound(d, beta).value if beta >= 0 else None
                 upper = 2.0 * (rad.certified_shift_constant(m) + 1.0) if beta <= d / 2 else None
@@ -427,9 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="shrinking-indicator")
     p.add_argument("--lambdas", type=_positive_int, default=12, help="levels per case")
     p.add_argument("--level-points", type=_positive_int, default=128)
-    p.add_argument("--radii-per-decade", type=_positive_int, default=48,
-                   help="accepted for compatibility; the kink-bracket radius search "
-                        "no longer uses it")
     _add_tol(p)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)

@@ -152,9 +152,9 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
     [t-, t+], and its integrand is omega_{d-2} sin^{d-2}(theta) times the
     f-mass of the chord, the sum of v_k (b^p - a^p)/p over its overlap
     [a, b] with each piece, p = d - beta.  Only the pieces holding t- and
-    t+ are clipped; the whole pieces between them come from a table.  With
-    parts = 2 the integrand has a second component ahead of it, the
-    measure (t+^p - t-^p)/p of the whole chord, in shape (m, 2, 21); with
+    t+ are clipped; the whole pieces between them come from a table.  The
+    integrand has shape (m, parts, 21).  With parts = 2 a second component
+    comes ahead of it, the measure (t+^p - t-^p)/p of the whole chord; with
     parts = 4 two more follow, the R-derivatives of those two (by co-area,
     the weighted area of the sphere |y - c e1| = R and f's mass on it):
     v(t+) t+^(p-1) dt+/dR + v(t-) t-^(p-1) |dt-/dR| with v = 1 for the chord,
@@ -257,7 +257,7 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
         # result is formed lowers the peak memory of large batches
         del sx, cx, t_plus, d_plus, chord, log_tp
         if parts == 1:
-            return mass + base
+            return (mass + base)[:, None]
         out = [whole + base, mass + base]
         if parts == 4:
             out += [s + log_dw for s in sphere]
@@ -284,9 +284,9 @@ def _layer_edges(c, R, tangent: bool, tol: float):
     up to pi/4 away (wider layers take a round or two of bisection).  Below
     sqrt(tol)/32 the layer moves the integral by about eps^2 relative,
     under tol, and no panel needs to see it.  Every other ball of the batch
-    gets edges at 0 or at the top of its range, empty panels, so its own
-    panels and bits do not change.  With no thin ball, which a few array
-    operations tell, there are no edges: shape (n, 0).
+    gets edges at 0 or at the top of its range, zero-width pieces, which get
+    no panel, so its own panels and bits do not change.  With no thin ball,
+    which a few array operations tell, there are no edges: shape (n, 0).
     """
     q = np.abs((c - R) * (c + R))  # (eps c)^2, no division at c = 0
     thin = (q < (_LAYER_MAX * c) ** 2) & (32.0 ** 2 * q >= tol * c * c)
@@ -302,20 +302,22 @@ def _layer_edges(c, R, tangent: bool, tol: float):
 
 
 def _spike_panels(edges, h: float):
-    """First panels (lo, hi) from sorted piece edges, none wider than h.
+    """First panels (at, lo, hi) from sorted piece edges, none wider than h.
 
-    Each piece [a, b] of a row is cut into k = ceil((b - a)/h) equal
-    panels starting at a + (b - a) i/k, the last one ending at b exactly.
-    A piece that needs fewer panels than the widest of the batch is padded
-    with empty panels [b, b], so a row's live panels, and so its bits, do
-    not depend on the rest of the batch.
+    Each piece [a, b] of row r is cut into k = ceil((b - a)/h) equal panels
+    of integral r starting at a + (b - a) i/k, the last one ending at b
+    exactly; a zero-width piece gets none.  The panels of a row come in
+    order, and their bits do not depend on the other rows.
     """
-    a, b = edges[:, :-1, None], edges[:, 1:, None]
-    k = np.maximum(np.ceil((b - a) / h), 1.0)
-    i = np.arange(k.max())
-    start = np.where(i < k, a + (b - a) * (i / k), b)
-    end = np.concatenate([start[..., 1:], b], axis=2)
-    return start.reshape(len(edges), -1), end.reshape(len(edges), -1)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    k = np.ceil((b - a) / h)
+    n = k.astype(np.intp)
+    # per panel: its piece, its place i in the piece, and the piece's values
+    piece = np.repeat(np.arange(len(a)), n)
+    i = np.arange(len(piece)) - np.repeat(np.cumsum(n) - n, n)
+    a, w, b, k = a[piece], (b - a)[piece], b[piece], k[piece]
+    return (piece // (edges.shape[1] - 1), a + w * (i / k),
+            np.where(i + 1 < k, a + w * ((i + 1) / k), b))
 
 
 def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureConfig,
@@ -347,7 +349,7 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
         raise ValueError(f"off-center ball measures require d >= 2, got d={m.d} "
                          f"beta={m.beta!r} for the ball c={c!r} R={R!r}")
     bp = np.asarray(bp, dtype=float)
-    out = np.full((len(cs), parts) if parts > 1 else len(cs), NEG_INF)
+    out = np.full((len(cs), parts), NEG_INF)
     origin_inside = cs < Rs
     # the two derivatives ride on the nodes the measure and the mass choose
     riders = {"riders": 2} if parts == 4 else {}
@@ -363,9 +365,9 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
             np.full(idx.size, top),
             _layer_edges(c, R, tangent, quad.tol),
         ]), axis=1)
-        lo, hi = _spike_panels(edges, _SPIKE / math.sqrt(m.d))
+        at, lo, hi = _spike_panels(edges, _SPIKE / math.sqrt(m.d))
         try:
-            out[idx], _ = log_integrate_batch(log_f, lo, hi, quad, **riders)
+            out[idx], _ = log_integrate_batch(log_f, at, lo, hi, idx.size, quad, **riders)
         except QuadratureError as exc:
             i = idx[exc.segment]
             err = QuadratureError(
@@ -377,7 +379,7 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
             )
             err.segment = int(i)
             raise err from exc
-    return out
+    return out[:, 0] if parts == 1 else out
 
 
 def log_ball_offcenter_shell(m: PowerLawMeasure, ball: BallSpec, r_in: float, r_out: float,

@@ -6,7 +6,8 @@ done entirely in log space: panels accumulate with log-sum-exp, and the
 error estimate compares the log Gauss-10 and Kronrod-21 values, both read
 off the same 21 integrand evaluations per panel.  Many integrals with the
 same integrand family are refined together so the integrand evaluations
-stay vectorized; each integral starts from the panels its caller passes
+stay vectorized; they come as one flat list of panels, each tagged with
+its integral.  Each integral starts from the panels its caller passes
 (split where its integrand has kinks, graded toward layers the caller
 knows of, and no wider than its spike, since bisection spends a round per
 halving to reach it), is refined by bisection alone, and is judged against
@@ -98,23 +99,20 @@ _W01_G = 0.5 * np.concatenate([_WG, _WG[::-1]])
 
 
 def _panel_logs(log_f, seg, lo, hi):
-    """(log Gauss-10, log Kronrod-21) integrals of panels [lo, hi].
+    """(log Gauss-10, log Kronrod-21) integrals of panels [lo, hi], shape (m, c).
 
-    One log_f call per batch: seg[:, None] against the (m, 21) nodes.  The
-    result has log_f's shape less its node axis, (m,) or (m, k).  A panel
-    where exp(log_f) vanishes sums to 0 and gets -inf.  The weighted sums
-    are einsum loops, not BLAS products, so a panel's value does not depend
-    on where it sits in the batch.
+    One log_f call per batch: seg[:, None] against the (m, 21) nodes,
+    returning (m, c, 21).  A panel where exp(log_f) vanishes sums to 0 and
+    gets -inf.  The weighted sums are einsum loops, not BLAS products, so a
+    panel's value does not depend on where it sits in the batch.
     """
     width = hi - lo
     lf = log_f(seg[:, None], lo[:, None] + width[:, None] * _X01)
-    if lf.ndim == 3:
-        width = width[:, None]
     top = lf.max(axis=-1)
     safe = np.where(top == NEG_INF, 0.0, top)
     e = np.exp(lf - safe[..., None])
     with np.errstate(divide="ignore"):
-        scale = safe + np.log(width)
+        scale = safe + np.log(width)[:, None]
         return (np.log(np.einsum("...j,j->...", e[..., 1::2], _W01_G)) + scale,
                 np.log(np.einsum("...j,j->...", e, _W01_K)) + scale)
 
@@ -148,17 +146,16 @@ def _segment_reduce(values, ids, n_out):
     return lse.reshape(n_out, w), top.reshape(n_out, w)
 
 
-def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                         riders: int = 0):
-    """Integrate exp(log_f) for many integrals at once.
+    """Integrate exp(log_f) for n integrals at once.
 
-    lo and hi have shape (n,) or (n, k): row i holds the k initial panels
-    of integral i, and empty panels (hi <= lo) are skipped.  log_f(seg, s)
-    gets the integral index, shape (m, 1), and the abscissae of m panels,
-    shape (m, 21), and returns the log integrand in s's shape, or with a
-    component axis, shape (m, c, 21), for c integrands on shared nodes.
-    Returns (log_integrals, log_error estimates), shape (n,) or (n, c);
-    with no live panel at all, shape (n,) of -inf.
+    Panel j is [lo[j], hi[j]] of integral at[j]; each integral's panels come
+    in the order given, and an integral with no panel integrates to -inf.
+    log_f(seg, s) gets the integral index, shape (m, 1), and the abscissae
+    of m panels, shape (m, 21), and returns the log integrand of c
+    components on those shared nodes, shape (m, c, 21).
+    Returns (log_integrals, log_error estimates), each of shape (n, c).
     Each integral is refined until, in every component, its summed
     Gauss/Kronrod error estimate is within cfg.tol of its own Kronrod
     total, so a panel that carries only rounding noise cannot hold it back.
@@ -171,33 +168,24 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
     any integral needs more than cfg.max_panels panels or more than
     cfg.max_rounds rounds of bisection.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.ndim == 1:
-        lo, hi = lo[:, None], hi[:, None]
-    n_seg = len(lo)
-    live = hi > lo
-    if not live.any():
-        return np.full(n_seg, NEG_INF), np.full(n_seg, NEG_INF)
-    # the integrals still refined, and for each live panel its integral's
-    # place among them
-    active = np.nonzero(live.any(axis=1))[0]
-    p_at = np.nonzero(live[active])[0]
-    p_lo, p_hi = lo[active][live[active]], hi[active][live[active]]
-    low, high = _panel_logs(log_f, active[p_at], p_lo, p_hi)
-    scalar = high.ndim == 1
-    n_comp = 1 if scalar else high.shape[1]
+    # the integrals still refined, and for each panel its integral's place
+    # among them
+    active = np.arange(n)
+    p_at = np.asarray(at, dtype=np.intp)
+    p_lo = np.asarray(lo, dtype=float)
+    p_hi = np.asarray(hi, dtype=float)
+    low, high = _panel_logs(log_f, p_at, p_lo, p_hi)
+    n_comp = high.shape[1]
     k = n_comp - riders  # the judged components; riders get no error estimate
 
     def with_errors(low, high):
         # per panel, the Kronrod values of every component, then the error
         # estimates of the judged ones
-        low, high = low.reshape(len(low), -1), high.reshape(len(high), -1)
         return np.concatenate([high, _log_abs_diff(low[:, :k], high[:, :k])], axis=1)
 
     p_val = with_errors(low, high)
-    total = np.full((n_seg, n_comp), NEG_INF)
-    error = np.full((n_seg, n_comp), NEG_INF)
+    total = np.full((n, n_comp), NEG_INF)
+    error = np.full((n, n_comp), NEG_INF)
     log_tol = math.log(cfg.tol)
     for rounds in range(cfg.max_rounds + 1):
         sums, tops = _segment_reduce(p_val, p_at, len(active))
@@ -210,7 +198,7 @@ def log_integrate_batch(log_f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUADRATUR
         total[active[~still]] = seg_total[~still]
         error[active[~still], :k] = seg_err[~still]
         if not still.any():
-            return (total[:, 0], error[:, 0]) if scalar else (total, error)
+            return total, error
         if rounds == cfg.max_rounds:
             with np.errstate(invalid="ignore"):
                 rel = np.where(judged_total != NEG_INF, np.exp(seg_err - judged_total), 0.0)

@@ -16,13 +16,17 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def _bench_module(name):
     sys.path.insert(0, str(BENCH))
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _bench_module("workloads")
 
 
 @pytest.mark.parametrize("name", ["ball-sweep", "radial", "line-weaktype"])
@@ -30,3 +34,28 @@ def test_bench_workload_builds_and_warms_up(workloads, name):
     assert name in workloads.WORKLOADS
     assert workloads.build(name, 7)
     workloads.warm_up(name)
+
+
+def test_tracer_counts_the_quadrature_and_its_callers(workloads):
+    # perfbench/tracer.py finds log_integrate_batch's panels by the argument
+    # names lo and hi and wraps its first argument, the integrand; a renamed
+    # argument would zero these counts in the benchmark's traced run
+    tracer = _bench_module("tracer")
+    names = ("quadrature.segments", "quadrature.integrand_evals", "measure.balls",
+             "radial.ball_averages")
+
+    def traced_counts():
+        cases = workloads.build("radial", 7)
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            for case in cases:
+                case.run()
+        finally:
+            tr.uninstall()
+        metrics = tracer.layer_metrics(tr.spans)
+        return [metrics[name][0] for name in names]
+
+    counts = traced_counts()
+    assert all(c > 0 for c in counts), dict(zip(names, counts))
+    assert traced_counts() == counts

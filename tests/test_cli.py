@@ -26,8 +26,7 @@ def run_csv(tmp_path, argv):
 
 def test_schema_comment_and_determinism(tmp_path):
     argv = ["weaktype", "--d", "3", "--alpha", "1.0", "--family", "random",
-            "--seed", "7", "--lambdas", "4", "--level-points", "48",
-            "--radii-per-decade", "16", "--tol", "1e-5"]
+            "--seed", "7", "--lambdas", "4", "--level-points", "48", "--tol", "1e-5"]
     rc1, text1, _ = run_csv(tmp_path, argv)
     rc2, text2, _ = run_csv(tmp_path, argv)
     assert rc1 == rc2 == EXIT_OK
@@ -134,8 +133,7 @@ def test_weaktype_upper_bound_column(tmp_path):
     rc, _, rows = run_csv(
         tmp_path,
         ["weaktype", "--d", "4", "--alpha", "1", "--family", "shrinking-indicator",
-         "--lambdas", "6", "--level-points", "64", "--radii-per-decade", "24",
-         "--tol", "1e-6"],
+         "--lambdas", "6", "--level-points", "64", "--tol", "1e-6"],
     )
     assert rc == EXIT_OK
     upper = 2.0 * (4.0 * 6.0 ** 0.5 + 1.0)
@@ -152,8 +150,7 @@ def test_weaktype_lebesgue_decreasing_below_four(tmp_path):
     rc, _, rows = run_csv(
         tmp_path,
         ["weaktype", "--d", "3", "--alpha", "0", "--family", "radial-decreasing",
-         "--lambdas", "6", "--level-points", "64", "--radii-per-decade", "24",
-         "--tol", "1e-6"],
+         "--lambdas", "6", "--level-points", "64", "--tol", "1e-6"],
     )
     assert rc == EXIT_OK
     for r in rows:
@@ -260,7 +257,7 @@ def test_weaktype_bad_exponent_reports_and_continues(tmp_path):
     rc, _, rows = run_csv(
         tmp_path,
         ["weaktype", "--d", "4,2", "--alpha", "3", "--family", "radial-decreasing",
-         "--lambdas", "3", "--level-points", "32", "--radii-per-decade", "8", "--tol", "1e-5"],
+         "--lambdas", "3", "--level-points", "32", "--tol", "1e-5"],
     )
     assert rc == EXIT_NUMERICAL
     bad = [r for r in rows if r["d"] == "2"]
@@ -269,12 +266,32 @@ def test_weaktype_bad_exponent_reports_and_continues(tmp_path):
     assert len(good) == 3 and all(r["error"] == "" and r["quotient"] for r in good)
 
 
+@pytest.mark.parametrize("d, alpha, good", [("200", "1", ["0.1"]), ("400", "0", [])])
+def test_weaktype_underflowing_level_loses_only_its_case(tmp_path, d, alpha, good):
+    # lambda* = mu(B(0, r0)) / mu(B(e1, 1 + r0)) rounds to 0 for a small r0
+    # at high d: that r0 gets an error row naming it, the others still run
+    rc, _, rows = run_csv(
+        tmp_path,
+        ["weaktype", "--d", d, "--alpha", alpha, "--family", "shrinking-indicator"],
+    )
+    assert rc == EXIT_NUMERICAL
+    assert [r["case"] for r in rows] == [f"indicator r0={r0}" for r0 in ("0.1", "0.02", "0.005")]
+    for r, r0 in zip(rows, ("0.1", "0.02", "0.005")):
+        if r0 in good:
+            q = float(r["quotient"])
+            assert r["error"] == "" and 0.0 < q <= float(r["upper_bound"]), r
+            assert r["passed"] == "true"
+        else:
+            for part in (f"d={d}", f"beta={float(alpha)!r}", f"r0={r0}", "ln lambda*=-"):
+                assert part in r["error"], r
+            assert r["quotient"] == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-shift", "--d", "4", "--r-points", "0"],
     ["weaktype", "--d", "4", "--lambdas", "0"],
     ["weaktype", "--d", "4", "--level-points", "0"],
     ["weaktype", "--d", "4", "--lambdas", "-2"],
-    ["weaktype", "--d", "4", "--radii-per-decade", "0"],
 ])
 def test_count_flags_must_be_positive(argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialmax.measure import (
     BallSpec,
@@ -334,9 +336,9 @@ def test_gauss_kronrod_rule_exactness():
     """Kronrod-21 is exact through degree 31, its Gauss-10 column through 19."""
     seg, lo, hi = np.zeros(1, dtype=int), np.zeros(1), np.ones(1)
     for k in range(32):
-        low, high = quadrature._panel_logs(lambda _, s: k * np.log(s), seg, lo, hi)
-        assert abs(math.exp(high[0]) * (k + 1) - 1.0) < 1e-14, k
-        gauss_err = abs(math.exp(low[0]) * (k + 1) - 1.0)
+        low, high = quadrature._panel_logs(lambda _, s: k * np.log(s)[:, None], seg, lo, hi)
+        assert abs(math.exp(high[0, 0]) * (k + 1) - 1.0) < 1e-14, k
+        gauss_err = abs(math.exp(low[0, 0]) * (k + 1) - 1.0)
         if k <= 19:
             assert gauss_err < 1e-14, k
         elif k == 20:
@@ -354,12 +356,12 @@ def _count_sin_power_batch():
     def log_f(seg, s):
         calls.append((np.shape(seg), np.shape(s)))
         with np.errstate(divide="ignore"):
-            return ms[seg] * np.log(np.sin(s))
+            return (ms[seg] * np.log(np.sin(s)))[:, None]
 
     n = len(ms)
-    out, _ = quadrature.log_integrate_batch(log_f, np.zeros(n), np.full(n, math.pi),
-                                            QuadratureConfig(tol=1e-10))
-    return ms, calls, out
+    out, _ = quadrature.log_integrate_batch(log_f, np.arange(n), np.zeros(n), np.full(n, math.pi),
+                                            n, QuadratureConfig(tol=1e-10))
+    return ms, calls, out[:, 0]
 
 
 def test_quadrature_work_counts_repeat_and_panel_shapes():
@@ -392,10 +394,53 @@ def test_quadrature_spike_between_kronrod_nodes_vs_mpmath():
     ms = np.repeat([400.0, 4000.0, 20000.0], len(mids))
     lo, hi = np.tile(lo, 3), np.tile(hi, 3)
     assert np.abs(lo + (hi - lo) * np.tile(mids, 3) - half).max() < 1e-15
-    out, _ = quadrature.log_integrate_batch(lambda seg, s: ms[seg] * np.log(np.sin(s)), lo, hi)
-    for got, m, a, b in zip(out, ms, lo, hi):
+    out, _ = quadrature.log_integrate_batch(lambda seg, s: (ms[seg] * np.log(np.sin(s)))[:, None],
+                                            np.arange(len(ms)), lo, hi, len(ms))
+    for got, m, a, b in zip(out[:, 0], ms, lo, hi):
         want = mp.log(mp.quad(lambda t: mp.sin(t) ** int(m), [a, mp.pi / 2, b]))
         assert abs(got - float(want)) <= 1e-9, (m, a, b)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_flat_panel_layout_changes_no_bit(seed):
+    """An integral's value and error are the same bits however the flat
+    panel list orders the other integrals' panels around its own.
+
+    sin^m integrals, m in {2, 40, 400, 4000}, over [0, pi] cut into 1 to 4
+    random first panels each, plus one integral given no panel, which reads
+    -inf; laid out in blocks, interleaved with each integral's own panels
+    in order, and each integral alone.
+    """
+    rng = np.random.default_rng(seed)
+    ms = rng.permutation([2.0, 40.0, 400.0, 4000.0, 0.0])
+    counts = np.where(ms > 0, rng.integers(1, 5, len(ms)), 0)
+    edges = [np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, k - 1)), [math.pi]])
+             for k in counts if k]
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    at = np.repeat(np.arange(len(ms)), counts)
+
+    def run(at, lo, hi, ids):
+        def log_f(seg, s):
+            return (ms[ids][seg] * np.log(np.sin(s)))[:, None]
+        out, err = quadrature.log_integrate_batch(log_f, at, lo, hi, len(ids))
+        return [(v.hex(), e.hex()) for v, e in zip(out[:, 0], err[:, 0])]
+
+    blocks = run(at, lo, hi, np.arange(len(ms)))
+    # a random order of the panels' integral labels; each integral's panels
+    # take its places in that order, so they stay in their own order
+    place = np.argsort(rng.permutation(at), kind="stable")
+    mixed = [np.empty_like(x) for x in (at, lo, hi)]
+    for x, y in zip(mixed, (at, lo, hi)):
+        x[place] = y
+    assert run(*mixed, np.arange(len(ms))) == blocks
+    alone = [run(np.zeros(k, dtype=int), lo[at == i], hi[at == i], [i])[0]
+             for i, k in enumerate(counts)]
+    assert alone == blocks
+    empty = (-math.inf).hex()
+    assert [v for v, k in zip(blocks, counts) if k == 0] == [(empty, empty)]
+    assert all(v != empty for (v, _), k in zip(blocks, counts) if k)
 
 
 def _count_ball_nodes():
@@ -403,12 +448,12 @@ def _count_ball_nodes():
     work = [0, 0]
     integrate = measure.log_integrate_batch
 
-    def counting(log_f, lo, hi, cfg):
+    def counting(log_f, at, lo, hi, n, cfg):
         def log_f_counted(seg, s):
             work[0] += np.size(s)
             work[1] += 1
             return log_f(seg, s)
-        return integrate(log_f_counted, lo, hi, cfg)
+        return integrate(log_f_counted, at, lo, hi, n, cfg)
 
     measure.log_integrate_batch = counting
     try:
@@ -425,12 +470,12 @@ def _with_rounds(run):
     rounds = []
     integrate = measure.log_integrate_batch
 
-    def counting(log_f, lo, hi, cfg, **kw):
+    def counting(log_f, at, lo, hi, n, cfg, **kw):
         def log_f_counted(seg, s):
             rounds[-1] += 1
             return log_f(seg, s)
         rounds.append(0)
-        return integrate(log_f_counted, lo, hi, cfg, **kw)
+        return integrate(log_f_counted, at, lo, hi, n, cfg, **kw)
 
     measure.log_integrate_batch = counting
     try:

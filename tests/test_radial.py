@@ -229,7 +229,7 @@ def test_ball_values_do_not_depend_on_the_batch(seed, n):
     # batch and in any order, so refactors that regroup balls change nothing
     rng = np.random.default_rng(seed)
     # a high d cuts wide pieces into several first panels, a different
-    # number per ball, which the batch pads with empty ones
+    # number per ball, all in the batch's one flat panel list
     d = int(rng.integers(2, 25) if rng.random() < 0.5 else rng.integers(50, 200))
     m = PowerLawMeasure(d, float(rng.uniform(-1.0, d / 2)))
     f = random_profile(rng, max_pieces=4)

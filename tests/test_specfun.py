@@ -122,10 +122,13 @@ def test_sphere_area_domain():
 # sin-power integrals: the ray form's angular weight, by batched quadrature
 # ---------------------------------------------------------------------------
 
-def _log_sin_power(lo, hi, m, cfg=QuadratureConfig(tol=1e-13)):
-    """ln of int sin^m over each row's panels [lo, hi] (shape (n,) or (n, k))."""
-    out, _ = log_integrate_batch(lambda seg, x: m * np.log(np.sin(x)), lo, hi, cfg)
-    return out
+def _log_sin_power(lo, hi, m, at=None, cfg=QuadratureConfig(tol=1e-13)):
+    """ln of int sin^m over each integral's panels [lo, hi]; panel j belongs
+    to integral at[j], by default integral j."""
+    at = np.arange(len(lo)) if at is None else np.asarray(at)
+    out, _ = log_integrate_batch(lambda seg, x: (m * np.log(np.sin(x)))[:, None],
+                                 at, lo, hi, int(at.max()) + 1, cfg)
+    return out[:, 0]
 
 
 def test_sin_power_trivial_cases():
@@ -143,11 +146,11 @@ def test_sin_power_quadrature_oracle(phi, m):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 9, 50])
 def test_sin_power_symmetry(m):
-    # row 0 runs over both halves of [0, pi], row 1 only the first (its
-    # second panel is empty); over [0, pi] the weight integrates to the
-    # sphere-area ratio omega_{m+1} / omega_m
-    lo = np.array([[0.0, math.pi / 2], [0.0, math.pi / 2]])
-    hi = np.array([[math.pi / 2, math.pi], [math.pi / 2, math.pi / 2]])
-    full, half = _log_sin_power(lo, hi, m)
+    # integral 0 runs over both halves of [0, pi], integral 1 only the
+    # first; over [0, pi] the weight integrates to the sphere-area ratio
+    # omega_{m+1} / omega_m
+    lo = np.array([0.0, math.pi / 2, 0.0])
+    hi = np.array([math.pi / 2, math.pi, math.pi / 2])
+    full, half = _log_sin_power(lo, hi, m, at=[0, 0, 1])
     assert full == pytest.approx(half + math.log(2.0), abs=1e-12)
     assert full == pytest.approx(log_sphere_area(m + 2) - log_sphere_area(m + 1), abs=1e-12)
