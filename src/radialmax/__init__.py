@@ -28,7 +28,6 @@ from .measure import (
     log_ball_offcenter_shell,
     log_ball_offcenter_unit_closed,
     log_intersection_with_centered,
-    log_unit_ball_volume,
     shift_condition_ratio,
     shift_condition_ratios,
 )
@@ -36,8 +35,6 @@ from .radial import (
     MaximalConfig,
     ball_average,
     centered_max_radial,
-    mc_ball_average,
-    pointwise_domination_check,
     weak_type_quotient_radial,
 )
 from .specfun import (

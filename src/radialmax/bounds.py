@@ -42,13 +42,10 @@ __all__ = [
 ]
 
 LOG_HALF_PI = 0.5 * math.log(math.pi)
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618
 
 
 class BoundMethod(enum.Enum):
     DELTA_EXACT = "DeltaExact"
-    DELTA_STIRLING_CHAIN = "DeltaStirlingChain"
-    DELTA_CLOSED = "DeltaClosed"
     PART1_QUOTIENT = "Part1Quotient"
 
 
@@ -66,10 +63,6 @@ class BoundCertificate:
     def __post_init__(self):
         if not math.isfinite(self.log_value):
             raise ValueError("certificate value must be positive and finite")
-        if self.method is BoundMethod.DELTA_CLOSED and not (
-            self.d >= 12 and self.exponent <= self.d / 2
-        ):
-            raise ValueError("closed delta bound requires d >= 12 and exponent <= d/2")
 
     @property
     def value(self) -> float:
@@ -182,7 +175,7 @@ def part1_geometry(alpha: float) -> Part1Geometry:
     Valid for alpha strictly inside (1/2, 1); near the endpoints the
     derived constants degenerate, so alphas outside [0.55, 0.95] get a
     warning.  The returned t0 is verified on the spot to be a stationary
-    point and the golden-section maximizer of g on the slice window.
+    point of g.
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError("growth exponent must lie in (1/2, 1)")
@@ -196,60 +189,9 @@ def part1_geometry(alpha: float) -> Part1Geometry:
     t0 = 4.0 * (alpha - alpha * alpha)
     t1 = 4.0 * (alpha - 1.0) ** 3 / (2.0 - alpha)
     s0 = math.sqrt(t0)
-
-    lo, hi = (1.0 - R) ** 2, (1.0 + R) ** 2
     if abs(g_prime_eval(alpha, t0)) > 1e-9:
         raise RuntimeError("stationarity check failed at the closed-form root")
-    t_num = numeric_g_maximizer(alpha, lo, hi)
-    if abs(t_num - t0) > 1e-9:
-        raise RuntimeError("numeric maximizer disagrees with the closed-form root")
     return Part1Geometry(alpha=alpha, R=R, t0=t0, t1=t1, s0=s0)
-
-
-def numeric_g_maximizer(alpha: float, lo: float, hi: float) -> float:
-    """Golden-section maximizer of the spike profile, derivative-polished.
-
-    Golden section (one g evaluation reused per step) brackets the maximum
-    to width 1e-6 in about 32 steps on the slice window, but value
-    comparisons stall once g flattens below rounding noise, around
-    |t - t*| ~ 1e-8.  The sign of the Richardson five-point derivative with
-    step h = 1e-4 max(t, 0.1) stays readable down to a few 1e-12, so
-    bisecting it on [t - h, t + h] to width 1e-11 (about 26 steps) brings
-    the located maximum within ~1e-11 of the true root, an oracle
-    independent of the closed-form quadratic solution.
-    """
-    g = lambda t: g_eval(alpha, t)
-    a, b = lo, hi
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > 1e-6:
-        if gc > gd:
-            b, d, gd = d, c, gc
-            c = b - _INVPHI * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _INVPHI * (b - a)
-            gd = g(d)
-    t = 0.5 * (a + b)
-    h = 1e-4 * max(t, 0.1)
-
-    def dsign(x: float) -> float:  # ~ 12 h g'(x), O(h^5) truncation
-        return 8.0 * (g(x + h) - g(x - h)) - (g(x + 2 * h) - g(x - 2 * h))
-
-    a, b = t - h, t + h
-    if not dsign(a) > 0.0 > dsign(b):
-        return t
-    while b - a > 1e-11:
-        mid = 0.5 * (a + b)
-        s = dsign(mid)
-        if s > 0.0:
-            a = mid
-        elif s < 0.0:
-            b = mid
-        else:
-            return mid
-    return 0.5 * (a + b)
 
 
 def cp_lower_bound(d: int, alpha: float, p: float = 1.0,

@@ -40,6 +40,7 @@ __all__ = [
     "GridConfig",
     "LevelSetResult",
     "gamma0_interval",
+    "profile_l1_norm",
     "uncentered_max",
     "uncentered_max_grid",
     "level_sets",
@@ -177,8 +178,8 @@ def _linear(log_value, m: WeightedLineMeasure, what: str) -> float:
 
 def gamma0_interval(m: WeightedLineMeasure, a: float, b: float) -> float:
     """gamma0(a, b) = (b^p - a^p)/p with p = d - beta; 0 when a == b."""
-    if a < 0 or b < a:
-        raise ValueError("need 0 <= a <= b")
+    if not 0 <= a <= b < math.inf:
+        raise ValueError(f"need 0 <= a <= b < inf, got a = {a} b = {b}")
     with np.errstate(divide="ignore"):
         la, lb = np.log(a), np.log(b)
     return _linear(float(_log_power_interval(m.power, lb, la - lb)), m, f"gamma0({a}, {b})")
@@ -209,8 +210,8 @@ def _log_uncentered_max_grid(m: WeightedLineMeasure, f: RadialProfile, xs) -> np
     is cut.  No power of t is formed, so nothing overflows.
     """
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0):
-        raise ValueError("evaluation points must be > 0")
+    if not np.all((xs > 0) & (xs < math.inf)):
+        raise ValueError("evaluation points must be positive and finite")
     p = m.power
     lt, lg, lv = _log_pieces(m, f)
     n = len(lg)
@@ -363,8 +364,8 @@ def _check_levels(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> np.ndarr
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("need at least one lambda")
-    if np.any(lambdas <= 0):
-        raise ValueError("levels must be > 0")
+    if not np.all((lambdas > 0) & (lambdas < math.inf)):
+        raise ValueError("levels must be positive and finite")
     if _log_l1(m, f) == NEG_INF:
         raise ValueError("profile is a.e. zero")
     return lambdas

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, log_integrate_batch
-from .specfun import NEG_INF, LogValue, _log_power_interval, log_beta, log_gamma, log_sphere_area
+from .specfun import NEG_INF, LogValue, _log_power_interval, log_beta, log_sphere_area
 
 __all__ = [
     "PowerLawMeasure",
@@ -30,7 +30,6 @@ __all__ = [
     "log_ball_offcenter_unit_closed",
     "log_ball_offcenter_shell",
     "log_intersection_with_centered",
-    "log_unit_ball_volume",
     "shift_condition_ratio",
     "shift_condition_ratios",
 ]
@@ -70,21 +69,17 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if self.center_distance < 0:
-            raise ValueError("center_distance must be >= 0")
-        if not self.radius > 0:
-            raise ValueError("radius must be > 0")
-
-
-def log_unit_ball_volume(d: int) -> float:
-    """ln of the Lebesgue volume of the unit ball: ln(pi^{d/2} / Gamma(d/2 + 1))."""
-    return 0.5 * d * math.log(math.pi) - log_gamma(0.5 * d + 1.0)
+        if not 0 <= self.center_distance < math.inf:
+            raise ValueError(
+                f"center_distance must be finite and >= 0, got {self.center_distance}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and > 0, got {self.radius}")
 
 
 def log_ball_centered(m: PowerLawMeasure, rho: float) -> LogValue:
     """mu(B(0, rho)) = omega_{d-1} rho^{d-beta} / (d - beta), in log form."""
-    if not rho > 0:
-        raise ValueError("radius must be > 0")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {rho}")
     p = m.homogeneity
     return LogValue(log_sphere_area(m.d) + p * math.log(rho) - math.log(p))
 
@@ -385,6 +380,8 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
 def log_ball_offcenter_shell(m: PowerLawMeasure, ball: BallSpec, r_in: float, r_out: float,
                              quad: QuadratureConfig = DEFAULT_QUADRATURE) -> LogValue:
     """mu(B(c e1, R) intersect {r_in <= |y| <= r_out}) by ray quadrature."""
+    if not 0 <= r_in <= r_out:
+        raise ValueError(f"need 0 <= r_in <= r_out, got r_in = {r_in} r_out = {r_out}")
     out = _batched_shell_logs(m, [ball.center_distance], [ball.radius], [r_in, r_out], [0.0],
                               quad)
     return LogValue(float(out[0]))
@@ -434,7 +431,7 @@ def shift_condition_ratios(m: PowerLawMeasure, rs,
     mu(B(0,1)) / mu(B(e1,1)).
     """
     rs = np.asarray(rs, dtype=float)
-    if np.any((rs <= 0) | (rs > 1)):
+    if not np.all((rs > 0) & (rs <= 1)):
         raise ValueError("shift condition is defined for 0 < r <= 1")
     shifted_c = np.sqrt(np.maximum(0.0, 1.0 - rs * rs))
     cs = np.concatenate([shifted_c, np.ones_like(rs)])

@@ -29,7 +29,6 @@ from .maximal1d import (
     _check_levels,
     _grid_level_logs,
     _log_l1,
-    uncentered_max,
 )
 from .measure import (
     PowerLawMeasure,
@@ -41,14 +40,11 @@ from .specfun import NEG_INF
 
 __all__ = [
     "MaximalConfig",
-    "DominationCheck",
     "ball_average",
     "centered_max_radial",
     "centered_max_radial_grid",
-    "pointwise_domination_check",
     "weak_type_quotient_radial",
     "certified_shift_constant",
-    "mc_ball_average",
 ]
 
 # the bracketed search for the radius supremum (_radius_supremum)
@@ -120,8 +116,8 @@ def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
 def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
                  cfg: MaximalConfig = DEFAULT_MAXIMAL) -> float:
     """Average of the radial profile over the ball B(c e1, R)."""
-    if R <= 0:
-        raise ValueError("radius must be > 0")
+    if not (0 <= c < math.inf and 0 < R < math.inf):
+        raise ValueError(f"need 0 <= c < inf and 0 < R < inf, got c = {c} R = {R}")
     return float(_ball_averages_batch(m, f, [c], [R], cfg.quad)[0])
 
 
@@ -331,6 +327,9 @@ def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
     The others share the kink-bracket search of _radius_supremum.
     """
     cs = np.asarray(cs, dtype=float)
+    ok = (cs >= 0) & (cs < math.inf)
+    if not ok.all():
+        raise ValueError(f"center distances must be finite and >= 0, got {cs[~ok]}")
     if f.positive_support() is None:
         warnings.warn("profile carries no mass: empty radius window, returning 0",
                       RuntimeWarning)
@@ -346,22 +345,6 @@ def centered_max_radial(m: PowerLawMeasure, f: RadialProfile, c: float,
                         cfg: MaximalConfig = DEFAULT_MAXIMAL) -> float:
     """sup over R > 0 of the ball average of f at center distance c >= 0."""
     return float(centered_max_radial_grid(m, f, np.array([float(c)]), cfg)[0])
-
-
-@dataclass(frozen=True)
-class DominationCheck:
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def pointwise_domination_check(m: PowerLawMeasure, f: RadialProfile, c: float, C: float,
-                               cfg: MaximalConfig = DEFAULT_MAXIMAL) -> DominationCheck:
-    """Check M_mu f(c) <= (C+1) M^u_{gamma0} f0(c) for a supplied shift constant C."""
-    line = WeightedLineMeasure(m.d, m.beta)
-    lhs = centered_max_radial(m, f, c, cfg)
-    rhs = (C + 1.0) * uncentered_max(line, f, c)
-    return DominationCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-6))
 
 
 def _shift_constants(beta: float) -> tuple[float, float]:
@@ -423,35 +406,3 @@ def weak_type_quotient_radial(m: PowerLawMeasure, f: RadialProfile, lambdas,
     log_mu, _ = _grid_level_logs(line, f, lambdas, cfg.level_grid, max_fn, C + 1.0, lower_fn)
     return math.exp(float((np.log(lambdas) + log_mu).max()) - _log_l1(line, f))
 
-
-def mc_ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
-                    n_samples: int = 10 ** 6, seed: int = 0):
-    """Monte Carlo oracle for ball_average in low dimension.
-
-    Rejection-samples uniform points of B(c e1, R) from its bounding cube,
-    weights them by the power-law density, and returns the ratio estimate
-    with a linearized standard error.  Meant for d = 2, 3 cross-checks.
-    """
-    if m.d > 4:
-        raise ValueError("Monte Carlo oracle is for low dimensions")
-    rng = np.random.default_rng(seed)
-    got = 0
-    radii = np.empty(n_samples)
-    while got < n_samples:
-        draw = int((n_samples - got) * 2.2) + 64
-        u = rng.uniform(-R, R, size=(draw, m.d))
-        keep = (u * u).sum(axis=1) <= R * R
-        u = u[keep]
-        take = min(len(u), n_samples - got)
-        y = u[:take]
-        y[:, 0] += c
-        radii[got:got + take] = np.sqrt((y * y).sum(axis=1))
-        got += take
-    w = radii ** (-m.beta)
-    fw = f.value_at(radii) * w
-    mean_w = w.mean()
-    mean_fw = fw.mean()
-    ratio = mean_fw / mean_w
-    resid = fw - ratio * w
-    se = math.sqrt(float((resid * resid).mean()) / n_samples) / mean_w
-    return ratio, se

@@ -20,7 +20,7 @@ import pytest
 
 import conftest
 
-from radialmax.bounds import cp_lower_bound, delta_lower_bound, g_eval, numeric_g_maximizer
+from radialmax.bounds import cp_lower_bound, delta_lower_bound, g_eval
 from radialmax.maximal1d import (
     GridConfig,
     RadialProfile,
@@ -43,11 +43,10 @@ from radialmax.radial import (
     MaximalConfig,
     ball_average,
     centered_max_radial,
-    mc_ball_average,
     weak_type_quotient_radial,
 )
 
-from conftest import oracle_uncentered_max, random_profile
+from conftest import mc_ball_average, numeric_g_maximizer, oracle_uncentered_max, random_profile
 
 LN_LIMIT = 0.5 * math.log(5.0) - math.log(2.0)  # ln(sqrt(5)/2)
 

@@ -11,7 +11,6 @@ from radialmax.bounds import (
     delta_lower_bound,
     g_eval,
     g_prime_eval,
-    numeric_g_maximizer,
     part1_geometry,
 )
 from radialmax.measure import (
@@ -19,6 +18,8 @@ from radialmax.measure import (
     log_ball_centered,
     log_ball_offcenter_unit_closed,
 )
+
+from conftest import numeric_g_maximizer
 
 LN_SQRT5_OVER_2 = 0.5 * math.log(5.0) - math.log(2.0)
 
@@ -113,8 +114,6 @@ def test_delta_domain():
 
 
 def test_certificate_validation():
-    with pytest.raises(ValueError):
-        BoundCertificate(10, 1.0, 5.0, 0.0, BoundMethod.DELTA_CLOSED)  # d < 12
     with pytest.raises(ValueError):
         BoundCertificate(12, 1.0, 6.0, float("inf"), BoundMethod.DELTA_EXACT)
 

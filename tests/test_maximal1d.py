@@ -36,6 +36,9 @@ def test_gamma0_interval_examples():
     assert gamma0_interval(LEB, 0.7, 0.7) == 0.0
     with pytest.raises(ValueError):
         gamma0_interval(LEB, 1.0, 0.5)
+    for a, b in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            gamma0_interval(LEB, a, b)
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
@@ -101,6 +104,14 @@ def test_indicator_on_lebesgue_halfline():
     got = uncentered_max_grid(LEB, CHI01, xs)
     assert np.abs(got - np.minimum(1.0, 1.0 / xs)).max() < 1e-14
     assert uncentered_max(LEB, CHI01, 2.0) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("x", [0.0, math.nan, math.inf])
+def test_uncentered_max_rejects_points_outside_the_half_line(x):
+    with pytest.raises(ValueError):
+        uncentered_max(WeightedLineMeasure(3, 1.0), CHI01, x)
+    with pytest.raises(ValueError):
+        uncentered_max_grid(WeightedLineMeasure(3, 1.0), CHI01, [1.0, x])
 
 
 def test_lower_bounded_by_left_average(rng):
@@ -188,6 +199,11 @@ def test_level_set_domain():
         level_sets(LEB, CHI01, [0.0])
     with pytest.raises(ValueError):
         level_sets(LEB, CHI01, [])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            level_sets(LEB, CHI01, [0.5, bad])
+        with pytest.raises(ValueError):
+            weak_type_quotient_1d(LEB, CHI01, [0.5, bad])
     with pytest.raises(ValueError):
         weak_type_quotient_1d(LEB, RadialProfile((0.0, 1.0), (0.0,)), [1.0])
 

@@ -16,12 +16,13 @@ from radialmax.measure import (
     log_ball_offcenter_shell,
     log_ball_offcenter_unit_closed,
     log_intersection_with_centered,
-    log_unit_ball_volume,
     shift_condition_ratio,
     shift_condition_ratios,
 )
 from radialmax import measure, quadrature
 from radialmax.specfun import log_gamma, log_sphere_area
+
+from conftest import log_unit_ball_volume
 
 TIGHT = QuadratureConfig(tol=1e-11)
 
@@ -54,6 +55,9 @@ def test_ball_spec_validation():
         BallSpec(-0.1, 1.0)
     with pytest.raises(ValueError):
         BallSpec(1.0, 0.0)
+    for c, R in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            BallSpec(c, R)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +85,9 @@ def test_centered_homogeneity_exact(d, beta):
 
 
 def test_centered_domain():
-    with pytest.raises(ValueError):
-        log_ball_centered(PowerLawMeasure(3, 1.0), 0.0)
+    for rho in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            log_ball_centered(PowerLawMeasure(3, 1.0), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +268,12 @@ def test_intersection_containment_and_disjoint():
     full = log_ball_offcenter(m, b).log
     assert log_intersection_with_centered(m, b, 2.0).log == pytest.approx(full, abs=1e-10)
     assert log_intersection_with_centered(m, b, 0.55).log == float("-inf")
+    # an inverted or NaN shell has no measure to return
+    for r_in, r_out in ((1.2, 0.8), (-1.0, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            log_ball_offcenter_shell(m, b, r_in, r_out)
+    with pytest.raises(ValueError):
+        log_intersection_with_centered(m, b, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +304,10 @@ def test_shift_ratio_domain():
         shift_condition_ratio(m, 0.0)
     with pytest.raises(ValueError):
         shift_condition_ratio(m, 1.5)
+    with pytest.raises(ValueError):
+        shift_condition_ratio(m, math.nan)
+    with pytest.raises(ValueError):
+        shift_condition_ratios(m, [0.5, math.nan])
 
 
 def test_shift_sup_small_case_within_certified_bound():

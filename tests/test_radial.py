@@ -28,12 +28,10 @@ from radialmax.radial import (
     centered_max_radial,
     centered_max_radial_grid,
     certified_shift_constant,
-    mc_ball_average,
-    pointwise_domination_check,
     weak_type_quotient_radial,
 )
 
-from conftest import profile_mass, random_profile
+from conftest import mc_ball_average, profile_mass, random_profile
 
 FAST = MaximalConfig(
     radii_per_decade=96,
@@ -102,6 +100,19 @@ def test_average_domain():
     m = PowerLawMeasure(3, 0.0)
     with pytest.raises(ValueError):
         ball_average(m, RadialProfile.indicator(1.0), 0.5, 0.0, FAST)
+    for c, R in ((-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (0.5, math.inf),
+                 (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            ball_average(m, RadialProfile.indicator(1.0), c, R, FAST)
+
+
+@pytest.mark.parametrize("c", [-1.0, math.nan, math.inf])
+def test_centered_max_rejects_distances_outside_the_half_line(c):
+    f = RadialProfile.indicator(1.0)
+    with pytest.raises(ValueError):
+        centered_max_radial(PowerLawMeasure(3, 1.0), f, c, FAST)
+    with pytest.raises(ValueError):
+        centered_max_radial_grid(PowerLawMeasure(3, 1.0), f, [0.5, c], FAST)
 
 
 def test_average_at_d1_names_its_inputs():
@@ -463,8 +474,9 @@ def test_domination_lebesgue_c_one(rng):
     for _ in range(4):
         f = random_profile(rng, max_pieces=4)
         c = float(rng.uniform(0.2, 2.0))
-        chk = pointwise_domination_check(m, f, c, C=1.0, cfg=FAST)
-        assert chk.ok, (chk, c)
+        lhs = centered_max_radial(m, f, c, FAST)
+        rhs = (1.0 + 1.0) * uncentered_max(WeightedLineMeasure(3, 0.0), f, c)
+        assert lhs <= rhs * (1.0 + 1e-6), (lhs, rhs, c)
 
 
 def test_domination_power_law(rng):
@@ -474,8 +486,10 @@ def test_domination_power_law(rng):
         m = PowerLawMeasure(d, alpha)
         f = random_profile(rng, max_pieces=5)
         c = float(rng.uniform(0.1, 2.5))
-        chk = pointwise_domination_check(m, f, c, certified_shift_constant(m), FAST)
-        assert chk.ok, (d, alpha, c, chk)
+        lhs = centered_max_radial(m, f, c, FAST)
+        rhs = (certified_shift_constant(m) + 1.0) * uncentered_max(
+            WeightedLineMeasure(d, alpha), f, c)
+        assert lhs <= rhs * (1.0 + 1e-6), (d, alpha, c, lhs, rhs)
 
 
 def test_domination_far_support_zero():
@@ -590,6 +604,9 @@ def test_weak_type_radial_empty_lambda():
     m = PowerLawMeasure(3, 0.0)
     with pytest.raises(ValueError):
         weak_type_quotient_radial(m, RadialProfile.indicator(1.0), [], FAST)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            weak_type_quotient_radial(m, RadialProfile.indicator(1.0), [0.5, bad], FAST)
 
 
 # ---------------------------------------------------------------------------
