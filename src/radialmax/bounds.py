@@ -149,8 +149,8 @@ def g_eval(alpha: float, t: float) -> float:
     Equals 4 F_R(sqrt(t)) where F_R(s) = (s sin(beta_s))^2 s^(-2 alpha) is
     the squared slice amplitude of the ball B(e1, R) at slice radius s.
     """
-    if t <= 0:
-        raise ValueError("g is defined for t > 0")
+    if not (math.isfinite(alpha) and 0 < t < math.inf):
+        raise ValueError(f"g needs finite alpha and t > 0, got alpha = {alpha!r} t = {t!r}")
     a = alpha
     bracket = -16.0 * (a - 1.0) ** 4 + (-4.0 + 16.0 * a - 8.0 * a * a) * t - t * t
     return bracket * t ** (-a)
@@ -158,8 +158,8 @@ def g_eval(alpha: float, t: float) -> float:
 
 def g_prime_eval(alpha: float, t: float) -> float:
     """Derivative of the spike profile; zeros match its numerator's roots."""
-    if t <= 0:
-        raise ValueError("g' is defined for t > 0")
+    if not (math.isfinite(alpha) and 0 < t < math.inf):
+        raise ValueError(f"g' needs finite alpha and t > 0, got alpha = {alpha!r} t = {t!r}")
     a = alpha
     num = (
         16.0 * (a - 1.0) ** 4 * a

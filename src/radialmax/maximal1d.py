@@ -2,9 +2,9 @@
 
 The measure is d(gamma0) = t^{d-1-beta} dt, the radial trace of a power-law
 measure on R^d, with gamma0(0, t) = G(t) = t^p/p, p = d - beta.  Every
-interval measure comes from one log-space primitive
-(specfun._log_power_interval), so averages are differences of logs and
-nothing overflows at d in the hundreds.
+interval measure comes from the ball measures' log-space primitives in
+specfun (_log_power_interval, _log_ratio, _log_piece_table), so averages
+are differences of logs and nothing overflows at d in the hundreds.
 
 Drag argument.  Moving an endpoint of an interval across a constancy piece
 of value v drags the running average monotonically toward v (and freezes
@@ -27,12 +27,13 @@ it on contact).  Two exact reductions follow on step profiles:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import NEG_INF, _log_power_interval
+from .specfun import NEG_INF, _log_piece_table, _log_power_interval, _log_ratio
 
 __all__ = [
     "WeightedLineMeasure",
@@ -152,12 +153,17 @@ class RadialProfile:
         return RadialProfile(self.breakpoints, tuple(factor * v for v in self.values))
 
 
+@functools.lru_cache(maxsize=64)
 def _log_pieces(m: WeightedLineMeasure, f: RadialProfile):
-    """(ln t_k for k = 0..n, ln g_k = ln gamma0(t_{k-1}, t_k) for k = 1..n, ln v_k)."""
+    """(ln t_k, k = 0..n; ln g_k = ln gamma0(t_{k-1}, t_k), ln v_k, k = 1..n), read-only."""
+    bp = np.asarray(f.breakpoints)
     with np.errstate(divide="ignore"):
-        lt = np.log(np.asarray(f.breakpoints))
+        lt = np.log(bp)
         lv = np.log(np.asarray(f.values))
-    return lt, _log_power_interval(m.power, lt[1:], lt[:-1] - lt[1:]), lv
+    lg = _log_power_interval(m.power, lt[1:], _log_ratio(bp[:-1], bp[1:], lt[1:], np.diff(bp)))
+    for x in (lt, lg, lv):
+        x.flags.writeable = False
+    return lt, lg, lv
 
 
 def _log_l1(m: WeightedLineMeasure, f: RadialProfile) -> float:
@@ -180,9 +186,9 @@ def gamma0_interval(m: WeightedLineMeasure, a: float, b: float) -> float:
     """gamma0(a, b) = (b^p - a^p)/p with p = d - beta; 0 when a == b."""
     if not 0 <= a <= b < math.inf:
         raise ValueError(f"need 0 <= a <= b < inf, got a = {a} b = {b}")
-    with np.errstate(divide="ignore"):
-        la, lb = np.log(a), np.log(b)
-    return _linear(float(_log_power_interval(m.power, lb, la - lb)), m, f"gamma0({a}, {b})")
+    lb = math.log(b) if b > 0 else NEG_INF
+    return _linear(float(_log_power_interval(m.power, lb, _log_ratio(a, b, lb, b - a))), m,
+                   f"gamma0({a}, {b})")
 
 
 def profile_l1_norm(m: WeightedLineMeasure, f: RadialProfile) -> float:
@@ -215,11 +221,8 @@ def _log_uncentered_max_grid(m: WeightedLineMeasure, f: RadialProfile, xs) -> np
     p = m.power
     lt, lg, lv = _log_pieces(m, f)
     n = len(lg)
-    k = np.arange(1, n + 1)
     i = np.arange(n + 1)
-    # table[i, j] = ln of the mass on (t_i, t_j], pieces i < k <= j
-    table = np.logaddexp.reduce(
-        np.where((i[:, None, None] < k) & (k <= i[None, :, None]), lv + lg, NEG_INF), axis=2)
+    table = _log_piece_table(p, f.breakpoints, tuple(lv))
     # x lies in piece q = (t_{q-1}, t_q], with t_{-1} = 0, t_{n+1} = inf and
     # f = 0 on pieces 0 and n + 1
     q = np.searchsorted(f.breakpoints, xs, side="right")

@@ -11,14 +11,14 @@ since the quantities overflow doubles once d reaches the low hundreds.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, log_integrate_batch
-from .specfun import NEG_INF, LogValue, _log_power_interval, log_beta, log_sphere_area
+from .specfun import (NEG_INF, LogValue, _log_piece_table, _log_power_interval, _log_ratio,
+                      log_beta, log_sphere_area)
 
 __all__ = [
     "PowerLawMeasure",
@@ -114,29 +114,6 @@ def _crossing_angles(c, R, r, tangent: bool):
     return np.where((q_minus > 0) & (q_plus > 0), x, 0.0)
 
 
-@functools.lru_cache(maxsize=64)
-def _whole_piece_table(p: float, bp: tuple, log_v: tuple):
-    """table[i, j] = ln of the mass of the whole pieces i < k < j, of
-    gamma0-mass times value exp(log_v[k - 1]) for the piece (t_{k-1}, t_k]
-    of the breakpoints bp, k = 1..K; pieces 0 (below t_0) and K + 1 (past
-    t_K) are zero.  A piece thinner than half its outer radius takes ln(a/b)
-    from the exact gap b - a (Sterbenz), a wider one from ln a - ln b, where
-    b - a would round a away.  Cached per profile, read-only, since a
-    radius search asks for it in every round.
-    """
-    bp, log_v = np.array(bp), np.array(log_v)
-    a, b = bp[:-1], bp[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.where(a > 0.5 * b, np.log1p((a - b) / b), np.log(a) - np.log(b))
-        w = log_v + _log_power_interval(p, np.log(b), log_ratio)
-    table = np.full((len(bp) + 1, len(bp) + 1), NEG_INF)
-    for j in range(2, len(bp) + 1):
-        # piece j - 1 joins every run that starts below it
-        table[:j - 1, j] = np.logaddexp(table[:j - 1, j - 1], w[j - 2])
-    table.flags.writeable = False
-    return table
-
-
 def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, parts: int):
     """Log ray integrand of the f-mass of B(c e1, R), batched over balls.
 
@@ -160,10 +137,11 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
     [0, pi] and t- = 0.  Otherwise it is phi in [0, pi/2] with
     c sin(theta) = R sin(phi): the chord is exactly 2R cos(phi), with no
     square-root endpoint at the tangent ray, and the jacobian is
-    (R/c) cos(phi)/cos(theta).  Each clipped gap is formed from the
-    distances d+ = c + R - t+ and d- = t- - (c - R) (d- = t- = 0 around the
-    origin) and the exact per-ball distances c + R - t_k and t_k - (c - R),
-    so tiny balls and thin pieces keep their digits.
+    (R/c) cos(phi)/cos(theta).  The chord and its clipped ends take ln(a/b)
+    from specfun._log_ratio: the chord's gap is 2R cos(phi) (t+ around the
+    origin), and each clipped gap is formed from the distances
+    d+ = c + R - t+ and d- = t- - (c - R) (d- = t- = 0 around the origin)
+    and the exact per-ball distances c + R - t_k and t_k - (c - R).
     """
     lw = log_sphere_area(m.d - 1)
     p = m.homogeneity
@@ -177,7 +155,7 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
     n = len(t_cross)
     log_v = np.asarray(log_v, dtype=float)
     lv = np.concatenate([[NEG_INF], log_v, [NEG_INF]])  # ln v_k on pieces 0..K + 1
-    table = _whole_piece_table(p, tuple(bp), tuple(log_v)) if n else None
+    table = _log_piece_table(p, tuple(bp), tuple(log_v)) if n else None
     S, eS = _two_sum(C, RR)
     D, eD = _two_sum(C, -RR)
     FAR = (S[:, None] - t_cross) + eS[:, None]
@@ -187,8 +165,8 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
         # ln t^(p-1); p = 1 gives 1 even at t = 0
         return (p - 1.0) * log_t if p != 1.0 else np.zeros_like(log_t)
 
-    def log_cut(log_b, b, gap):
-        return _log_power_interval(p, log_b, np.log1p(-np.minimum(gap, b) / b))
+    def log_cut(a, b, log_b, gap):
+        return _log_power_interval(p, log_b, _log_ratio(a, b, log_b, gap))
 
     def log_f(seg, x):
         c, R = C[seg], RR[seg]
@@ -212,7 +190,7 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
                 chord = t_plus
                 log_w = (d - 2) * np.log(sx)
             log_tp = np.log(t_plus)
-            whole = log_cut(log_tp, t_plus, chord)
+            whole = log_cut(t_minus if tangent else 0.0, t_plus, log_tp, chord)
             # t- lies in [t_{q-1}, t_q) and t+ in (t_{q-1}, t_q] for q = lo, hi,
             # both decided by the exact distances, as the gaps are
             hi = sum((FAR[seg, j] > d_plus for j in range(n)), o)
@@ -226,12 +204,11 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
                 r = hi.ravel()[cut]
                 # around the origin t- = 0, and every piece below t+'s is whole
                 q = lo.ravel()[cut] if tangent else 0
-                terms = [table[q, r],
-                         lv[r] + log_cut(log_tp.ravel()[cut], t_plus.ravel()[cut],
+                terms = [table[q, r - 1],
+                         lv[r] + log_cut(bp[r - 1], t_plus.ravel()[cut], log_tp.ravel()[cut],
                                          FAR.ravel()[s + r - 1] - d_plus.ravel()[cut])]
                 if tangent:
-                    b = bp[q]
-                    terms.append(lv[q] + log_cut(np.log(b), b,
+                    terms.append(lv[q] + log_cut(t_minus.ravel()[cut], bp[q], np.log(bp[q]),
                                                  NEAR.ravel()[s + q] - d_minus.ravel()[cut]))
                 top = np.maximum.reduce(terms)
                 top = np.where(top > NEG_INF, top, 0.0)
@@ -365,15 +342,13 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
             out[idx], _ = log_integrate_batch(log_f, at, lo, hi, idx.size, quad, **riders)
         except QuadratureError as exc:
             i = idx[exc.segment]
-            err = QuadratureError(
+            raise QuadratureError(
                 # no commas: the CLI writes this message into a CSV cell
                 f"shell measure did not reach tol {quad.tol:g} for the ball d={m.d} "
                 f"beta={m.beta!r} c={float(cs[i])!r} R={float(Rs[i])!r} "
                 f"r_in={float(bp[0])!r} r_out={float(bp[-1])!r}",
-                exc.achieved,
-            )
-            err.segment = int(i)
-            raise err from exc
+                exc.achieved, segment=int(i),
+            ) from exc
     return out[:, 0] if parts == 1 else out
 
 

@@ -62,11 +62,10 @@ class QuadratureError(RuntimeError):
     segment is the index of the integral that failed, when known.
     """
 
-    segment = None
-
-    def __init__(self, message: str, achieved: float):
+    def __init__(self, message: str, achieved: float, segment=None):
         super().__init__(f"{message} (achieved relative error estimate {achieved:.3e})")
         self.achieved = achieved
+        self.segment = segment
 
 
 # Gauss-Kronrod 10/21 on [-1, 1] (QUADPACK qk21): the 11 non-negative
@@ -204,10 +203,8 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
                 rel = np.where(judged_total != NEG_INF, np.exp(seg_err - judged_total), 0.0)
             rel = rel.max(axis=1)
             over = int(rel.argmax())
-            err = QuadratureError("quadrature did not converge within the round budget",
-                                  float(rel[over]))
-            err.segment = int(active[over])
-            raise err
+            raise QuadratureError("quadrature did not converge within the round budget",
+                                  float(rel[over]), segment=int(active[over]))
 
         # split every panel within a factor 16 of its integral's worst panel
         # in a component that has not converged
@@ -219,9 +216,7 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
             over = int(counts.argmax())
             ach = float(np.exp(seg_err[over] - judged_total[over]).max())
             msg = f"quadrature panel budget {cfg.max_panels} exceeded on segment {active[over]}"
-            err = QuadratureError(msg, ach)
-            err.segment = int(active[over])
-            raise err
+            raise QuadratureError(msg, ach, segment=int(active[over]))
 
         mid = 0.5 * (p_lo[split] + p_hi[split])
         c_at = np.concatenate([p_at[split], p_at[split]])

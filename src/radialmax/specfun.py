@@ -8,6 +8,7 @@ a few hundred.  The primitives here therefore return natural logs, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,8 +39,8 @@ _lgamma = np.vectorize(math.lgamma, otypes=[float])
 def log_gamma(x):
     """Natural log of the Gamma function for x > 0 (scalar or ndarray)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("log_gamma requires x > 0")
+    if not np.all(x > 0):
+        raise ValueError(f"log_gamma requires x > 0, got x = {x[~(x > 0)].flat[0]}")
     out = _lgamma(x)
     return float(out) if out.ndim == 0 else out
 
@@ -56,10 +57,23 @@ def stirling_bounds(x: float) -> tuple[float, float]:
         lower = ln[sqrt(2 pi) x^{x+1/2} e^{-x}],   upper = lower + 1/(12 x),
     so lower <= ln Gamma(x+1) <= upper always, with gap exactly 1/(12 x).
     """
-    if x <= 0:
-        raise ValueError("stirling_bounds requires x > 0")
+    if not 0 < x < math.inf:
+        raise ValueError(f"stirling_bounds requires finite x > 0, got x = {x!r}")
     lower = 0.5 * LOG_2PI + (x + 0.5) * math.log(x) - x
     return lower, lower + 1.0 / (12.0 * x)
+
+
+def _log_ratio(a, b, log_b, gap):
+    """ln(a/b) for 0 <= a <= b from ln b and the gap b - a formed exactly (by
+    Sterbenz where a >= b/2, or from a caller's two-term distances).  A thin
+    interval, gap < b/2, takes log1p(-gap/b), so that b - a never cancels;
+    a wide one takes ln a - ln b, where gap/b would round a away."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.divide(gap, b)
+        wide = np.log(a) - log_b
+        thin = x < 0.5
+        # clamped, a wide entry's unused log1p takes no slow path
+        return np.where(thin, np.log1p(-np.minimum(x, 0.5)), wide) if thin.any() else wide
 
 
 def _log_power_interval(p: float, log_b, log_ratio):
@@ -67,13 +81,26 @@ def _log_power_interval(p: float, log_b, log_ratio):
 
     The one power-interval primitive of the ball measures and the 1D
     operator; -inf where the interval is empty (log_ratio is 0 or NaN).
-    Callers pick the form of ln(a/b) that keeps their digits: log1p(-gap/b)
-    from the gap b - a for thin intervals, so that b - a never cancels,
-    and ln a - ln b for wide ones, where b - a would round a away.
+    Intervals with both ends at hand take log_ratio from _log_ratio; the
+    1D level sets, which carry only ln a and ln b, pass ln a - ln b.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = p * log_b + np.log(-np.expm1(p * log_ratio)) - math.log(p)
     return np.where(log_ratio < 0, out, NEG_INF)
+
+
+@functools.lru_cache(maxsize=64)
+def _log_piece_table(p: float, bp: tuple, log_v: tuple):
+    """T[i, j] = ln of the mass of the pieces i < k <= j (-inf for j <= i), piece k = 1..K
+    being (t_{k-1}, t_k] of bp, of mass exp(log_v[k - 1]) (t_k^p - t_{k-1}^p)/p; read-only."""
+    a, b = np.array(bp[:-1]), np.array(bp[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = log_v + _log_power_interval(p, np.log(b), _log_ratio(a, b, np.log(b), b - a))
+        k = np.arange(len(bp))
+        table = np.logaddexp.accumulate(
+            np.where(k[:, None] < k, np.append(NEG_INF, w), NEG_INF), axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def log_sphere_area(d: int) -> float:

@@ -49,6 +49,21 @@ def test_line_measure_rejects_non_finite_beta(beta):
     assert str(exc.value) == f"beta must be finite, got beta = {beta} at d = 4"
 
 
+@pytest.mark.parametrize("d,beta", [(1, 0.0), (3, 0.0), (12, 11.5)])
+def test_thin_intervals_keep_their_digits_vs_mpmath(d, beta):
+    mp = pytest.importorskip("mpmath").mp
+    m = WeightedLineMeasure(d, beta)
+    p = m.power
+    with mp.workdps(50):
+        for b in (0.7, 2.5, 37.0):
+            for k in (4, 8, 11):
+                a = b * (1.0 - 10.0 ** -k)
+                ref = (mp.mpf(b) ** p - mp.mpf(a) ** p) / p
+                for got in (gamma0_interval(m, a, b),
+                            profile_l1_norm(m, RadialProfile((a, b), (1.0,)))):
+                    assert abs(got / ref - 1) <= 1e-13, (b, k)
+
+
 def test_gamma0_positive_and_matches_quadrature(rng):
     for _ in range(20):
         m = random_line_measure(rng, d_max=20)

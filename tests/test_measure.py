@@ -10,6 +10,7 @@ from radialmax.measure import (
     PowerLawMeasure,
     QuadratureConfig,
     QuadratureError,
+    _batched_shell_logs,
     _crossing_angles,
     log_ball_centered,
     log_ball_offcenter,
@@ -329,6 +330,7 @@ def test_quadrature_budget_error_carries_estimate():
     with pytest.raises(QuadratureError) as exc:
         log_ball_offcenter(m, BallSpec(1.0, 1.0), starved)
     assert exc.value.achieved > 0
+    assert exc.value.segment == 0   # the one ball, passed through the constructor
     # the message names the failing ball, not an internal segment index
     msg = str(exc.value)
     for part in ("d=40", "beta=10.0", "c=1.0", "R=1.0", "r_in=0.0", "r_out=inf"):
@@ -565,6 +567,55 @@ def test_quadrature_error_names_ball_within_batch():
     msg = str(exc.value)
     assert f"c={float(cs[i])!r} R={float(np.tile(rs, 2)[i])!r}" in msg
     assert "d=12" in msg and "r_out=inf" in msg
+
+
+# ---------------------------------------------------------------------------
+# the near-critical edge: p = d - beta small, ball edges near the origin
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3, 400])
+@pytest.mark.parametrize("beta_of_d", ["-5", "0", "d/2", "d-1e-6"])
+def test_unit_radius_probe_grid_is_finite_or_typed(d, beta_of_d):
+    beta = {"-5": -5.0, "0": 0.0, "d/2": d / 2, "d-1e-6": d - 1e-6}[beta_of_d]
+    m = PowerLawMeasure(d, beta)
+    for c in (1e-12, 1.0, 1e12):
+        for shell in ((0.0, math.inf), (0.0, 1.0), (1e-12, c + 1.0)):
+            if d == 1:
+                with pytest.raises(ValueError, match="d=1"):
+                    _batched_shell_logs(m, [c], [1.0], shell, [0.0], measure.DEFAULT_QUADRATURE)
+                continue
+            got = float(_batched_shell_logs(m, [c], [1.0], shell, [0.0],
+                                            measure.DEFAULT_QUADRATURE)[0])
+            if c == 1e12 and shell == (0.0, 1.0):
+                assert got == -math.inf     # B(1e12 e1, 1) misses B(0, 1)
+            else:
+                assert math.isfinite(got), (c, shell)
+
+
+SMALL_P = [(d, p) for d in (2, 3, 12, 400) for p in (1e-6, 1e-3, 0.1, 0.9)]
+
+
+@pytest.mark.parametrize("d,p", SMALL_P)
+def test_small_p_shells_split_at_any_radius_add_up(d, p):
+    # a sphere |y| = r through B(e1, 1), down to r = 1e-17
+    m = PowerLawMeasure(d, d - p)
+    closed = log_ball_offcenter_unit_closed(m).log
+    ball = BallSpec(1.0, 1.0)
+    for r in (1e-17, 1e-12, 1e-6, 0.3):
+        inner = log_ball_offcenter_shell(m, ball, 0.0, r, TIGHT).log
+        outer = log_ball_offcenter_shell(m, ball, r, 2.0, TIGHT).log
+        assert np.logaddexp(inner, outer) == pytest.approx(closed, abs=1e-8), r
+
+
+@pytest.mark.parametrize("d,p", SMALL_P)
+def test_small_p_ball_edge_near_origin(d, p):
+    # B(e1, 1 - eps) misses the origin by eps; it grows toward B(e1, 1)
+    m = PowerLawMeasure(d, d - p)
+    got = [log_ball_offcenter(m, BallSpec(1.0, 1.0 - eps), TIGHT).log
+           for eps in (1e-6, 1e-9, 1e-12, 1e-15)]
+    assert all(math.isfinite(g) for g in got)
+    assert got == sorted(got)
+    assert got[-1] <= log_ball_offcenter_unit_closed(m).log
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import gammaln as sp_gammaln
 
+from radialmax.bounds import g_eval, g_prime_eval
 from radialmax.quadrature import QuadratureConfig, log_integrate_batch
-from radialmax.specfun import log_gamma, log_sphere_area, stirling_bounds
+from radialmax.specfun import (
+    _log_power_interval,
+    _log_ratio,
+    log_gamma,
+    log_sphere_area,
+    stirling_bounds,
+)
 
 from conftest import simpson
 
@@ -89,6 +96,65 @@ def test_stirling_matches_fixed_sixth_factor():
 def test_stirling_domain():
     with pytest.raises(ValueError):
         stirling_bounds(0.0)
+
+
+@pytest.mark.parametrize("fn, args, named", [
+    (log_gamma, (math.nan,), "x = nan"),
+    (log_gamma, (np.array([1.0, math.nan]),), "x = nan"),
+    (stirling_bounds, (math.nan,), "x = nan"),
+    (stirling_bounds, (math.inf,), "x = inf"),
+    (g_eval, (0.7, math.nan), "t = nan"),
+    (g_eval, (0.7, math.inf), "t = inf"),
+    (g_eval, (math.nan, 1.0), "alpha = nan"),
+    (g_eval, (math.inf, 1.0), "alpha = inf"),
+    (g_prime_eval, (0.7, math.nan), "t = nan"),
+    (g_prime_eval, (math.nan, 1.0), "alpha = nan"),
+])
+def test_non_finite_inputs_raise_naming_the_input(fn, args, named):
+    # a NaN passes an "x <= 0" guard; each of these used to return NaN
+    with pytest.raises(ValueError, match=named):
+        fn(*args)
+
+
+# ---------------------------------------------------------------------------
+# the power-interval primitive and its digits rule
+# ---------------------------------------------------------------------------
+
+def _ratio_cases():
+    for b in (0.7, 37.0):
+        for k in (4, 8, 11):
+            yield b * (1.0 - 10.0 ** -k), b    # thin: gap = b - a is exact
+        for k in (1, 8, 300):
+            yield b * 10.0 ** -k, b            # wide
+        yield 0.0, b
+        yield b, b
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.1, 1.0, 400.0])
+def test_log_ratio_and_power_interval_vs_mpmath(p):
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        for a, b in _ratio_cases():
+            lr = _log_ratio(a, b, math.log(b), b - a)
+            got = float(_log_power_interval(p, math.log(b), lr))
+            if a == b:
+                assert lr == 0.0 and got == -math.inf
+                continue
+            ma, mb = mp.mpf(a), mp.mpf(b)
+            if a == 0.0:
+                assert lr == -math.inf
+            else:
+                ref = mp.log(ma / mb)
+                assert abs(lr - ref) <= 1e-15 * abs(ref), (a, b)
+            ref = mp.log((mb ** p - ma ** p) / p)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (p, a, b)
+
+
+def test_log_ratio_mixed_batch_matches_each_entry():
+    cases = list(_ratio_cases())
+    a, b = np.array(cases).T
+    batch = _log_ratio(a, b, np.log(b), b - a)
+    assert batch.tolist() == [float(_log_ratio(x, y, math.log(y), y - x)) for x, y in cases]
 
 
 # ---------------------------------------------------------------------------
