@@ -388,11 +388,11 @@ def level_sets(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> list[LevelS
             for lam, a, b in zip(lambdas, log_mu, log_sup)]
 
 
-def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: GridConfig,
+def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, log_lambdas, grid: GridConfig,
                      max_fn, window_scale: float, lower_fn=None):
-    """(ln gamma0{M > lam}, ln gamma0-width of its unresolved brackets) per level.
+    """(ln gamma0{M > lam}, ln gamma0-width of its unresolved brackets) per ln lam.
 
-    For any vectorized c -> M(c) with M <= window_scale * M^u f (radial's
+    For any vectorized c -> ln M(c) with M <= window_scale * M^u f (radial's
     centered operator, with C + 1): M on one grid shared by all levels up to
     the window T, gamma0(t_n, T) = window_scale ||f||_1 / min lam, then a
     lockstep ITP search (Oliveira & Takahashi 2021) of every crossing: each
@@ -402,18 +402,18 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: Gr
     few rounds and a step function takes at most _ITP_N0 more than
     bisection.  Measures come from ln a - ln b of bracket midpoints.
 
-    lower_fn, a vectorized c -> lower bound of M(c), settles a grid point
+    lower_fn, a vectorized c -> lower bound of ln M(c), settles a grid point
     whose bound exceeds the top level: it lies in every level set.  max_fn
     then runs only on the unsettled points and their settled neighbours,
     the only points that can end a bracket, so the search reads the same
     values as without the bound.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
+    log_lambdas = np.asarray(log_lambdas, dtype=float)
     p = m.power
     t_n = f.breakpoints[-1]
     log_T = (np.logaddexp(p * math.log(t_n), math.log(p * window_scale) + _log_l1(m, f)
-                          - math.log(lambdas.min())) / p + math.log1p(1e-12))
-    T = _linear(log_T, m, f"the level-set window for lambda = {lambdas.min():g}")
+                          - log_lambdas.min()) / p + math.log1p(1e-12))
+    T = _linear(log_T, m, f"the level-set window for ln lambda = {log_lambdas.min():g}")
     # geometric grid down to where the cumulative gamma0-mass is negligible
     # (t^p dies slowly for small p = d - beta, so the depth is mass-aware),
     # plus linear coverage of the profile's own scale
@@ -424,20 +424,20 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: Gr
     bp = np.asarray(f.breakpoints)
     xs = np.unique(np.concatenate([geo, lin, bp[(bp > 0) & (bp < T)]]))
     if lower_fn is None:
-        Mg = max_fn(xs)
+        lM = max_fn(xs)
     else:
         # a settled point reads +inf: above every level, and never a bracket end
-        settled = lower_fn(xs) > lambdas.max()
+        settled = lower_fn(xs) > log_lambdas.max()
         need = ~settled
         need[1:] |= ~settled[:-1]
         need[:-1] |= ~settled[1:]
-        Mg = np.full(len(xs), np.inf)
-        Mg[need] = max_fn(xs[need])
+        lM = np.full(len(xs), np.inf)
+        lM[need] = max_fn(xs[need])
 
     # edge k of a level's zero-padded mask is a crossing in (x_{k-1}, x_k);
     # row-major, each level's edges alternate entering and leaving, and a run
     # from the first grid point or to the last gets a zero-width bracket at 0 or T
-    above = np.pad(Mg[None, :] > lambdas[:, None], ((0, 0), (1, 1)))
+    above = np.pad(lM[None, :] > log_lambdas[:, None], ((0, 0), (1, 1)))
     edges = np.diff(above.astype(np.int8), axis=1)
     level, k = np.nonzero(edges)
     entering = edges[level, k] > 0
@@ -445,9 +445,8 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: Gr
     bh = np.where(k == 0, 0.0, np.concatenate([xs, xs[-1:]])[k])
     # g = ln M - ln lam at the bracket ends, from the grid values; the
     # zero-width brackets at 0 and T start (and stay) converged
-    log_lam = np.log(lambdas)[level]
+    log_lam = log_lambdas[level]
     with np.errstate(divide="ignore", invalid="ignore"):
-        lM = np.log(Mg)
         g_lo = np.concatenate([[np.nan], lM])[k] - log_lam
         g_hi = np.concatenate([lM, [np.nan]])[k] - log_lam
         w0 = np.log(bh) - np.log(bl)
@@ -477,10 +476,8 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: Gr
         r = np.maximum(_ITP_AIM * eps * 2.0 ** (n_max[active] - j) - 0.5 * w, 0.0)
         u = np.where(np.abs(trunc - mid) <= r, trunc, mid - sigma * r)
         t = np.exp(u)
-        M = max_fn(t)
-        up = M > lambdas[level[active]]
-        with np.errstate(divide="ignore"):
-            g = np.log(M) - log_lam[active]
+        g = max_fn(t) - log_lam[active]
+        up = g > 0
         # entering brackets have the above-level state on their hi side,
         # leaving ones on their lo side
         move_hi = np.where(entering[active], up, ~up)
@@ -494,9 +491,9 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas, grid: Gr
         lo, hi = np.log(bl), np.log(bh)
         runs = _log_power_interval(p, ends[1::2], ends[::2] - ends[1::2])
         widths = _log_power_interval(p, hi, lo - hi)
-    log_mu = np.full(len(lambdas), NEG_INF)
+    log_mu = np.full(len(log_lambdas), NEG_INF)
     np.logaddexp.at(log_mu, level[::2], runs)
-    log_width = np.full(len(lambdas), NEG_INF)
+    log_width = np.full(len(log_lambdas), NEG_INF)
     np.logaddexp.at(log_width, level, widths)
     return log_mu, log_width
 

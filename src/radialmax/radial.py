@@ -9,9 +9,11 @@ of points as a few batched quadrature runs.  Level sets in R^d are taken
 through the radial section: the angular factor cancels from the weak-type quotient, and
 maximal1d._grid_level_logs samples this module's maximal function on a
 bracketing grid and closes its crossings with a safeguarded secant in
-ln t, with every measure in logs.  The average over B(t e1, t + t_n),
-which holds all of f, bounds M(t) from below and settles the grid points
-that lie above every level without a radius search.
+ln t.  From the ball average to the quotient every number is a log, so
+levels below the double range still count; linear values exist only at
+the public functions.  The average over B(t e1, t + t_n), which holds
+all of f, bounds M(t) from below and settles the grid points that lie
+above every level without a radius search.
 """
 
 from __future__ import annotations
@@ -91,12 +93,12 @@ def _positive_pieces(f: RadialProfile):
 
 def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
                          quad: QuadratureConfig, slopes: bool = False):
-    """Averages of f over B(c_i e1, R_i) for many balls, one quadrature pass each.
+    """ln of the averages of f over B(c_i e1, R_i), one quadrature pass each ball.
 
     The ball's measure and its f-mass are two components on shared nodes
     (measure._batched_shell_logs).  Node by node the f-mass is at most
-    max f times the measure, so the clamp to max f only guards rounding.
-    With slopes, returns (A, d ln A / d ln R): by co-area the derivatives
+    max f times the measure, so the clamp to ln max f only guards rounding.
+    With slopes, returns (ln A, d ln A / d ln R): by co-area the derivatives
     of the measure and the mass are the weighted area sigma(R) of the
     ball's sphere and f's mass on it, sigma S, which ride on the same
     nodes, and R (sigma S / F - sigma / mu) = (R sigma / mu)(S / A - 1).
@@ -105,12 +107,12 @@ def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
     with np.errstate(divide="ignore"):
         log_v = np.log(f.values)
     logs = _batched_shell_logs(m, cs, Rs, f.breakpoints, log_v, quad, parts=4 if slopes else 2)
-    avg = np.minimum(np.exp(logs[:, 1] - logs[:, 0]), max(f.values))
+    log_avg = np.minimum(logs[:, 1] - logs[:, 0], log_v.max())
     if not slopes:
-        return avg
+        return log_avg
     with np.errstate(invalid="ignore", over="ignore"):
         slope = np.asarray(Rs) * (np.exp(logs[:, 3] - logs[:, 1]) - np.exp(logs[:, 2] - logs[:, 0]))
-    return avg, np.where(logs[:, 1] == NEG_INF, np.inf, slope)
+    return log_avg, np.where(logs[:, 1] == NEG_INF, np.inf, slope)
 
 
 def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
@@ -118,7 +120,7 @@ def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
     """Average of the radial profile over the ball B(c e1, R)."""
     if not (0 <= c < math.inf and 0 < R < math.inf):
         raise ValueError(f"need 0 <= c < inf and 0 < R < inf, got c = {c} R = {R}")
-    return float(_ball_averages_batch(m, f, [c], [R], cfg.quad)[0])
+    return math.exp(_ball_averages_batch(m, f, [c], [R], cfg.quad)[0])
 
 
 def _rho(f: RadialProfile, c: float) -> float:
@@ -239,7 +241,7 @@ def _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old):
 
 
 def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureConfig):
-    """(sup_R A(c, R), ln-gap bound) per center distance c, off the top piece.
+    """(ln sup_R A(c, R), ln-gap bound) per center distance c, off the top piece.
 
     Between consecutive kink radii (_kink_radii) the average is smooth and
     A'(R) = sigma(R) / mu(B_R) (S(R) - A(R)), S the sphere average, so an
@@ -266,13 +268,13 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureC
     first = np.cumsum(sizes) - sizes
     pt = np.repeat(np.arange(len(cs)), sizes)
     R = np.concatenate(radii)
-    A, slope = _ball_averages_batch(m, f, cs[pt], R, quad, slopes=True)
+    y, slope = _ball_averages_batch(m, f, cs[pt], R, quad, slopes=True)
     with np.errstate(**_QUIET):
         rho = np.array([_rho(f, c) for c in cs])
-        slope[first[(R[first] == rho) & (A[first] > 0)]] = 0.0
-        best = np.array([_breakpoint_limit(f, c) for c in cs])
-        np.maximum.at(best, pt, A)
-        u, y = np.log(R), np.log(A)
+        slope[first[(R[first] == rho) & (y[first] > NEG_INF)]] = 0.0
+        best = np.log([_breakpoint_limit(f, c) for c in cs])
+        np.maximum.at(best, pt, y)
+        u = np.log(R)
         # brackets between consecutive radii of a point: (point, ua, ub, ya,
         # yb, sa, sb, and the end replaced last round, u_old and s_old)
         left = np.flatnonzero(np.arange(len(R)) + 1 < (first + sizes)[pt])
@@ -283,15 +285,14 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureC
     gain_tol = _GAIN_SHARE * quad.tol
     for _ in range(_SEARCH_ROUNDS):
         with np.errstate(**_QUIET):
-            open_ = _tangent_gain(*br[1:7]) - np.log(best[br[0]]) > gain_tol
+            open_ = _tangent_gain(*br[1:7]) - best[br[0]] > gain_tol
             if not open_.any():
                 break
             p, ua, ub, ya, yb, sa, sb, u_old, s_old = (v[open_] for v in br)
             ut = _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old)
-        At, st = _ball_averages_batch(m, f, cs[p], np.exp(ut), quad, slopes=True)
-        np.maximum.at(best, p, At)
+        yt, st = _ball_averages_batch(m, f, cs[p], np.exp(ut), quad, slopes=True)
+        np.maximum.at(best, p, yt)
         with np.errstate(**_QUIET):
-            yt = np.log(At)
             # keep the half that holds a maximum, the one with the higher end
             # if both do, or else the one next to the higher end
             in_lo, in_hi = _holds_max(ya, yt, sa, st), _holds_max(yt, yb, st, sb)
@@ -300,7 +301,7 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureC
               np.where(hi, yb, yt), np.where(hi, st, sa), np.where(hi, sb, st),
               np.where(hi, ua, ub), np.where(hi, sa, sb)]
     with np.errstate(**_QUIET):
-        gain = _tangent_gain(*br[1:7]) - np.log(best[br[0]])
+        gain = _tangent_gain(*br[1:7]) - best[br[0]]
     log_gap = np.zeros(len(cs))
     np.maximum.at(log_gap, br[0], gain)
     return best, log_gap
@@ -317,9 +318,9 @@ def _breakpoint_limit(f: RadialProfile, c: float) -> float:
     return 0.5 * (vals[i] + vals[i + 1])
 
 
-def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
-                             cfg: MaximalConfig = DEFAULT_MAXIMAL) -> np.ndarray:
-    """M_mu f at many center distances, sharing one batched radius search.
+def _log_centered_max_grid(m: PowerLawMeasure, f: RadialProfile, cs,
+                           cfg: MaximalConfig) -> np.ndarray:
+    """ln M_mu f at many center distances, sharing one batched radius search.
 
     Where every small ball around c lies in a piece of value max f (c
     strictly inside that piece, see _own_piece), M_mu f(c) = max f
@@ -333,12 +334,18 @@ def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
     if f.positive_support() is None:
         warnings.warn("profile carries no mass: empty radius window, returning 0",
                       RuntimeWarning)
-        return np.zeros(len(cs))
-    out = np.full(len(cs), max(f.values))
+        return np.full(len(cs), NEG_INF)
+    out = np.full(len(cs), np.log(max(f.values)))
     todo = ~_in_top_piece(f, cs)
     if todo.any():
         out[todo] = _radius_supremum(m, f, cs[todo], cfg.quad)[0]
     return out
+
+
+def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
+                             cfg: MaximalConfig = DEFAULT_MAXIMAL) -> np.ndarray:
+    """M_mu f at many center distances (see _log_centered_max_grid)."""
+    return np.exp(_log_centered_max_grid(m, f, cs, cfg))
 
 
 def centered_max_radial(m: PowerLawMeasure, f: RadialProfile, c: float,
@@ -385,11 +392,18 @@ def weak_type_quotient_radial(m: PowerLawMeasure, f: RadialProfile, lambdas,
     in ||f||_1; everything happens on the radial section, and the quotient
     is formed in logs, so it stays finite where gamma0 overflows a double.
     """
+    lambdas = _check_levels(WeightedLineMeasure(m.d, m.beta), f, lambdas)
+    return _weak_type_quotient_logs(m, f, np.log(lambdas), cfg)
+
+
+def _weak_type_quotient_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas,
+                             cfg: MaximalConfig) -> float:
+    """weak_type_quotient_radial on the levels' logs, which stay finite
+    where the levels themselves underflow a double."""
     line = WeightedLineMeasure(m.d, m.beta)
-    lambdas = _check_levels(line, f, lambdas)
     # bracketing window via the 1D control: M_mu f <= (C+1) M^u f0
     C = _window_shift_constant(m, cfg.quad)
-    max_fn = lambda ts: centered_max_radial_grid(m, f, ts, cfg)
+    max_fn = lambda ts: _log_centered_max_grid(m, f, ts, cfg)
     # B(t e1, t + t_n) holds all of f, and its radius is r_hi of the radius
     # search (_kink_radii), so M(t) is at least its average, which is the
     # search's own value there: averages do not depend on the batch, and
@@ -398,11 +412,12 @@ def weak_type_quotient_radial(m: PowerLawMeasure, f: RadialProfile, lambdas,
     t_n = f.positive_support()[1]
 
     def lower_fn(ts):
-        out = np.full(len(ts), max(f.values))
+        out = np.full(len(ts), np.log(max(f.values)))
         todo = ~_in_top_piece(f, ts)
         out[todo] = _ball_averages_batch(m, f, ts[todo], ts[todo] + t_n, cfg.quad)
         return out
 
-    log_mu, _ = _grid_level_logs(line, f, lambdas, cfg.level_grid, max_fn, C + 1.0, lower_fn)
-    return math.exp(float((np.log(lambdas) + log_mu).max()) - _log_l1(line, f))
+    log_mu, _ = _grid_level_logs(line, f, log_lambdas, cfg.level_grid, max_fn, C + 1.0,
+                                 lower_fn)
+    return math.exp(float((log_lambdas + log_mu).max()) - _log_l1(line, f))
 

@@ -266,25 +266,57 @@ def test_weaktype_bad_exponent_reports_and_continues(tmp_path):
     assert len(good) == 3 and all(r["error"] == "" and r["quotient"] for r in good)
 
 
-@pytest.mark.parametrize("d, alpha, good", [("200", "1", ["0.1"]), ("400", "0", [])])
-def test_weaktype_underflowing_level_loses_only_its_case(tmp_path, d, alpha, good):
-    # lambda* = mu(B(0, r0)) / mu(B(e1, 1 + r0)) rounds to 0 for a small r0
-    # at high d: that r0 gets an error row naming it, the others still run
+@pytest.mark.parametrize("d, alpha", [("200", "1"), ("400", "0")])
+def test_weaktype_levels_below_the_double_range_give_quotients(tmp_path, d, alpha):
+    # lambda* = mu(B(0, r0)) / mu(B(e1, 1 + r0)) rounds to 0 for the smaller
+    # r0 at these d (and for every r0 at d = 400); the levels are built from
+    # ln lambda*, so each r0 still gets a checked quotient
     rc, _, rows = run_csv(
         tmp_path,
         ["weaktype", "--d", d, "--alpha", alpha, "--family", "shrinking-indicator"],
     )
-    assert rc == EXIT_NUMERICAL
+    assert rc == EXIT_OK
     assert [r["case"] for r in rows] == [f"indicator r0={r0}" for r0 in ("0.1", "0.02", "0.005")]
-    for r, r0 in zip(rows, ("0.1", "0.02", "0.005")):
-        if r0 in good:
-            q = float(r["quotient"])
-            assert r["error"] == "" and 0.0 < q <= float(r["upper_bound"]), r
-            assert r["passed"] == "true"
+    for r in rows:
+        q = float(r["quotient"])
+        assert r["error"] == "" and 0.0 < q <= float(r["upper_bound"]), r
+        assert r["passed"] == "true"
+    if d == "200":
+        # lambda* is a double at r0 = 0.1, and the row keeps its linear-level digits
+        assert rows[0]["quotient"] == "0.37104807514180893"
+
+
+def test_weaktype_without_an_upper_bound_leaves_passed_empty(tmp_path):
+    # beta = 3 > d/2 has no certified shift constant at d = 4, so nothing is
+    # checked and passed stays empty, as in verify-shift outside its window;
+    # at d = 8 the bound 2(C+1) applies
+    rc, _, rows = run_csv(
+        tmp_path,
+        ["weaktype", "--d", "4,8", "--alpha", "3", "--lambdas", "3", "--level-points", "32",
+         "--tol", "1e-5"],
+    )
+    assert rc == EXIT_OK
+    assert len(rows) == 6 and all(r["error"] == "" and float(r["quotient"]) > 0 for r in rows)
+    for r in rows:
+        if r["d"] == "4":
+            assert r["upper_bound"] == "" and r["passed"] == "", r
         else:
-            for part in (f"d={d}", f"beta={float(alpha)!r}", f"r0={r0}", "ln lambda*=-"):
-                assert part in r["error"], r
-            assert r["quotient"] == ""
+            assert float(r["upper_bound"]) > 0 and r["passed"] == "true", r
+
+
+def test_weaktype_indicator_at_d_one_is_one_error_row(tmp_path):
+    # lambda* needs an off-center ball, which d = 1 does not have: one error
+    # row for that d, as beta >= d gives, and the other dimensions still run
+    rc, _, rows = run_csv(
+        tmp_path,
+        ["weaktype", "--d", "1,2", "--alpha", "0", "--lambdas", "3", "--level-points", "32",
+         "--tol", "1e-5"],
+    )
+    assert rc == EXIT_NUMERICAL
+    bad = [r for r in rows if r["d"] == "1"]
+    assert len(bad) == 1 and "d >= 2" in bad[0]["error"] and bad[0]["case"] == ""
+    good = [r for r in rows if r["d"] == "2"]
+    assert len(good) == 3 and all(r["passed"] == "true" for r in good)
 
 
 @pytest.mark.parametrize("argv", [

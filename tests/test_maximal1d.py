@@ -18,7 +18,12 @@ from radialmax.maximal1d import (
     uncentered_max_grid,
     weak_type_quotient_1d,
 )
-from radialmax.maximal1d import _grid_level_logs, _level_extents, _level_set_logs
+from radialmax.maximal1d import (
+    _grid_level_logs,
+    _level_extents,
+    _level_set_logs,
+    _log_uncentered_max_grid,
+)
 
 from conftest import oracle_uncentered_max, profile_mass, random_line_measure, random_profile
 
@@ -259,11 +264,16 @@ def _step_max_fn(ts, high=2.0, low=0.5):
     return np.where((ts < 0.3) | ((ts > 0.6) & (ts < 0.9)) | (ts > 1.1), high, low)
 
 
+def _log_step_max_fn(ts, high=2.0, low=0.5):
+    """ln of _step_max_fn, the form _grid_level_logs takes with ln lam = 0."""
+    return np.log(_step_max_fn(ts, high, low))
+
+
 def test_level_set_runs_at_both_window_ends():
     # one run starts at the first grid point, one is interior and one ends
     # at the window edge T
     m = WeightedLineMeasure(3, 0.0)
-    log_mu, log_width = _grid_level_logs(m, CHI01, [1.0], GridConfig(), _step_max_fn, 1.0)
+    log_mu, log_width = _grid_level_logs(m, CHI01, [0.0], GridConfig(), _log_step_max_fn, 1.0)
     # the window: gamma0(1, T) = ||f||_1 / lam
     T = (1.0 + 3.0 * profile_l1_norm(m, CHI01)) ** (1.0 / 3.0)
     assert T > 1.1
@@ -284,10 +294,10 @@ def test_crossing_search_on_a_step_is_within_one_round_of_bisection(high, low):
 
     def counted(ts):
         calls.append(np.array(ts))
-        return _step_max_fn(ts, high, low)
+        return _log_step_max_fn(ts, high, low)
 
     grid = GridConfig()
-    _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [1.0], grid, counted, 1.0)
+    _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [0.0], grid, counted, 1.0)
     xs = calls[0]
     k = np.flatnonzero(np.diff(_step_max_fn(xs) > 1.0)) + 1
     assert len(k) == 4
@@ -308,8 +318,8 @@ def test_crossing_search_emits_no_runtime_warning():
     # have ln 0 - ln 0 and no finite g
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        log_mu, log_width = _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [1.0],
-                                             GridConfig(), _step_max_fn, 1.0)
+        log_mu, log_width = _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [0.0],
+                                             GridConfig(), _log_step_max_fn, 1.0)
     assert np.isfinite(log_mu).all() and np.isfinite(log_width).all()
 
 
@@ -503,8 +513,8 @@ def test_grid_path_matches_exact_on_decreasing_profiles(rng):
         bp = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, n))])
         f = RadialProfile(tuple(bp), tuple(np.sort(rng.uniform(0.1, 4.0, n))[::-1]))
         lams = default_lambda_grid(m, f, 8)
-        grid, _ = _grid_level_logs(m, f, lams, GridConfig(),
-                                   lambda ts: uncentered_max_grid(m, f, ts), 1.0)
+        grid, _ = _grid_level_logs(m, f, np.log(lams), GridConfig(),
+                                   lambda ts: _log_uncentered_max_grid(m, f, ts), 1.0)
         exact = level_sets(m, f, lams)
         for g, e in zip(grid, exact):
             assert math.exp(g) == pytest.approx(e.measure, rel=1e-6)
@@ -517,8 +527,8 @@ def test_grid_path_matches_exact_past_the_double_range(d, lams):
     # window (t_n^p + p ||f||_1 / lam)^(1/p) could not form
     m = WeightedLineMeasure(d, 0.0)
     f = RadialProfile.indicator(10.0)
-    grid, _ = _grid_level_logs(m, f, lams, GridConfig(),
-                               lambda ts: uncentered_max_grid(m, f, ts), 1.0)
+    grid, _ = _grid_level_logs(m, f, np.log(lams), GridConfig(),
+                               lambda ts: _log_uncentered_max_grid(m, f, ts), 1.0)
     exact, _ = _level_set_logs(m, f, lams)
     assert np.all(np.isfinite(grid))
     assert grid == pytest.approx(exact, abs=1e-6)

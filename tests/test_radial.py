@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radialmax.bounds import delta_lower_bound
 from radialmax.maximal1d import (
     GridConfig,
     RadialProfile,
@@ -147,7 +148,7 @@ def test_one_pass_averages_match_per_shell_integrals():
         f = random_profile(rng, max_pieces=4)
         cs = rng.uniform(0.01, 3.0, 8)
         Rs = np.exp(rng.uniform(-6.0, 1.5, 8))
-        got = radial._ball_averages_batch(m, f, cs, Rs, QuadratureConfig(tol=1e-8))
+        got = np.exp(radial._ball_averages_batch(m, f, cs, Rs, QuadratureConfig(tol=1e-8)))
         want = _per_shell_averages(m, f, cs, Rs, QuadratureConfig(tol=1e-12))
         err = np.abs(got - want)
         assert np.all(err <= 1e-9 * want), (d, m.beta, f, cs, Rs, got, want)
@@ -553,13 +554,13 @@ def test_crossing_search_on_criterion_10(monkeypatch):
     m = PowerLawMeasure(d, beta)
     f, lams = _criterion_10_levels(m, r0)
     sizes = []
-    grid_max = radial.centered_max_radial_grid
+    grid_max = radial._log_centered_max_grid
 
     def counted(m, f, ts, cfg):
         sizes.append(len(ts))
         return grid_max(m, f, ts, cfg)
 
-    monkeypatch.setattr(radial, "centered_max_radial_grid", counted)
+    monkeypatch.setattr(radial, "_log_centered_max_grid", counted)
     q = weak_type_quotient_radial(m, f, lams, CRITERION10)
     first = list(sizes)
     rounds = len(sizes) - 1
@@ -571,6 +572,25 @@ def test_crossing_search_on_criterion_10(monkeypatch):
     fine = dataclasses.replace(CRITERION10, level_grid=GridConfig(points=128))
     q_fine = weak_type_quotient_radial(m, f, lams, fine)
     assert abs(q - q_fine) <= (d - beta + 1) * 1e-6 * q_fine, (q, q_fine)
+
+
+@pytest.mark.parametrize("d,beta", [(100, 2.0), (100, 25.0), (400, 2.0), (400, 100.0)])
+def test_weak_type_sandwich_with_levels_below_the_double_range(d, beta):
+    # at r0 = 2e-4, ln lambda* = ln mu(B(0, r0)) - ln mu(B(e1, 1 + r0)) is
+    # -834, -631, -3389 and -2524, three of them below the double range
+    # (about -745), and the levels are built from ln lambda*.  The measured
+    # quotient lands between the point-mass certificate Delta(d, beta)
+    # (q / Delta is 0.987-0.994) and the ceiling 2(C+1)
+    r0 = 2e-4
+    m = PowerLawMeasure(d, beta)
+    log_lam = (log_ball_centered(m, r0).log
+               - log_ball_offcenter(m, BallSpec(1.0, 1.0 + r0)).log)
+    cfg = MaximalConfig(quad=QuadratureConfig(tol=1e-8),
+                        level_grid=GridConfig(points=128, bisect_rel_tol=1e-6, max_bisect=30))
+    q = radial._weak_type_quotient_logs(m, RadialProfile.indicator(r0),
+                                        log_lam + np.log(np.geomspace(0.25, 1.02, 12)), cfg)
+    lower = delta_lower_bound(d, beta).value
+    assert 0.95 * lower <= q <= 2.0 * (certified_shift_constant(m) + 1.0), (q, lower)
 
 
 @pytest.mark.parametrize("d,beta,r0", [(12, 3.0, 0.004), (4, 3.0, 0.02)])
@@ -590,12 +610,12 @@ def test_settled_grid_points_change_no_level_set(monkeypatch, d, beta, r0):
     monkeypatch.setattr(radial, "_grid_level_logs", spy)
     q = weak_type_quotient_radial(m, f, lams, CRITERION10)
     # the bound never exceeds the searched maximum, and far out, where the
-    # best ball nearly holds all of f, it is within 1 % of it
+    # best ball nearly holds all of f, it is within 1 % of it (both in logs)
     max_fn, _, lower_fn = fns[0]
     ts = np.geomspace(1e-3, 3.0, 25)
     lower, upper = lower_fn(ts), max_fn(ts)
     assert np.all(lower <= upper)
-    assert lower[-1] > 0.99 * upper[-1]
+    assert lower[-1] > math.log(0.99) + upper[-1]
     monkeypatch.setattr(radial, "_grid_level_logs", lambda *args: grid_logs(*args[:6]))
     assert weak_type_quotient_radial(m, f, lams, CRITERION10) == q
 
