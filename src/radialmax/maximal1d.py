@@ -340,12 +340,12 @@ _ITP_AIM = 0.875
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Resolution knobs for level sets of a caller-supplied max_fn (_grid_level_logs).
+    """Level-set grid for a caller-supplied max_fn (_grid_level_logs).
 
-    points sets the sampling grid.  Each crossing bracket (a, b) is then
-    narrowed by the secant search until b - a <= bisect_rel_tol * b:
-    bisect_rel_tol is the relative bracket tolerance and max_bisect the
-    cap on rounds.
+    points sets the sampling grid; the crossing search closes each bracket
+    to MaximalConfig.quad's tol, so a level set's gamma0 is resolved to
+    about p tol.  bisect_rel_tol and max_bisect change no result; they stay
+    so that existing callers keep constructing.
     """
 
     points: int = 1024
@@ -388,8 +388,8 @@ def level_sets(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> list[LevelS
             for lam, a, b in zip(lambdas, log_mu, log_sup)]
 
 
-def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, log_lambdas, grid: GridConfig,
-                     max_fn, window_scale: float, lower_fn=None):
+def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, log_lambdas, points: int,
+                     tol: float, max_fn, window_scale: float, lower_fn=None):
     """(ln gamma0{M > lam}, ln gamma0-width of its unresolved brackets) per ln lam.
 
     For any vectorized c -> ln M(c) with M <= window_scale * M^u f (radial's
@@ -400,7 +400,9 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, log_lambdas, grid
     g = ln M - ln lam in u = ln t, truncated toward each bracket's midpoint
     and kept within the minmax radius, so g near a power law closes in a
     few rounds and a step function takes at most _ITP_N0 more than
-    bisection.  Measures come from ln a - ln b of bracket midpoints.
+    bisection.  Measures come from ln a - ln b of bracket midpoints.  A
+    bracket (a, b) closes once b - a <= tol b, tol being max_fn's accuracy
+    (radial's quad.tol): gamma0 = t^p / p is resolved to about p tol.
 
     lower_fn, a vectorized c -> lower bound of ln M(c), settles a grid point
     whose bound exceeds the top level: it lies in every level set.  max_fn
@@ -419,8 +421,8 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, log_lambdas, grid
     # plus linear coverage of the profile's own scale
     decades_down = min(max(9.0 / p, 4.0), 300.0)
     geo = np.geomspace(T * 10.0 ** (-decades_down), T,
-                       max(grid.points, int(8 * decades_down)))
-    lin = np.linspace(0.0, min(2.0 * t_n, T), grid.points // 4 + 2)[1:]
+                       max(points, int(8 * decades_down)))
+    lin = np.linspace(0.0, min(2.0 * t_n, T), points // 4 + 2)[1:]
     bp = np.asarray(f.breakpoints)
     xs = np.unique(np.concatenate([geo, lin, bp[(bp > 0) & (bp < T)]]))
     if lower_fn is None:
@@ -450,14 +452,15 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, log_lambdas, grid
         g_lo = np.concatenate([[np.nan], lM])[k] - log_lam
         g_hi = np.concatenate([lM, [np.nan]])[k] - log_lam
         w0 = np.log(bh) - np.log(bl)
-        # ITP in u = ln t: brackets of width <= 2 eps meet the stopping rule
-        # below, and none takes more than _ITP_N0 rounds beyond bisection
-        eps = 0.5 * math.log1p(grid.bisect_rel_tol)
+        # ITP in u = ln t: width <= 2 eps meets the stopping rule below, within
+        # n_max rounds (_ITP_N0 beyond bisection); one more for rounding in t
+        eps = 0.5 * math.log1p(tol)
         n_max = np.ceil(np.log2(w0 / (2.0 * eps))) + _ITP_N0
-    for j in range(grid.max_bisect):
-        # stop per-bracket relative to its own location, not the window;
-        # converged brackets drop out of the (possibly expensive) max_fn
-        active = bh - bl > grid.bisect_rel_tol * np.maximum(bh, 1e-300)
+    # stop per-bracket relative to its own location, not the window;
+    # converged brackets drop out of the (possibly expensive) max_fn
+    unresolved = lambda: bh - bl > tol * np.maximum(bh, 1e-300)
+    for j in range(int(n_max[unresolved()].max(initial=-1.0)) + 1):
+        active = unresolved()
         if not active.any():
             break
         ul, uh = np.log(bl[active]), np.log(bh[active])
@@ -515,4 +518,7 @@ def default_lambda_grid(m: WeightedLineMeasure, f: RadialProfile, n: int = 32) -
     vmax = max(f.values)
     if vmax <= 0:
         raise ValueError("profile is a.e. zero")
+    if not 0 < 1e-3 * vmax < 1.1 * vmax < math.inf:
+        raise ValueError(f"max f = {vmax!r} at d = {m.d}, beta = {m.beta}: its levels "
+                         "1e-3 max f .. 1.1 max f leave the double range")
     return np.geomspace(1e-3 * vmax, 1.1 * vmax, n)

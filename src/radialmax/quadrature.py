@@ -34,35 +34,29 @@ from .specfun import NEG_INF
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the ray quadrature.
+    """The ray quadrature's relative tolerance tol, in (0, 1).
 
-    tol is relative, in (0, 1); exceeding max_panels on any single integral
-    raises QuadratureError rather than returning a silently degraded value.
+    An integral past its budget of _MAX_PANELS panels or _MAX_ROUNDS rounds
+    raises QuadratureError rather than returning a degraded value.
     """
 
     tol: float = 1e-8
-    max_panels: int = 2 ** 14
-    max_rounds: int = 60
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:  # NaN fails the comparison too
             raise ValueError(f"QuadratureConfig.tol must satisfy 0 < tol < 1, got {self.tol!r}")
-        for name in ("max_panels", "max_rounds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"QuadratureConfig.{name} must be at least 1, "
-                                 f"got {getattr(self, name)!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+_MAX_PANELS = 2 ** 14
+_MAX_ROUNDS = 60
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement ran out of budget; carries the achieved estimate.
+    """Adaptive refinement ran out of budget; carries the achieved estimate
+    and the index of the integral that failed, segment."""
 
-    segment is the index of the integral that failed, when known.
-    """
-
-    def __init__(self, message: str, achieved: float, segment=None):
+    def __init__(self, message: str, achieved: float, segment: int):
         super().__init__(f"{message} (achieved relative error estimate {achieved:.3e})")
         self.achieved = achieved
         self.segment = segment
@@ -164,8 +158,8 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
     An integral leaves in the round it converges, with that round's sums:
     its panels would never change again.
     Raises QuadratureError, with .segment set to the failing integral, if
-    any integral needs more than cfg.max_panels panels or more than
-    cfg.max_rounds rounds of bisection.
+    any integral needs more than _MAX_PANELS panels or more than
+    _MAX_ROUNDS rounds of bisection.
     """
     # the integrals still refined, and for each panel its integral's place
     # among them
@@ -186,7 +180,7 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
     total = np.full((n, n_comp), NEG_INF)
     error = np.full((n, n_comp), NEG_INF)
     log_tol = math.log(cfg.tol)
-    for rounds in range(cfg.max_rounds + 1):
+    for rounds in range(_MAX_ROUNDS + 1):
         sums, tops = _segment_reduce(p_val, p_at, len(active))
         seg_total, seg_err = sums[:, :n_comp], sums[:, n_comp:]
         judged_total = seg_total[:, :k]
@@ -198,7 +192,7 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
         error[active[~still], :k] = seg_err[~still]
         if not still.any():
             return total, error
-        if rounds == cfg.max_rounds:
+        if rounds == _MAX_ROUNDS:
             with np.errstate(invalid="ignore"):
                 rel = np.where(judged_total != NEG_INF, np.exp(seg_err - judged_total), 0.0)
             rel = rel.max(axis=1)
@@ -212,10 +206,10 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
         split = split[:, 0] if k == 1 else split.any(axis=1)
         counts = (np.bincount(p_at, minlength=len(active))
                   + np.bincount(p_at[split], minlength=len(active)))
-        if (counts > cfg.max_panels).any():
+        if (counts > _MAX_PANELS).any():
             over = int(counts.argmax())
             ach = float(np.exp(seg_err[over] - judged_total[over]).max())
-            msg = f"quadrature panel budget {cfg.max_panels} exceeded on segment {active[over]}"
+            msg = f"quadrature panel budget {_MAX_PANELS} exceeded on segment {active[over]}"
             raise QuadratureError(msg, ach, segment=int(active[over]))
 
         mid = 0.5 * (p_lo[split] + p_hi[split])

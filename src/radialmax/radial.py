@@ -67,9 +67,9 @@ class MaximalConfig:
     The radius supremum is searched in the brackets between the kink
     radii, where the ball's boundary meets a breakpoint sphere (see
     _radius_supremum); its quad sets the accuracy of every average and,
-    through it, when a bracket's search stops.  radii_per_decade, min_radii
-    and refine_rounds steered an earlier radius grid and no longer change
-    any result; they stay so that existing callers keep constructing.
+    through it, when a radius or level-set crossing bracket stops.
+    radii_per_decade, min_radii and refine_rounds steered an earlier radius
+    grid and change no result; existing callers still pass them.
     Points strictly inside a piece of value max f skip the search: there
     M_mu f = max f exactly.
     """
@@ -77,7 +77,7 @@ class MaximalConfig:
     radii_per_decade: int = 512
     min_radii: int = 48
     refine_rounds: int = 3
-    quad: QuadratureConfig = field(default_factory=lambda: QuadratureConfig(tol=1e-8))
+    quad: QuadratureConfig = field(default_factory=QuadratureConfig)
     level_grid: GridConfig = field(default_factory=GridConfig)
 
 
@@ -417,7 +417,7 @@ def _weak_type_quotient_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas,
         out[todo] = _ball_averages_batch(m, f, ts[todo], ts[todo] + t_n, cfg.quad)
         return out
 
-    log_mu, _ = _grid_level_logs(line, f, log_lambdas, cfg.level_grid, max_fn, C + 1.0,
-                                 lower_fn)
+    log_mu, _ = _grid_level_logs(line, f, log_lambdas, cfg.level_grid.points, cfg.quad.tol,
+                                 max_fn, C + 1.0, lower_fn)
     return math.exp(float((log_lambdas + log_mu).max()) - _log_l1(line, f))
 

@@ -8,11 +8,20 @@ import pytest
 
 from radialmax.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _emit, main
 from radialmax.maximal1d import (
+    GridConfig,
     RadialProfile,
     WeightedLineMeasure,
     _log_uncentered_max_grid,
     uncentered_max,
 )
+from radialmax.measure import (
+    BallSpec,
+    PowerLawMeasure,
+    QuadratureConfig,
+    log_ball_centered,
+    log_ball_offcenter,
+)
+from radialmax.radial import MaximalConfig, _weak_type_quotient_logs
 
 
 def run_csv(tmp_path, argv):
@@ -284,6 +293,23 @@ def test_weaktype_levels_below_the_double_range_give_quotients(tmp_path, d, alph
     if d == "200":
         # lambda* is a double at r0 = 0.1, and the row keeps its linear-level digits
         assert rows[0]["quotient"] == "0.37104807514180893"
+
+
+def test_weaktype_row_is_as_accurate_as_its_tolerance(tmp_path):
+    # the crossing search closes its brackets to --tol: at d = 350, beta = 2
+    # the r0 = 0.1 quotient is within (p + 1) tol of a reference at tol
+    # 1e-11, the library on the same levels (brackets closed to 1e-6 leave
+    # this row 1.1e-4 off)
+    rc, _, rows = run_csv(tmp_path, ["weaktype", "--d", "350", "--alpha", "2"])
+    assert rc == EXIT_OK and rows[0]["case"] == "indicator r0=0.1"
+    m, r0 = PowerLawMeasure(350, 2.0), 0.1
+    log_lam = (log_ball_centered(m, r0).log
+               - log_ball_offcenter(m, BallSpec(1.0, 1.0 + r0)).log)
+    cfg = MaximalConfig(quad=QuadratureConfig(tol=1e-11), level_grid=GridConfig(points=128))
+    ref = _weak_type_quotient_logs(m, RadialProfile.indicator(r0),
+                                   log_lam + np.log(np.geomspace(0.25, 1.02, 12)), cfg)
+    q = float(rows[0]["quotient"])
+    assert abs(q - ref) <= (m.d - m.beta + 1) * 1e-8 * ref, (q, ref)
 
 
 def test_weaktype_without_an_upper_bound_leaves_passed_empty(tmp_path):

@@ -28,6 +28,8 @@ from radialmax.maximal1d import (
 from conftest import oracle_uncentered_max, profile_mass, random_line_measure, random_profile
 
 LEB = WeightedLineMeasure(1, 0.0)
+# _grid_level_logs's grid points and crossing tolerance in these tests
+POINTS, TOL = 1024, 1e-10
 CHI01 = RadialProfile.indicator(1.0)
 
 
@@ -248,6 +250,17 @@ def test_weak_type_random_cases_below_two(rng):
         assert q <= 2.0 + 1e-6
 
 
+@pytest.mark.parametrize("vmax", [5e-324, 1e-321, 1.7e308])
+def test_default_lambda_grid_outside_the_double_range_names_its_inputs(vmax):
+    # 1e-3 max f underflows to 0 (or 1.1 max f overflows): a ValueError
+    # naming max f, d and beta, not numpy's bare geomspace error
+    m = WeightedLineMeasure(3, 0.5)
+    with pytest.raises(ValueError) as exc:
+        default_lambda_grid(m, RadialProfile((0.0, 1.0, 2.0), (0.0, vmax)))
+    msg = str(exc.value)
+    assert f"max f = {vmax!r}" in msg and "d = 3" in msg and "beta = 0.5" in msg
+
+
 def test_max_at_breakpoint_sees_both_sides():
     # at a breakpoint the corner limit is max of the adjacent piece values,
     # reached by the one-sided candidate intervals
@@ -273,7 +286,7 @@ def test_level_set_runs_at_both_window_ends():
     # one run starts at the first grid point, one is interior and one ends
     # at the window edge T
     m = WeightedLineMeasure(3, 0.0)
-    log_mu, log_width = _grid_level_logs(m, CHI01, [0.0], GridConfig(), _log_step_max_fn, 1.0)
+    log_mu, log_width = _grid_level_logs(m, CHI01, [0.0], POINTS, TOL, _log_step_max_fn, 1.0)
     # the window: gamma0(1, T) = ||f||_1 / lam
     T = (1.0 + 3.0 * profile_l1_norm(m, CHI01)) ** (1.0 / 3.0)
     assert T > 1.1
@@ -296,15 +309,14 @@ def test_crossing_search_on_a_step_is_within_one_round_of_bisection(high, low):
         calls.append(np.array(ts))
         return _log_step_max_fn(ts, high, low)
 
-    grid = GridConfig()
-    _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [0.0], grid, counted, 1.0)
+    _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [0.0], POINTS, TOL, counted, 1.0)
     xs = calls[0]
     k = np.flatnonzero(np.diff(_step_max_fn(xs) > 1.0)) + 1
     assert len(k) == 4
     bl, bh = xs[k - 1], xs[k]
     hi_above = _step_max_fn(bh) > 1.0
     bisect_rounds = 0
-    while np.any(active := bh - bl > grid.bisect_rel_tol * bh):
+    while np.any(active := bh - bl > TOL * bh):
         mid = 0.5 * (bl + bh)
         move_hi = (_step_max_fn(mid) > 1.0) == hi_above
         bh = np.where(active & move_hi, mid, bh)
@@ -319,7 +331,7 @@ def test_crossing_search_emits_no_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         log_mu, log_width = _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [0.0],
-                                             GridConfig(), _log_step_max_fn, 1.0)
+                                             POINTS, TOL, _log_step_max_fn, 1.0)
     assert np.isfinite(log_mu).all() and np.isfinite(log_width).all()
 
 
@@ -498,6 +510,11 @@ def test_level_set_homogeneity_and_dilation_property(d, beta_frac, widths, start
     vals = values[:len(widths)]
     assume(max(vals) > 0)
     f = RadialProfile((start, *(start + np.cumsum(widths))), tuple(vals))
+    if 1e-3 * max(vals) == 0:
+        # a subnormal max f: the lowest level underflows, and the grid says so
+        with pytest.raises(ValueError, match="leave the double range"):
+            default_lambda_grid(m, f, 8)
+        return
     lams = default_lambda_grid(m, f, 8)
     base, homog, dil = _scaled_and_dilated(m, f, lams, c, s)
     _assert_same_logs(base, homog)
@@ -513,7 +530,7 @@ def test_grid_path_matches_exact_on_decreasing_profiles(rng):
         bp = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, n))])
         f = RadialProfile(tuple(bp), tuple(np.sort(rng.uniform(0.1, 4.0, n))[::-1]))
         lams = default_lambda_grid(m, f, 8)
-        grid, _ = _grid_level_logs(m, f, np.log(lams), GridConfig(),
+        grid, _ = _grid_level_logs(m, f, np.log(lams), POINTS, TOL,
                                    lambda ts: _log_uncentered_max_grid(m, f, ts), 1.0)
         exact = level_sets(m, f, lams)
         for g, e in zip(grid, exact):
@@ -527,7 +544,7 @@ def test_grid_path_matches_exact_past_the_double_range(d, lams):
     # window (t_n^p + p ||f||_1 / lam)^(1/p) could not form
     m = WeightedLineMeasure(d, 0.0)
     f = RadialProfile.indicator(10.0)
-    grid, _ = _grid_level_logs(m, f, np.log(lams), GridConfig(),
+    grid, _ = _grid_level_logs(m, f, np.log(lams), POINTS, TOL,
                                lambda ts: _log_uncentered_max_grid(m, f, ts), 1.0)
     exact, _ = _level_set_logs(m, f, lams)
     assert np.all(np.isfinite(grid))

@@ -324,9 +324,16 @@ def test_shift_sup_small_case_within_certified_bound():
 # quadrature failure surfaces, never silently degrades
 # ---------------------------------------------------------------------------
 
-def test_quadrature_budget_error_carries_estimate():
+def _starve(monkeypatch, panels, rounds):
+    """Shrink the quadrature's per-integral budgets."""
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", panels)
+    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", rounds)
+
+
+def test_quadrature_budget_error_carries_estimate(monkeypatch):
     m = PowerLawMeasure(40, 10.0)
-    starved = QuadratureConfig(tol=1e-13, max_panels=4, max_rounds=6)
+    _starve(monkeypatch, 4, 6)
+    starved = QuadratureConfig(tol=1e-13)
     with pytest.raises(QuadratureError) as exc:
         log_ball_offcenter(m, BallSpec(1.0, 1.0), starved)
     assert exc.value.achieved > 0
@@ -340,7 +347,6 @@ def test_quadrature_budget_error_carries_estimate():
 
 @pytest.mark.parametrize("field, value", [
     ("tol", math.nan), ("tol", 0.0), ("tol", -1.0), ("tol", 1.0), ("tol", math.inf),
-    ("max_panels", 0), ("max_rounds", 0),
 ])
 def test_quadrature_config_rejects_bad_settings(field, value):
     # a NaN tol would switch the error test off; tol <= 0 has no log
@@ -554,9 +560,10 @@ def test_thin_layer_balls_converge_in_few_rounds(c):
     assert got[3, 0] == pytest.approx(unit, abs=1e-9)
 
 
-def test_quadrature_error_names_ball_within_batch():
+def test_quadrature_error_names_ball_within_batch(monkeypatch):
     m = PowerLawMeasure(12, 3.0)
-    starved = QuadratureConfig(tol=1e-15, max_panels=3, max_rounds=6)
+    _starve(monkeypatch, 3, 6)
+    starved = QuadratureConfig(tol=1e-15)
     rs = np.array([0.25, 0.5])
     with pytest.raises(QuadratureError) as exc:
         shift_condition_ratios(m, rs, starved)

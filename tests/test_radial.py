@@ -38,7 +38,7 @@ FAST = MaximalConfig(
     radii_per_decade=96,
     refine_rounds=2,
     quad=QuadratureConfig(tol=1e-7),
-    level_grid=GridConfig(points=160, bisect_rel_tol=1e-6, max_bisect=30),
+    level_grid=GridConfig(points=160),
 )
 # acceptance criterion 9's radius search
 CRITERION9 = MaximalConfig(radii_per_decade=128, refine_rounds=2,
@@ -526,9 +526,7 @@ def test_weak_type_radial_lebesgue_decreasing_below_four():
 def test_weak_type_radial_finite_past_the_double_range():
     # gamma0 of {M > 1/2} is about e^916 at d = 400, past the double range;
     # the quotient is formed in logs and comes out at 0.49992
-    cfg = MaximalConfig(radii_per_decade=48, min_radii=32, refine_rounds=2,
-                        quad=QuadratureConfig(tol=1e-6),
-                        level_grid=GridConfig(points=128, bisect_rel_tol=1e-6, max_bisect=30))
+    cfg = MaximalConfig(quad=QuadratureConfig(tol=1e-6), level_grid=GridConfig(points=128))
     q = weak_type_quotient_radial(PowerLawMeasure(400, 0.0), RadialProfile.indicator(10.0),
                                   [0.5], cfg)
     assert math.isfinite(q)
@@ -545,11 +543,13 @@ def _criterion_10_levels(m, r0):
 def test_crossing_search_on_criterion_10(monkeypatch):
     # criterion 10's d = 12, beta = 3, r0 = 0.004 case: lockstep bisection
     # of its 10 crossings takes 17 rounds, the secant search in ln t at most
-    # 8; the bracket tolerance 1e-6 moves each end by at most 1e-6
-    # relative, so gamma0 and the quotient by at most (p + 1) 1e-6.  The
-    # grid stage radius-searches only the points the lower bound leaves
-    # unsettled and their neighbours (162 points without the bound), and
-    # the work repeats exactly
+    # 8, at criterion 10's tol 1e-6 and at the default 1e-8 alike.  The
+    # brackets close to the quadrature's tol, which moves each end by at
+    # most tol relative, so gamma0 and the quotient by about (p + 1) tol
+    # against a reference at tol 1e-10.  The grid stage radius-searches
+    # only the points the lower bound leaves unsettled and their
+    # neighbours (162 points without the bound), and the work repeats
+    # exactly
     d, beta, r0 = 12, 3.0, 0.004
     m = PowerLawMeasure(d, beta)
     f, lams = _criterion_10_levels(m, r0)
@@ -569,9 +569,24 @@ def test_crossing_search_on_criterion_10(monkeypatch):
     sizes.clear()
     assert weak_type_quotient_radial(m, f, lams, CRITERION10) == q
     assert sizes == first
-    fine = dataclasses.replace(CRITERION10, level_grid=GridConfig(points=128))
-    q_fine = weak_type_quotient_radial(m, f, lams, fine)
-    assert abs(q - q_fine) <= (d - beta + 1) * 1e-6 * q_fine, (q, q_fine)
+    ref = weak_type_quotient_radial(
+        m, f, lams, dataclasses.replace(CRITERION10, quad=QuadratureConfig(tol=1e-10)))
+    assert abs(q - ref) <= (d - beta + 1) * 1e-6 * ref, (q, ref)
+    sizes.clear()
+    q_default = weak_type_quotient_radial(m, f, lams, MaximalConfig())
+    assert len(sizes) - 1 <= 8, sizes
+    assert abs(q_default - ref) <= (d - beta + 1) * 1e-8 * ref, (q_default, ref)
+
+
+def test_crossing_settings_of_the_level_grid_change_no_quotient():
+    # the crossing search takes its tolerance and round cap from quad.tol;
+    # GridConfig's bisect_rel_tol and max_bisect are inert
+    m = PowerLawMeasure(12, 3.0)
+    f, lams = _criterion_10_levels(m, 0.004)
+    bare = dataclasses.replace(CRITERION10, level_grid=GridConfig(points=128))
+    assert CRITERION10.level_grid == GridConfig(128, 1e-6, 30)
+    q = weak_type_quotient_radial(m, f, lams, CRITERION10)
+    assert weak_type_quotient_radial(m, f, lams, bare).hex() == q.hex()
 
 
 @pytest.mark.parametrize("d,beta", [(100, 2.0), (100, 25.0), (400, 2.0), (400, 100.0)])
@@ -585,8 +600,7 @@ def test_weak_type_sandwich_with_levels_below_the_double_range(d, beta):
     m = PowerLawMeasure(d, beta)
     log_lam = (log_ball_centered(m, r0).log
                - log_ball_offcenter(m, BallSpec(1.0, 1.0 + r0)).log)
-    cfg = MaximalConfig(quad=QuadratureConfig(tol=1e-8),
-                        level_grid=GridConfig(points=128, bisect_rel_tol=1e-6, max_bisect=30))
+    cfg = MaximalConfig(quad=QuadratureConfig(tol=1e-8), level_grid=GridConfig(points=128))
     q = radial._weak_type_quotient_logs(m, RadialProfile.indicator(r0),
                                         log_lam + np.log(np.geomspace(0.25, 1.02, 12)), cfg)
     lower = delta_lower_bound(d, beta).value
@@ -604,7 +618,7 @@ def test_settled_grid_points_change_no_level_set(monkeypatch, d, beta, r0):
     fns = []
 
     def spy(*args):
-        fns.append(args[4:7])
+        fns.append(args[5:8])
         return grid_logs(*args)
 
     monkeypatch.setattr(radial, "_grid_level_logs", spy)
@@ -616,7 +630,7 @@ def test_settled_grid_points_change_no_level_set(monkeypatch, d, beta, r0):
     lower, upper = lower_fn(ts), max_fn(ts)
     assert np.all(lower <= upper)
     assert lower[-1] > math.log(0.99) + upper[-1]
-    monkeypatch.setattr(radial, "_grid_level_logs", lambda *args: grid_logs(*args[:6]))
+    monkeypatch.setattr(radial, "_grid_level_logs", lambda *args: grid_logs(*args[:7]))
     assert weak_type_quotient_radial(m, f, lams, CRITERION10) == q
 
 
