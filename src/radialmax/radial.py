@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 # the bracketed search for the radius supremum (_radius_supremum)
-_SEARCH_ROUNDS = 6   # round cap
+_SEARCH_ROUNDS = 12  # round cap
 _GAIN_SHARE = 0.001  # share of quad.tol to which a bracket's tangents bound its gain
 _EDGE = 0.02         # least share of a bracket between a trial radius and an end,
 _EDGE_NEW = 0.005    # and next to the end that the last round placed
@@ -70,7 +70,7 @@ class MaximalConfig:
     through it, when a radius or level-set crossing bracket stops.
     radii_per_decade, min_radii and refine_rounds steered an earlier radius
     grid and change no result; existing callers still pass them.
-    Points strictly inside a piece of value max f skip the search: there
+    A point skips the search where lim_{R -> 0} A = max f: there
     M_mu f = max f exactly.
     """
 
@@ -82,13 +82,6 @@ class MaximalConfig:
 
 
 DEFAULT_MAXIMAL = MaximalConfig()
-
-
-def _positive_pieces(f: RadialProfile):
-    bp = f.breakpoints
-    return [
-        (bp[i], bp[i + 1], v) for i, v in enumerate(f.values) if v > 0
-    ]
 
 
 def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
@@ -123,46 +116,43 @@ def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
     return math.exp(_ball_averages_batch(m, f, [c], [R], cfg.quad)[0])
 
 
-def _rho(f: RadialProfile, c: float) -> float:
-    """min |c - t_i| over breakpoints t_i > 0 (see _own_piece)."""
-    return min(abs(c - t) for t in f.breakpoints if t > 0)
+def _small_balls(f: RadialProfile, cs) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, limit) per center distance c: how far small balls B(c e1, R)
+    stay inside one piece, and lim_{R -> 0} of their average.
 
-
-def _own_piece(f: RadialProfile, c: float) -> tuple[float, float]:
-    """(rho, v): rho = _rho(f, c), and the value v that f takes on every
-    ball B(c e1, R) with R < rho.
-
-    Such a ball stays inside one constancy piece up to the origin, which
-    has measure zero (hence t = 0 is left out, and c = 0 sees the first
-    piece when it starts at 0).  rho = 0 when c sits on a breakpoint
-    t > 0, and then every ball straddles two pieces.
+    rho = min |c - t_i| over breakpoints t_i > 0.  A ball with R < rho lies
+    in c's own piece up to the origin, which has measure zero (hence t = 0
+    is left out, and c = 0 sees the first piece when it starts at 0), so
+    the limit is that piece's value.  rho = 0 when c sits on a breakpoint
+    t > 0: the sphere |y| = t halves small balls, and the weight is flat
+    across them, so the limit is the mean of the two pieces beside it.
     """
-    rho = _rho(f, c)
-    return rho, (f.value_at(c + 0.5 * rho) if rho > 0 else 0.0)
+    cs = np.asarray(cs, dtype=float)
+    bp = np.asarray(f.breakpoints)
+    rho = np.abs(cs[:, None] - bp[bp > 0]).min(axis=1)
+    vals = np.array((0.0, *f.values, 0.0))
+    k = np.searchsorted(bp, cs, side="right")
+    return rho, np.where(rho == 0, 0.5 * (vals[k - 1] + vals[k]), vals[k])
 
 
-def _in_top_piece(f: RadialProfile, cs) -> np.ndarray:
-    """Points strictly inside a piece of value max f, where M_mu f = max f."""
-    vmax = max(f.values)
-    return np.array([_own_piece(f, c)[1] == vmax for c in cs], dtype=bool)
-
-
-def _kink_radii(f: RadialProfile, c: float) -> np.ndarray:
+def _kink_radii(f: RadialProfile, c: float, rho: float) -> np.ndarray:
     """The radii that split the search at center distance c, ascending.
 
-    The floor max(distance to the support, rho(c)), below which the ball
-    misses f or stays in c's own piece (a point on a breakpoint, rho = 0,
-    starts at 1e-6 r_hi); the kink radii |c - t_i| and c + t_i, where the
-    ball's boundary meets a breakpoint sphere t_i > 0; and r_hi = c + t_n,
-    past which the ball holds all of f and its average falls.  A kink within
-    _MERGE (relative) of a radius below it, or of r_hi, is the same kink
-    formed by another rounding (|1 - 0.6| and |1 - 1.4|, say), and is left
-    out: the bracket between them would be empty.
+    The floor max(distance to the support, rho of _small_balls), below
+    which the ball misses f or stays in c's own piece (a point on a
+    breakpoint, rho = 0, starts at 1e-6 r_hi); the kink radii |c - t_i| and
+    c + t_i, where the ball's boundary meets a breakpoint sphere t_i > 0;
+    and r_hi = c + t_n, past which the ball holds all of f and its average
+    falls.  A kink within _MERGE (relative) of a radius below it, or of
+    r_hi, is the same kink formed by another rounding (|1 - 0.6| and
+    |1 - 1.4|, say), and is left out: the bracket between them would be
+    empty.
     """
-    pieces = _positive_pieces(f)
-    r_hi = c + max(p[1] for p in pieces)
-    dist_pos = min(max(p[0] - c, c - p[1], 0.0) for p in pieces)
-    floor = max(dist_pos, _rho(f, c), 1e-6 * r_hi)
+    bp = f.breakpoints
+    pieces = [(a, b) for a, b, v in zip(bp, bp[1:], f.values) if v > 0]
+    r_hi = c + max(b for _, b in pieces)
+    dist_pos = min(max(a - c, c - b, 0.0) for a, b in pieces)
+    floor = max(dist_pos, rho, 1e-6 * r_hi)
     if floor >= r_hi:
         floor = 0.5 * r_hi
     radii = [floor]
@@ -241,7 +231,7 @@ def _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old):
 
 
 def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureConfig):
-    """(ln sup_R A(c, R), ln-gap bound) per center distance c, off the top piece.
+    """(ln sup_R A(c, R), ln-gap bound) per center distance c.
 
     Between consecutive kink radii (_kink_radii) the average is smooth and
     A'(R) = sigma(R) / mu(B_R) (S(R) - A(R)), S the sphere average, so an
@@ -255,14 +245,15 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureC
     point's best average by _GAIN_SHARE quad.tol in ln A.  The gap is the
     largest such bound left per point (0 where every bracket closed).
 
-    At the floor rho(c) the ball touches a breakpoint sphere from inside
-    c's own piece: S = A there and the slope is 0, and it counts as + so
-    that a rise and fall right past the contact is searched.  A point on a
-    breakpoint also has the limit R -> 0, where the sphere halves the ball:
-    the mean of the two pieces beside it.
+    At the floor rho (_small_balls) the ball touches a breakpoint sphere
+    from inside c's own piece: S = A there and the slope is 0, and it
+    counts as + so that a rise and fall right past the contact is searched.
+    A point on a breakpoint (rho = 0) also has the limit R -> 0, the mean
+    of the two pieces beside it.
     """
     cs = np.asarray(cs, dtype=float)
-    kinks = [_kink_radii(f, c) for c in cs]
+    rho, limit = _small_balls(f, cs)
+    kinks = [_kink_radii(f, c, r) for c, r in zip(cs, rho)]
     radii = [np.sort(np.concatenate([k, np.sqrt(k[:-1] * k[1:])])) for k in kinks]
     sizes = np.array([len(r) for r in radii])
     first = np.cumsum(sizes) - sizes
@@ -270,9 +261,8 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureC
     R = np.concatenate(radii)
     y, slope = _ball_averages_batch(m, f, cs[pt], R, quad, slopes=True)
     with np.errstate(**_QUIET):
-        rho = np.array([_rho(f, c) for c in cs])
         slope[first[(R[first] == rho) & (y[first] > NEG_INF)]] = 0.0
-        best = np.log([_breakpoint_limit(f, c) for c in cs])
+        best = np.log(np.where(rho == 0, limit, 0.0))
         np.maximum.at(best, pt, y)
         u = np.log(R)
         # brackets between consecutive radii of a point: (point, ua, ub, ya,
@@ -307,23 +297,11 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureC
     return best, log_gap
 
 
-def _breakpoint_limit(f: RadialProfile, c: float) -> float:
-    """lim_{R -> 0} of the average at c on a breakpoint t > 0, else 0: the
-    sphere |y| = t halves small balls, and the weight is flat across them."""
-    bp = f.breakpoints
-    if c <= 0 or c not in bp:
-        return 0.0
-    i = bp.index(c)
-    vals = (0.0, *f.values, 0.0)
-    return 0.5 * (vals[i] + vals[i + 1])
-
-
 def _log_centered_max_grid(m: PowerLawMeasure, f: RadialProfile, cs,
                            cfg: MaximalConfig) -> np.ndarray:
     """ln M_mu f at many center distances, sharing one batched radius search.
 
-    Where every small ball around c lies in a piece of value max f (c
-    strictly inside that piece, see _own_piece), M_mu f(c) = max f
+    Where lim_{R -> 0} A(c, R) = max f (_small_balls), M_mu f(c) = max f
     exactly, since no average exceeds max f; those points skip the search.
     The others share the kink-bracket search of _radius_supremum.
     """
@@ -332,11 +310,11 @@ def _log_centered_max_grid(m: PowerLawMeasure, f: RadialProfile, cs,
     if not ok.all():
         raise ValueError(f"center distances must be finite and >= 0, got {cs[~ok]}")
     if f.positive_support() is None:
-        warnings.warn("profile carries no mass: empty radius window, returning 0",
-                      RuntimeWarning)
+        warnings.warn("profile carries no mass: M_mu f = 0 everywhere", RuntimeWarning)
         return np.full(len(cs), NEG_INF)
-    out = np.full(len(cs), np.log(max(f.values)))
-    todo = ~_in_top_piece(f, cs)
+    vmax = max(f.values)
+    out = np.full(len(cs), np.log(vmax))
+    todo = _small_balls(f, cs)[1] < vmax
     if todo.any():
         out[todo] = _radius_supremum(m, f, cs[todo], cfg.quad)[0]
     return out
@@ -407,13 +385,14 @@ def _weak_type_quotient_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas,
     # B(t e1, t + t_n) holds all of f, and its radius is r_hi of the radius
     # search (_kink_radii), so M(t) is at least its average, which is the
     # search's own value there: averages do not depend on the batch, and
-    # the slopes ride on the nodes the average chooses.  Inside the top
-    # piece M(t) = max f, with no quadrature.
+    # the slopes ride on the nodes the average chooses.  Where small balls
+    # average max f, M(t) = max f, with no quadrature.
     t_n = f.positive_support()[1]
+    vmax = max(f.values)
 
     def lower_fn(ts):
-        out = np.full(len(ts), np.log(max(f.values)))
-        todo = ~_in_top_piece(f, ts)
+        out = np.full(len(ts), np.log(vmax))
+        todo = _small_balls(f, ts)[1] < vmax
         out[todo] = _ball_averages_batch(m, f, ts[todo], ts[todo] + t_n, cfg.quad)
         return out
 

@@ -382,6 +382,13 @@ def test_max_matches_dense_oracle():
         cases.append((12, 3.0, c, RadialProfile.indicator(0.004)))
     # beta near d - 1, where sphere weights blow up at the origin
     cases.append((6, 4.95, 0.8, RadialProfile((0.0, 0.5, 1.2, 2.0), (1.5, 0.4, 2.0))))
+    # points whose brackets stayed open after 6 search rounds, with ln-gaps
+    # of 1.1e-4 (the radial-decreasing sweep, on a breakpoint) and 1.5e-4
+    # (the random sweep), 4.8e-6 and 1.9e-6 relative below the oracle
+    cases.append((2, 1.0, 0.4, RadialProfile((0.0, 0.4, 1.1, 2.0), (3.0, 1.0, 0.25))))
+    cases.append((3, 1.0, 0.12413248009008032, RadialProfile(
+        (0.0, 0.11938319430638428, 0.35449402742393166, 1.6930298159993944),
+        (1.9592090591440379, 1.865386078869699, 1.1818487850725563))))
     for d, beta, c, f in cases:
         m = PowerLawMeasure(d, beta)
         want = _dense_oracle_max(m, f, c)
@@ -391,7 +398,8 @@ def test_max_matches_dense_oracle():
 
 def test_max_inside_top_piece_is_max_value(monkeypatch):
     # no average exceeds max f and small balls inside the top piece attain
-    # it, so no quadrature runs; c = 0 sees only the first piece
+    # it, so no quadrature runs; c = 0 sees only the first piece, and on a
+    # breakpoint between two pieces of value max f small balls average max f
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature run")
 
@@ -400,6 +408,30 @@ def test_max_inside_top_piece_is_max_value(monkeypatch):
     f = RadialProfile((0.0, 0.5, 1.5, 2.0), (2.5, 0.5, 1.0))
     got = centered_max_radial_grid(m, f, [0.0, 1e-9, 0.2, 0.4999], FAST)
     assert np.all(got == max(f.values))
+    f = RadialProfile((0.0, 0.5, 1.0, 2.0), (2.5, 2.5, 1.0))
+    assert centered_max_radial(m, f, 0.5, FAST) == 2.5
+
+
+@pytest.mark.parametrize("d,beta", [(2, 0.5), (5, 2.0), (12, 3.0)])
+def test_small_ball_limit_matches_small_averages(d, beta):
+    # interior points, breakpoints and c = 0, on a profile that starts at 0
+    # and on one that starts at 0.3 (where balls at c = 0 miss it)
+    m = PowerLawMeasure(d, beta)
+    for f in (RadialProfile((0.0, 0.5, 1.5, 2.0), (2.5, 0.5, 1.0)),
+              RadialProfile((0.3, 0.8, 1.4), (1.2, 0.7))):
+        cs = [0.0, 0.2, 0.3, 0.5, 0.8, 1.0, 1.4, 1.5, 1.7, 2.0, 2.6]
+        rho, limit = radial._small_balls(f, cs)
+        assert np.array_equal(rho == 0, np.isin(cs, [t for t in f.breakpoints if t > 0]))
+        want = [ball_average(m, f, c, 1e-7, FAST) for c in cs]
+        assert limit == pytest.approx(want, rel=1e-5, abs=0.0), (f, cs)
+
+
+def test_profile_without_mass_warns_and_gives_zero():
+    m = PowerLawMeasure(4, 1.0)
+    f = RadialProfile((0.0, 0.5, 1.0), (0.0, 0.0))
+    with pytest.warns(RuntimeWarning, match="M_mu f = 0 everywhere"):
+        got = centered_max_radial_grid(m, f, [0.0, 0.5, 2.0], FAST)
+    assert np.array_equal(got, np.zeros(3))
 
 
 def test_max_on_top_piece_breakpoint_is_below_max():
@@ -452,7 +484,7 @@ def test_one_kink_rounded_two_ways_is_one_radius(monkeypatch):
     # to its round cap (6 rounds, 20 averages)
     f = RadialProfile((0.0, 0.6, 1.4, 2.5), (3.2128239280300233, 0.12230552253144772,
                                              1.1906054610444206))
-    R = radial._kink_radii(f, 1.0)
+    R = radial._kink_radii(f, 1.0, radial._small_balls(f, [1.0])[0][0])
     assert np.all(R[1:] > R[:-1] * (1.0 + 1e-9)), R
     sizes = []
     batch = radial._ball_averages_batch
