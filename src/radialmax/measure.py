@@ -91,31 +91,36 @@ def _two_sum(a, b):
     return s, (a - (s - t)) + (b - t)
 
 
-def _crossing_angles(c, R, r, tangent: bool):
-    """Ray variable at which the sphere |y| = r meets the boundary of B(c e1, R).
+def _chord_crossings(c, R, r, tangent: bool):
+    """(x, far, near): where the sphere |y| = r meets the boundary of B(c e1, R).
 
-    Returns theta (the angle from e1) or, for the tangent form, phi with
+    x is theta (the angle from e1) or, for the tangent form, phi with
     c sin(theta) = R sin(phi); spheres outside (|c - R|, c + R) never cross
-    and get 0, an empty split.  The factored products
-        q_minus = 2cr(1 - cos theta),  q_plus = 2cr(1 + cos theta)
-    keep the cosine law exact near tangency, with c + R and c - R carried
-    exactly as two-term sums.
+    and get 0, an empty split.  far = c + R - r and near = r - (c - R), from
+    c + R and c - R as exact two-term sums, make q_minus = near far =
+    2cr(1 - cos theta) and q_plus = 2cr(1 + cos theta) exact near tangency.
     """
     S, eS = _two_sum(c, R)
     D, eD = _two_sum(c, -R)
+    far, near = (S - r) + eS, (r - D) - eD
     with np.errstate(invalid="ignore"):
-        q_minus = ((r - D) - eD) * ((S - r) + eS)
+        q_minus = near * far
         q_plus = ((r + D) + eD) * (r + S)
         root = np.sqrt(np.maximum(q_minus * q_plus, 0.0))  # 2cr sin(theta) = 2rR sin(phi)
         if tangent:
             x = np.arctan2(root, np.abs(r * r - D * S))
         else:
             x = np.arctan2(root, 0.5 * (q_plus - q_minus))
-    return np.where((q_minus > 0) & (q_plus > 0), x, 0.0)
+    return np.where((q_minus > 0) & (q_plus > 0), x, 0.0), far, near
+
+
+def _crossing_angles(c, R, r, tangent: bool):
+    return _chord_crossings(c, R, r, tangent)[0]  # the angles x alone
 
 
 def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, parts: int):
-    """Log ray integrand of the f-mass of B(c e1, R), batched over balls.
+    """(log_f, angles): the log ray integrand of the f-mass of B(c e1, R),
+    batched over balls, and the _chord_crossings angles of bp in (0, inf).
 
     f is the step function with value v_k = exp(log_v[k - 1]) on the piece
     (t_{k-1}, t_k] of the breakpoints bp = (t_0, .., t_K), and 0 below t_0
@@ -125,10 +130,10 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
     f-mass of the chord, the sum of v_k (b^p - a^p)/p over its overlap
     [a, b] with each piece, p = d - beta.  Only the pieces holding t- and
     t+ are clipped; the whole pieces between them come from a table.  The
-    integrand has shape (m, parts, 21).  With parts = 2 a second component
-    comes ahead of it, the measure (t+^p - t-^p)/p of the whole chord; with
-    parts = 4 two more follow, the R-derivatives of those two (by co-area,
-    the weighted area of the sphere |y - c e1| = R and f's mass on it):
+    integrand has shape (m, parts, 21).  With parts = 2 the measure
+    (t+^p - t-^p)/p of the whole chord comes ahead of it; with parts = 4 two
+    more follow, their R-derivatives (by co-area, the weighted area of the
+    sphere |y - c e1| = R and f's mass on it):
     v(t+) t+^(p-1) dt+/dR + v(t-) t-^(p-1) |dt-/dR| with v = 1 for the chord,
     that is (R/c)/cos(theta) times the sum in the tangent form, and
     R/sqrt(R^2 - c^2 sin^2 theta) v(t+) t+^(p-1) around the origin.
@@ -141,25 +146,23 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
     from specfun._log_ratio: the chord's gap is 2R cos(phi) (t+ around the
     origin), and each clipped gap is formed from the distances
     d+ = c + R - t+ and d- = t- - (c - R) (d- = t- = 0 around the origin)
-    and the exact per-ball distances c + R - t_k and t_k - (c - R).
+    and the exact per-ball distances c + R - t_k and t_k - (c - R) that come
+    with the angles, over a piece axis; a whole ball has neither.
     """
     lw = log_sphere_area(m.d - 1)
     p = m.homogeneity
     d = m.d
     bp = np.asarray(bp, dtype=float)
-    # every chord starts at or beyond |y| = 0 and ends short of infinity:
-    # o breakpoints lie at the origin, and the spheres a chord can cross
-    # are t_cross = bp[o:o + n]; with none, no chord is clipped
+    # chords lie in 0 <= |y| < inf: o breakpoints lie at the origin, and the spheres
+    # a chord can cross are t_cross = bp[o:o + n]; with none, no chord is clipped
     o = int(np.count_nonzero(bp <= 0.0))
     t_cross = bp[(bp > 0.0) & (bp < math.inf)]
     n = len(t_cross)
     log_v = np.asarray(log_v, dtype=float)
     lv = np.concatenate([[NEG_INF], log_v, [NEG_INF]])  # ln v_k on pieces 0..K + 1
     table = _log_piece_table(p, tuple(bp), tuple(log_v)) if n else None
-    S, eS = _two_sum(C, RR)
-    D, eD = _two_sum(C, -RR)
-    FAR = (S[:, None] - t_cross) + eS[:, None]
-    NEAR = (t_cross - D[:, None]) - eD[:, None]
+    angles, FAR, NEAR = (_chord_crossings(C[:, None], RR[:, None], t_cross, tangent) if n
+                         else (np.zeros((len(C), 0)), None, None))
 
     def pw(log_t):
         # ln t^(p-1); p = 1 gives 1 even at t = 0
@@ -193,12 +196,15 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
             whole = log_cut(t_minus if tangent else 0.0, t_plus, log_tp, chord)
             # t- lies in [t_{q-1}, t_q) and t+ in (t_{q-1}, t_q] for q = lo, hi,
             # both decided by the exact distances, as the gaps are
-            hi = sum((FAR[seg, j] > d_plus for j in range(n)), o)
-            lo = sum((NEAR[seg, j] <= d_minus for j in range(n)), o) if tangent else o
+            hi = lo = o
+            if n:  # the (n, m, 21) comparisons over the piece axis, counted along it
+                hi = np.add.reduce(FAR.T[:, seg] > d_plus, axis=0, initial=o, dtype=np.intp)
+                if tangent:
+                    lo = np.add.reduce(NEAR.T[:, seg] <= d_minus, axis=0, initial=o, dtype=np.intp)
             mass = lv[hi] + whole
             # flat indices of the chords that cross a sphere, whose end
             # pieces are clipped; t_{hi-1} and t_lo lie in t_cross
-            cut = np.flatnonzero(lo < hi) if n else ()
+            cut = np.flatnonzero(lo < hi)
             if len(cut):
                 s = np.broadcast_to(seg, x.shape).ravel()[cut] * n - o
                 r = hi.ravel()[cut]
@@ -235,7 +241,7 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
             out += [s + log_dw for s in sphere]
         return np.stack(out, axis=1)
 
-    return log_f
+    return log_f, angles
 
 
 # the widest layer at pi/2 that gets graded first panels
@@ -245,26 +251,31 @@ _LAYER_MAX = math.pi / 32
 _SPIKE = 4.0
 
 
-def _layer_edges(c, R, tangent: bool, tol: float):
+def _layer_edges(c, R, angles, tangent: bool, tol: float, q: float, width: float):
     """Panel edges graded into the ray integrand's layer at pi/2, per ball.
 
     With eps = sqrt|c^2 - R^2| / c, the tangent form has
     cos(theta) = sqrt(cos^2 phi + eps^2 sin^2 phi) and the origin form
     sqrt(R^2 - c^2 sin^2 theta) = c sqrt(eps^2 + cos^2 theta): both change
     over a width eps at pi/2, which bisection reaches one halving per round.
-    A ball with sqrt(tol)/32 <= eps < pi/32 gets edges at pi/2 -+ eps 2^j
-    up to pi/4 away (wider layers take a round or two of bisection).  Below
-    sqrt(tol)/32 the layer moves the integral by about eps^2 relative,
-    under tol, and no panel needs to see it.  Every other ball of the batch
-    gets edges at 0 or at the top of its range, zero-width pieces, which get
-    no panel, so its own panels and bits do not change.  With no thin ball,
-    which a few array operations tell, there are no edges: shape (n, 0).
+    The integrand of eps = 0 going like u^(q - 1) at a distance u, the layer
+    holds about (eps/U)^q of the panel next to pi/2, U wide: the first-panel
+    cap width, or the distance of the nearest crossing angle.  A ball with
+    tol <= eps < pi/32 gets edges at pi/2 -+ eps 2^j up to pi/4 away where
+    that share reaches tol/16 (tol itself left 1.0e-8 errors at tol 1e-8)
+    or U <= 4 eps.  The other balls get edges at 0 or at the top of their
+    range, zero-width pieces with no panel, so their panels and bits do not
+    change; with none to grade, shape (n, 0).
     """
-    q = np.abs((c - R) * (c + R))  # (eps c)^2, no division at c = 0
-    thin = (q < (_LAYER_MAX * c) ** 2) & (32.0 ** 2 * q >= tol * c * c)
+    e2 = np.abs((c - R) * (c + R))  # (eps c)^2, no division at c = 0
+    thin = (e2 < (_LAYER_MAX * c) ** 2) & (e2 >= (tol * c) ** 2)
+    if thin.any():
+        eps = np.sqrt(e2[thin]) / c[thin]
+        U = np.min(np.abs(angles[thin] - 0.5 * math.pi), axis=1, initial=width)
+        thin[thin] = eps >= U * min(0.25, (tol / 16.0) ** (1.0 / q) if q > 0 else 0.0)
     if not thin.any():
         return np.zeros((len(c), 0))
-    eps = np.sqrt(q[thin]) / c[thin]
+    eps = np.sqrt(e2[thin]) / c[thin]
     w = eps[:, None] * 2.0 ** np.arange(math.ceil(math.log2(0.25 * math.pi / eps.min())))
     w = np.where(w < 0.25 * math.pi, w, 0.5 * math.pi)
     sides = [0.5 * math.pi - w] if tangent else [0.5 * math.pi - w, 0.5 * math.pi + w]
@@ -300,19 +311,15 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
     breakpoints bp (see _ray_log_integrand); bp = (r_in, r_out) with
     log_v = (0,) gives mu(B intersect {r_in <= |y| <= r_out}).  Integrates
     along rays from the origin, one batched quadrature run for the balls
-    around the origin and one for the rest, which is what keeps parameter
-    sweeps (shift ratios, radius searches, level sets) fast.  Each ball starts
-    from the pieces between the angles where its boundary crosses the
-    spheres |y| = t_k, and a ball whose boundary passes close to the
-    origin also from panels graded into the layer at the angle pi/2 (see
-    _layer_edges); every piece wider than the sin^(d-2) spike,
-    _SPIKE/sqrt(d), is cut into equal panels no wider than that (see
-    _spike_panels), so bisection does not spend a round per halving to
-    reach the spike.
-    Returns shape (n,), or (n, parts) with parts = 2
-    (the ball's measure ahead of its f-mass) or 4 (then their derivatives in
-    R, which ride on the nodes the first two choose; see
-    _ray_log_integrand).
+    around the origin and one for the rest, which keeps parameter sweeps
+    fast.  Each ball starts from the pieces between the angles where its
+    boundary crosses the spheres |y| = t_k, and from panels graded into the
+    layer at pi/2 where its boundary passes close to the origin and that
+    layer carries weight (see _layer_edges); pieces wider than the
+    sin^(d-2) spike, _SPIKE/sqrt(d), are cut into equal panels no wider
+    (see _spike_panels).  Returns shape (n,), or (n, parts) with parts = 2
+    (the ball's measure ahead of its f-mass) or 4 (then their R-derivatives,
+    which ride on the nodes the first two choose).
     """
     cs = np.asarray(cs, dtype=float)
     Rs = np.asarray(Rs, dtype=float)
@@ -325,19 +332,22 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
     origin_inside = cs < Rs
     # the two derivatives ride on the nodes the measure and the mass choose
     riders = {"riders": 2} if parts == 4 else {}
+    # the layer at pi/2 holds eps^q (see _layer_edges): p + 1 of the measure and
+    # the f-mass (2p below p = 1, chords past pi/2 ending eps^2 away), p - 1 of riders
+    p = m.homogeneity
+    q = p - 1.0 if parts == 4 else min(p + 1.0, 2.0 * p)
+    width = _SPIKE / math.sqrt(m.d)
     for tangent, top in ((False, math.pi), (True, 0.5 * math.pi)):
         idx = np.nonzero(origin_inside != tangent)[0]
         if idx.size == 0:
             continue
         c, R = cs[idx], Rs[idx]
-        log_f = _ray_log_integrand(m, c, R, bp, log_v, tangent, parts)
+        log_f, angles = _ray_log_integrand(m, c, R, bp, log_v, tangent, parts)
         edges = np.sort(np.column_stack([
-            np.zeros(idx.size),
-            _crossing_angles(c[:, None], R[:, None], bp, tangent),
-            np.full(idx.size, top),
-            _layer_edges(c, R, tangent, quad.tol),
+            np.zeros(idx.size), angles, np.full(idx.size, top),
+            _layer_edges(c, R, angles, tangent, quad.tol, q, width),
         ]), axis=1)
-        at, lo, hi = _spike_panels(edges, _SPIKE / math.sqrt(m.d))
+        at, lo, hi = _spike_panels(edges, width)
         try:
             out[idx], _ = log_integrate_batch(log_f, at, lo, hi, idx.size, quad, **riders)
         except QuadratureError as exc:

@@ -2,7 +2,8 @@
 
 The oracles share no code with what they check: Monte Carlo ball
 averages, a golden-section maximizer of the spike profile, the dense-grid
-M^u, composite Simpson, and the unit-ball volume from math.lgamma.
+M^u, composite Simpson, the unit-ball volume from math.lgamma, and mpmath
+integrals over a ball's sphere.
 """
 
 import math
@@ -94,6 +95,54 @@ def simpson(f, a, b, n=4001):
 def log_unit_ball_volume(d):
     """ln of the Lebesgue volume of the unit ball: ln(pi^{d/2} / Gamma(d/2 + 1))."""
     return 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+
+
+def mp_log_sphere_integrals(d, beta, c, R, breakpoints, values):
+    """(ln sigma, ln sigma_f): the integrals of |y|^(-beta) and of
+    f(|y|) |y|^(-beta) over the sphere |y - c e1| = R, by mpmath at 30 digits.
+
+    f is values[k] on (breakpoints[k], breakpoints[k + 1]] and 0 elsewhere.
+    By co-area these are the R-derivatives of the ball's measure and of f's
+    mass in it.  Polar coordinates about the centre, y = c e1 + R (cos psi e1
+    + sin psi u) with u on the unit sphere of R^(d-1), give
+    dS = R^(d-1) sin^(d-2)(psi) dpsi du and, with s = pi - psi,
+    |y|^2 = (c - R)^2 + 4cR sin^2(s/2).  |y| turns over s ~ |c - R|/sqrt(cR),
+    so the range of s is cut geometrically from there, and where |y| meets a
+    breakpoint, which keeps f constant on each cut.
+    """
+    from mpmath import mp
+    mp.dps = 30
+    c, R = mp.mpf(c), mp.mpf(R)
+    bps = [mp.mpf(t) for t in breakpoints]
+    gap2 = (c - R) ** 2
+
+    def radius(s):
+        return mp.sqrt(gap2 + 4 * c * R * mp.sin(s / 2) ** 2)
+
+    cuts = {mp.mpf(0), mp.pi}
+    s = max(abs(c - R) / mp.sqrt(c * R), mp.mpf(10) ** -30)
+    while s < mp.pi:
+        cuts.add(s)
+        s *= 4
+    for t in bps:
+        if abs(c - R) < t < c + R:
+            cuts.add(2 * mp.asin(mp.sqrt((t * t - gap2) / (4 * c * R))))
+    cuts = sorted(cuts)
+
+    def value(r):
+        for a, b, v in zip(bps, bps[1:], values):
+            if a < r <= b:
+                return mp.mpf(v)
+        return mp.mpf(0)
+
+    area = mass = mp.mpf(0)
+    for a, b in zip(cuts, cuts[1:]):
+        part = mp.quad(lambda s: mp.sin(s) ** (d - 2) * radius(s) ** (-mp.mpf(beta)), [a, b])
+        area += part
+        mass += value(radius((a + b) / 2)) * part
+    log_area = (mp.log(2) + mp.mpf(d - 1) / 2 * mp.log(mp.pi) - mp.loggamma(mp.mpf(d - 1) / 2)
+                + (d - 1) * mp.log(R))
+    return float(log_area + mp.log(area)), float(log_area + mp.log(mass)) if mass else -math.inf
 
 
 def mc_ball_average(m, f, c, R, n_samples=10 ** 6, seed=0):

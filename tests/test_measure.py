@@ -21,9 +21,11 @@ from radialmax.measure import (
     shift_condition_ratios,
 )
 from radialmax import measure, quadrature
+from radialmax.maximal1d import GridConfig, RadialProfile
+from radialmax.radial import MaximalConfig, weak_type_quotient_radial
 from radialmax.specfun import log_gamma, log_sphere_area
 
-from conftest import log_unit_ball_volume
+from conftest import log_unit_ball_volume, mp_log_sphere_integrals
 
 TIGHT = QuadratureConfig(tol=1e-11)
 
@@ -466,50 +468,38 @@ def test_flat_panel_layout_changes_no_bit(seed):
     assert all(v != empty for (v, _), k in zip(blocks, counts) if k)
 
 
-def _count_ball_nodes():
-    """(integrand nodes, integrand calls) of the ball-sweep balls at scale 1."""
-    work = [0, 0]
-    integrate = measure.log_integrate_batch
-
-    def counting(log_f, at, lo, hi, n, cfg):
-        def log_f_counted(seg, s):
-            work[0] += np.size(s)
-            work[1] += 1
-            return log_f(seg, s)
-        return integrate(log_f_counted, at, lo, hi, n, cfg)
-
-    measure.log_integrate_batch = counting
-    try:
-        for d in (2, 52, 102, 152, 197):
-            for beta in (-2.0, 0.0, 0.5, d / 4, d / 2):
-                log_ball_offcenter(PowerLawMeasure(d, beta), BallSpec(1.0, 1.0))
-    finally:
-        measure.log_integrate_batch = integrate
-    return tuple(work)
-
-
-def _with_rounds(run):
-    """(run(), rounds): the integrand calls of each log_integrate_batch run."""
-    rounds = []
+def _with_work(run):
+    """(run(), work): (integrand calls, nodes) of each log_integrate_batch run
+    of the ball measures, in order."""
+    work = []
     integrate = measure.log_integrate_batch
 
     def counting(log_f, at, lo, hi, n, cfg, **kw):
         def log_f_counted(seg, s):
-            rounds[-1] += 1
+            work[-1][0] += 1
+            work[-1][1] += np.size(s)
             return log_f(seg, s)
-        rounds.append(0)
+        work.append([0, 0])
         return integrate(log_f_counted, at, lo, hi, n, cfg, **kw)
 
     measure.log_integrate_batch = counting
     try:
-        return run(), rounds
+        return run(), [tuple(w) for w in work]
     finally:
         measure.log_integrate_batch = integrate
 
 
+def _ball_sweep_work():
+    """Per-run work of the ball-sweep balls at scale 1."""
+    return _with_work(lambda: [log_ball_offcenter(PowerLawMeasure(d, beta), BallSpec(1.0, 1.0))
+                               for d in (2, 52, 102, 152, 197)
+                               for beta in (-2.0, 0.0, 0.5, d / 4, d / 2)])[1]
+
+
 def test_ball_quadrature_work_repeats_and_stays_bounded():
-    nodes, calls = _count_ball_nodes()
-    assert _count_ball_nodes() == (nodes, calls)  # identical work on a rerun
+    work = _ball_sweep_work()
+    assert _ball_sweep_work() == work  # identical work on a rerun
+    calls, nodes = map(sum, zip(*work))
     # 25 balls, one integral each, starting from panels no wider than the
     # sin^(d-2) spike; measured 3,633 nodes in 56 calls (from the crossing
     # pieces alone: 5,061 nodes in 103 calls)
@@ -526,8 +516,8 @@ def test_lone_ball_through_origin_takes_at_most_two_rounds(d):
     for beta in (-5.0, 0.0, d / 2, d - 1e-6):
         m = PowerLawMeasure(d, beta)
         for c in (0.3, 1.0, 7.0):
-            got, rounds = _with_rounds(lambda: log_ball_offcenter(m, BallSpec(c, c)).log)
-            assert len(rounds) == 1 and rounds[0] <= 2, (beta, c, rounds)
+            got, work = _with_work(lambda: log_ball_offcenter(m, BallSpec(c, c)).log)
+            assert len(work) == 1 and work[0][0] <= 2, (beta, c, work)
             want = log_ball_offcenter_unit_closed(m).log + m.homogeneity * math.log(c)
             assert abs(got - want) <= 1e-8, (beta, c)
 
@@ -545,8 +535,9 @@ def test_thin_layer_balls_converge_in_few_rounds(c):
     m, t = PowerLawMeasure(12, 3.0), 0.004
     cs = np.array([c, c, 0.0, c])
     Rs = np.array([math.sqrt(c * c - t * t), math.sqrt(c * c + t * t), c, c])
-    got, rounds = _with_rounds(lambda: measure._batched_shell_logs(
+    got, work = _with_work(lambda: measure._batched_shell_logs(
         m, cs, Rs, [0.0, t], [0.0], QuadratureConfig(tol=1e-8), parts=4))
+    rounds = [calls for calls, _ in work]
     # one quadrature run for the balls around the origin, one for the rest
     assert len(rounds) == 2 and max(rounds) <= 3, rounds
     tight = QuadratureConfig(tol=1e-12)
@@ -558,6 +549,27 @@ def test_thin_layer_balls_converge_in_few_rounds(c):
     assert got[2, 0] == pytest.approx(log_ball_centered(m, c).log, abs=1e-12)
     unit = log_ball_offcenter_unit_closed(m).log + m.homogeneity * math.log(c)
     assert got[3, 0] == pytest.approx(unit, abs=1e-9)
+
+
+def test_thin_layers_without_weight_get_no_graded_panels():
+    """Criterion 10's d = 12, beta = 3, indicator(0.004) quotient at its tol 1e-6.
+
+    Its radius searches meet many thin balls, but at p = 9 the layer at
+    pi/2 holds about (eps/U)^8 of the sphere riders' panel next to it,
+    under tol/16 unless a breakpoint sphere crosses within a few eps of
+    pi/2: measured 51,639 nodes (103,572 when every ball with
+    sqrt(tol)/32 <= eps < pi/32 was graded), and every quadrature run
+    converges on its first panels.
+    """
+    m, r0 = PowerLawMeasure(12, 3.0), 0.004
+    lam = math.exp(log_ball_centered(m, r0).log
+                   - log_ball_offcenter(m, BallSpec(1.0, 1.0 + r0)).log)
+    cfg = MaximalConfig(quad=QuadratureConfig(tol=1e-6), level_grid=GridConfig(points=128))
+    q, work = _with_work(lambda: weak_type_quotient_radial(
+        m, RadialProfile.indicator(r0), np.geomspace(0.25 * lam, 1.02 * lam, 10), cfg))
+    assert math.isfinite(q)
+    assert all(calls == 1 for calls, _ in work), work
+    assert sum(nodes for _, nodes in work) <= 51639
 
 
 def test_quadrature_error_names_ball_within_batch(monkeypatch):
@@ -623,6 +635,40 @@ def test_small_p_ball_edge_near_origin(d, p):
     assert all(math.isfinite(g) for g in got)
     assert got == sorted(got)
     assert got[-1] <= log_ball_offcenter_unit_closed(m).log
+
+
+# thin balls, eps = sqrt|c^2 - R^2|/c small: (d, beta, c, R, breakpoints,
+# values); a breakpoint near c eps crosses the ball's boundary inside the
+# layer at pi/2.  Each of the first four had its sphere riders off by more
+# than 1e-5 when balls with eps < sqrt(tol)/32 got no graded panels
+# (3.7e-2, 1.5e-3, 1.6e-5 and 4.6e-2 at tol 1e-8)
+THIN_BALLS = [
+    (28, 27.320769483647634, 0.9231318314741987, 0.9231318314748128,
+     (0.0, 1.1625930698348584e-06, 0.09231667092662937, 2.3078295786854968),
+     (2.184412999537997, 1.3402521590356653, 1.2647858784106814)),
+    (17, 16.38190073527235, 0.6289169870045047, 0.628916987004949,
+     (0.0, 1e-6, 0.5, 1.5), (3.0, 1.0, 2.0)),
+    (9, 8.4, 0.7, 0.7 * math.sqrt(1.0 - 4e-12), (0.0, 4.2e-6, 0.42, 1.75), (2.0, 0.5, 1.5)),
+    (3, 1.7, 1.5, 1.5 * math.sqrt(1.0 + 4e-12), (0.0, 2.1e-6, 0.9, 3.75), (2.0, 0.5, 1.5)),
+    (5, 4.7, 1.0, math.sqrt(1.0 + 9e-12), (0.0, 1.5e-6, 0.6, 2.5), (2.0, 0.5, 1.5)),
+    # p = 9 and no breakpoint sphere crossing near pi/2: the layer holds
+    # about (eps/U)^8 ~ 1e-10 of the panel next to it, and gets no graded panels
+    (12, 3.0, 1.0, math.sqrt(1.0 - 0.05 ** 2), (0.0, 1.5, 1.9, 2.5), (2.0, 0.5, 1.5)),
+]
+
+
+@pytest.mark.parametrize("d,beta,c,R,bp,values", THIN_BALLS)
+def test_thin_ball_riders_and_measure_vs_mpmath(d, beta, c, R, bp, values):
+    # the riders against integrals over the ball's sphere, the measure
+    # against the slice oracle, each at the default tol 1e-8
+    m = PowerLawMeasure(d, beta)
+    got = _batched_shell_logs(m, [c], [R], bp, np.log(values), measure.DEFAULT_QUADRATURE,
+                              parts=4)[0]
+    sphere = mp_log_sphere_integrals(d, beta, c, R, bp, values)
+    np.testing.assert_allclose(np.exp(got[2:] - sphere), 1.0, rtol=1e-5, atol=0)
+    want = _mp_log_shell(d, beta, c, R, 0.0, math.inf, pieces=8)
+    for log_mu in (got[0], log_ball_offcenter(m, BallSpec(c, R)).log):
+        assert abs(math.expm1(log_mu - want)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
