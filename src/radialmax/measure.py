@@ -91,7 +91,7 @@ def _two_sum(a, b):
     return s, (a - (s - t)) + (b - t)
 
 
-def _chord_crossings(c, R, r, tangent: bool):
+def _crossing_angles(c, R, r, tangent: bool):
     """(x, far, near): where the sphere |y| = r meets the boundary of B(c e1, R).
 
     x is theta (the angle from e1) or, for the tangent form, phi with
@@ -114,13 +114,9 @@ def _chord_crossings(c, R, r, tangent: bool):
     return np.where((q_minus > 0) & (q_plus > 0), x, 0.0), far, near
 
 
-def _crossing_angles(c, R, r, tangent: bool):
-    return _chord_crossings(c, R, r, tangent)[0]  # the angles x alone
-
-
 def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, parts: int):
     """(log_f, angles): the log ray integrand of the f-mass of B(c e1, R),
-    batched over balls, and the _chord_crossings angles of bp in (0, inf).
+    batched over balls, and the _crossing_angles angles of bp in (0, inf).
 
     f is the step function with value v_k = exp(log_v[k - 1]) on the piece
     (t_{k-1}, t_k] of the breakpoints bp = (t_0, .., t_K), and 0 below t_0
@@ -147,7 +143,7 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
     origin), and each clipped gap is formed from the distances
     d+ = c + R - t+ and d- = t- - (c - R) (d- = t- = 0 around the origin)
     and the exact per-ball distances c + R - t_k and t_k - (c - R) that come
-    with the angles, over a piece axis; a whole ball has neither.
+    with the angles; a whole ball has neither.
     """
     lw = log_sphere_area(m.d - 1)
     p = m.homogeneity
@@ -161,7 +157,7 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
     log_v = np.asarray(log_v, dtype=float)
     lv = np.concatenate([[NEG_INF], log_v, [NEG_INF]])  # ln v_k on pieces 0..K + 1
     table = _log_piece_table(p, tuple(bp), tuple(log_v)) if n else None
-    angles, FAR, NEAR = (_chord_crossings(C[:, None], RR[:, None], t_cross, tangent) if n
+    angles, FAR, NEAR = (_crossing_angles(C[:, None], RR[:, None], t_cross, tangent) if n
                          else (np.zeros((len(C), 0)), None, None))
 
     def pw(log_t):
@@ -196,11 +192,8 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
             whole = log_cut(t_minus if tangent else 0.0, t_plus, log_tp, chord)
             # t- lies in [t_{q-1}, t_q) and t+ in (t_{q-1}, t_q] for q = lo, hi,
             # both decided by the exact distances, as the gaps are
-            hi = lo = o
-            if n:  # the (n, m, 21) comparisons over the piece axis, counted along it
-                hi = np.add.reduce(FAR.T[:, seg] > d_plus, axis=0, initial=o, dtype=np.intp)
-                if tangent:
-                    lo = np.add.reduce(NEAR.T[:, seg] <= d_minus, axis=0, initial=o, dtype=np.intp)
+            hi = sum((FAR[seg, j] > d_plus for j in range(n)), o)
+            lo = sum((NEAR[seg, j] <= d_minus for j in range(n)), o) if tangent else o
             mass = lv[hi] + whole
             # flat indices of the chords that cross a sphere, whose end
             # pieces are clipped; t_{hi-1} and t_lo lie in t_cross
@@ -249,6 +242,11 @@ _LAYER_MAX = math.pi / 32
 # first panels are at most _SPIKE/sqrt(d) wide: the ray integrand's factor
 # sin^(d-2) is a spike of width ~ 1/sqrt(d)
 _SPIKE = 4.0
+# a layer is graded where it holds _LAYER_SHARE tol of the panel next to pi/2 (at
+# tol 1e-8, 3 x 480 random thin balls erred up to 1.0e-8 with tol, 1.8e-9 with tol/16)
+# or that panel is at most _LAYER_NEAR eps wide (else a d = 200 quotient moved 5.7e-14)
+_LAYER_SHARE = 1.0 / 16.0
+_LAYER_NEAR = 4.0
 
 
 def _layer_edges(c, R, angles, tangent: bool, tol: float, q: float, width: float):
@@ -262,20 +260,22 @@ def _layer_edges(c, R, angles, tangent: bool, tol: float, q: float, width: float
     holds about (eps/U)^q of the panel next to pi/2, U wide: the first-panel
     cap width, or the distance of the nearest crossing angle.  A ball with
     tol <= eps < pi/32 gets edges at pi/2 -+ eps 2^j up to pi/4 away where
-    that share reaches tol/16 (tol itself left 1.0e-8 errors at tol 1e-8)
-    or U <= 4 eps.  The other balls get edges at 0 or at the top of their
-    range, zero-width pieces with no panel, so their panels and bits do not
-    change; with none to grade, shape (n, 0).
+    that share reaches _LAYER_SHARE tol or U <= _LAYER_NEAR eps.  The other
+    balls get edges at 0 or at the top of their range, zero-width pieces
+    with no panel, so their panels and bits do not change; with none to
+    grade, shape (n, 0).
     """
     e2 = np.abs((c - R) * (c + R))  # (eps c)^2, no division at c = 0
     thin = (e2 < (_LAYER_MAX * c) ** 2) & (e2 >= (tol * c) ** 2)
     if thin.any():
         eps = np.sqrt(e2[thin]) / c[thin]
         U = np.min(np.abs(angles[thin] - 0.5 * math.pi), axis=1, initial=width)
-        thin[thin] = eps >= U * min(0.25, (tol / 16.0) ** (1.0 / q) if q > 0 else 0.0)
+        share = (_LAYER_SHARE * tol) ** (1.0 / q) if q > 0 else 0.0
+        keep = eps >= U * min(1.0 / _LAYER_NEAR, share)
+        thin[thin] = keep
+        eps = eps[keep]
     if not thin.any():
         return np.zeros((len(c), 0))
-    eps = np.sqrt(e2[thin]) / c[thin]
     w = eps[:, None] * 2.0 ** np.arange(math.ceil(math.log2(0.25 * math.pi / eps.min())))
     w = np.where(w < 0.25 * math.pi, w, 0.5 * math.pi)
     sides = [0.5 * math.pi - w] if tangent else [0.5 * math.pi - w, 0.5 * math.pi + w]

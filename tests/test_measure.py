@@ -104,21 +104,21 @@ def test_cap_angle_tangency(R):
     c = np.array([1.0])
     rR = np.array([R])
     r = np.sqrt(1.0 - rR * rR)
-    got = _crossing_angles(c, rR, r, tangent=False)[0]
+    got = _crossing_angles(c, rR, r, tangent=False)[0][0]
     assert math.cos(got) == pytest.approx(r[0], abs=1e-13)
-    assert _crossing_angles(c, rR, r, tangent=True)[0] == pytest.approx(math.pi / 2, abs=1e-7)
+    assert _crossing_angles(c, rR, r, tangent=True)[0][0] == pytest.approx(math.pi / 2, abs=1e-7)
     near_ends = np.array([1.0 - R + 1e-6, 1.0 + R - 1e-6])
-    assert np.all(got >= _crossing_angles(np.ones(2), np.full(2, R), near_ends, False))
+    assert np.all(got >= _crossing_angles(np.ones(2), np.full(2, R), near_ends, False)[0])
 
 
 def test_cap_angle_degenerate_endpoints():
     c, R = np.ones(2), np.full(2, 0.3)
     ends = np.array([1.0 - 0.3 + 1e-13, 1.0 + 0.3 - 1e-13])
-    assert np.abs(_crossing_angles(c, R, ends, tangent=False)).max() < 1e-6
-    assert np.abs(_crossing_angles(c, R, ends, tangent=True)).max() < 1e-6
+    assert np.abs(_crossing_angles(c, R, ends, tangent=False)[0]).max() < 1e-6
+    assert np.abs(_crossing_angles(c, R, ends, tangent=True)[0]).max() < 1e-6
     # ball around the origin: the sphere at its nearest boundary point
     # crosses on the ray pointing away from the center
-    inner = _crossing_angles(np.array([0.2]), np.array([0.5]), np.array([0.3 + 1e-13]), False)
+    inner = _crossing_angles(np.array([0.2]), np.array([0.5]), np.array([0.3 + 1e-13]), False)[0]
     assert inner[0] == pytest.approx(math.pi, abs=1e-5)
 
 
@@ -127,8 +127,8 @@ def test_cap_angle_domain():
     c, R = np.full(5, 1.0), np.full(5, 0.3)
     r = np.array([0.05, 0.7, 1.3, 1.5, math.inf])
     for tangent in (False, True):
-        assert np.all(_crossing_angles(c, R, r, tangent) == 0.0)
-    assert _crossing_angles(np.array([0.0]), np.array([0.5]), np.array([0.3]), False)[0] == 0.0
+        assert np.all(_crossing_angles(c, R, r, tangent)[0] == 0.0)
+    assert _crossing_angles(np.array([0.0]), np.array([0.5]), np.array([0.3]), False)[0][0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_cap_area_hemisphere_d3():
     # the cap area 2 pi t^2 - pi t (c^2 + t^2 - R^2) / c is cubic in t, so
     # the shell over [1 - h, 1 + h] is exactly 2h * 2 pi (1 - h^2 / 6)
     c, R, h = 1.0, math.sqrt(2.0), 1e-3
-    theta = _crossing_angles(np.array([c]), np.array([R]), np.array([1.0]), False)[0]
+    theta = _crossing_angles(np.array([c]), np.array([R]), np.array([1.0]), False)[0][0]
     assert theta == pytest.approx(math.pi / 2, abs=1e-15)
     assert _log_thin_shell_area(3, c, R, 1.0, h) == pytest.approx(
         math.log(2 * math.pi) + math.log1p(-h * h / 6), abs=1e-12
@@ -181,7 +181,7 @@ def test_cap_area_two_sided_sandwich(d):
     R = 0.55
     root = math.sqrt(1.0 - R * R)
     for s in np.linspace(1 - R + 1e-3, 1 + R - 1e-3, 25):
-        phi = _crossing_angles(np.array([1.0]), np.array([R]), np.array([s]), False)[0]
+        phi = _crossing_angles(np.array([1.0]), np.array([R]), np.array([s]), False)[0][0]
         assert math.cos(phi) >= root - 1e-12
         area = _log_thin_shell_area(d, 1.0, R, s, 1e-6 * s)
         lower = log_sphere_area(d - 1) - math.log(d - 1) + (d - 1) * math.log(s * math.sin(phi))
