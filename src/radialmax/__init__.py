@@ -13,7 +13,6 @@ from .maximal1d import (
     GridConfig,
     LevelSetResult,
     RadialProfile,
-    WeightedLineMeasure,
     gamma0_interval,
     uncentered_max,
     weak_type_quotient_1d,

@@ -219,27 +219,25 @@ def cmd_verify_shift(args) -> int:
 # weaktype
 # ---------------------------------------------------------------------------
 
-def _weaktype_cases(args, d: int, beta: float, rng):
+def _weaktype_cases(args, m, rng):
     """(label, profile, ln lambda grid) triples for the selected family.
 
     An indicator's levels lie around lambda* = mu(B(0, r0)) / mu(B(e1, 1 + r0)),
     built from ln lambda*, which stays finite where lambda* underflows.
     """
-    m1 = m1d.WeightedLineMeasure(d, beta)
     cases = []
     if args.family == "shrinking-indicator":
-        mm = msr.PowerLawMeasure(d, beta)
         log_g = np.log(np.geomspace(0.25, 1.02, args.lambdas))
         for r0 in (0.1, 0.02, 0.005):
-            log_lam = (msr.log_ball_centered(mm, r0).log
-                       - msr.log_ball_offcenter(mm, msr.BallSpec(1.0, 1.0 + r0)).log)
+            log_lam = (msr.log_ball_centered(m, r0).log
+                       - msr.log_ball_offcenter(m, msr.BallSpec(1.0, 1.0 + r0)).log)
             cases.append((f"indicator r0={r0:g}", m1d.RadialProfile.indicator(r0),
                           log_lam + log_g))
     elif args.family == "radial-decreasing":
         for k, vals in enumerate([(3.0, 1.0, 0.25), (1.0, 0.5, 0.1), (5.0, 0.2, 0.02)]):
             f = m1d.RadialProfile((0.0, 0.4, 1.1, 2.0), vals)
             cases.append((f"decreasing #{k}", f,
-                          np.log(m1d.default_lambda_grid(m1, f, args.lambdas))))
+                          np.log(m1d.default_lambda_grid(m, f, args.lambdas))))
     else:  # random
         for k in range(3):
             nb = int(rng.integers(2, 6))
@@ -247,7 +245,7 @@ def _weaktype_cases(args, d: int, beta: float, rng):
             vals = rng.uniform(0.05, 3.0, nb)
             f = m1d.RadialProfile(tuple(bp), tuple(vals))
             cases.append((f"random #{k}", f,
-                          np.log(m1d.default_lambda_grid(m1, f, args.lambdas))))
+                          np.log(m1d.default_lambda_grid(m, f, args.lambdas))))
     return cases
 
 
@@ -262,7 +260,8 @@ def cmd_weaktype(args) -> int:
     for d in args.d:
         beta = _exponent_for(args, d)
         try:
-            cases = _weaktype_cases(args, d, beta, rng)
+            m = msr.PowerLawMeasure(d, beta)
+            cases = _weaktype_cases(args, m, rng)
         except (QuadratureError, ValueError) as exc:
             rows.append({"d": d, "beta": beta, "family": args.family, "error": str(exc)})
             continue
@@ -270,7 +269,6 @@ def cmd_weaktype(args) -> int:
             row: dict = {"d": d, "beta": beta, "family": args.family, "case": label,
                          "error": None}
             try:
-                m = msr.PowerLawMeasure(d, beta)
                 lower = bnd.delta_lower_bound(d, beta).value if beta >= 0 else None
                 upper = 2.0 * (rad.certified_shift_constant(m) + 1.0) if beta <= d / 2 else None
                 q = rad._weak_type_quotient_logs(m, f, log_lams, cfg)
@@ -296,7 +294,7 @@ def cmd_maximal1d_eval(args) -> int:
         print(f"bad profile {args.profile}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        m = m1d.WeightedLineMeasure(args.d_single, args.beta)
+        m = msr.PowerLawMeasure(args.d_single, args.beta)
         xs = [float(t) for t in args.x.split(",") if t.strip()]
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)

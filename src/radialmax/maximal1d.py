@@ -1,10 +1,11 @@
 """Uncentered maximal operator on (0, infinity) for weighted line measures.
 
-The measure is d(gamma0) = t^{d-1-beta} dt, the radial trace of a power-law
-measure on R^d, with gamma0(0, t) = G(t) = t^p/p, p = d - beta.  Every
-interval measure comes from the ball measures' log-space primitives in
-specfun (_log_power_interval, _log_ratio, _log_piece_table), so averages
-are differences of logs and nothing overflows at d in the hundreds.
+The measure is d(gamma0) = t^{d-1-beta} dt, the radial trace of the
+measure.PowerLawMeasure that serves here too, with gamma0(0, t) = G(t) =
+t^p/p, p = d - beta (its homogeneity).  Every interval measure comes from
+the ball measures' log-space primitives in specfun (_log_power_interval,
+_log_ratio, _log_piece_table), so averages are differences of logs and
+nothing overflows at d in the hundreds.
 
 Drag argument.  Moving an endpoint of an interval across a constancy piece
 of value v drags the running average monotonically toward v (and freezes
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measure import PowerLawMeasure
 from .specfun import NEG_INF, _log_piece_table, _log_power_interval, _log_ratio
 
 __all__ = [
@@ -50,25 +52,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightedLineMeasure:
-    """gamma0 on (0, inf) with density t^(d-1-beta); requires beta < d."""
-
-    d: int
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValueError("dimension d must be an integer >= 1")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got beta = {self.beta} at d = {self.d}")
-        if not self.beta < self.d:
-            raise ValueError("beta must be < d for gamma0 to be locally finite")
-
-    @property
-    def power(self) -> float:
-        """gamma0(0, t) = t^power / power."""
-        return self.d - self.beta
+# the old name of the record, which perfbench/workloads.py and the acceptance tests construct
+WeightedLineMeasure = PowerLawMeasure
 
 
 @dataclass(frozen=True)
@@ -154,25 +139,26 @@ class RadialProfile:
 
 
 @functools.lru_cache(maxsize=64)
-def _log_pieces(m: WeightedLineMeasure, f: RadialProfile):
+def _log_pieces(m: PowerLawMeasure, f: RadialProfile):
     """(ln t_k, k = 0..n; ln g_k = ln gamma0(t_{k-1}, t_k), ln v_k, k = 1..n), read-only."""
     bp = np.asarray(f.breakpoints)
     with np.errstate(divide="ignore"):
         lt = np.log(bp)
         lv = np.log(np.asarray(f.values))
-    lg = _log_power_interval(m.power, lt[1:], _log_ratio(bp[:-1], bp[1:], lt[1:], np.diff(bp)))
+    lg = _log_power_interval(m.homogeneity, lt[1:],
+                             _log_ratio(bp[:-1], bp[1:], lt[1:], np.diff(bp)))
     for x in (lt, lg, lv):
         x.flags.writeable = False
     return lt, lg, lv
 
 
-def _log_l1(m: WeightedLineMeasure, f: RadialProfile) -> float:
+def _log_l1(m: PowerLawMeasure, f: RadialProfile) -> float:
     """ln of the profile's L1 norm under gamma0; -inf for an a.e. zero profile."""
     _, lg, lv = _log_pieces(m, f)
     return float(np.logaddexp.reduce(lv + lg, axis=0))
 
 
-def _linear(log_value, m: WeightedLineMeasure, what: str) -> float:
+def _linear(log_value, m: PowerLawMeasure, what: str) -> float:
     """exp(log_value); past the double range, an OverflowError naming the inputs."""
     try:
         return math.exp(log_value)
@@ -182,28 +168,28 @@ def _linear(log_value, m: WeightedLineMeasure, what: str) -> float:
                             ) from None
 
 
-def gamma0_interval(m: WeightedLineMeasure, a: float, b: float) -> float:
+def gamma0_interval(m: PowerLawMeasure, a: float, b: float) -> float:
     """gamma0(a, b) = (b^p - a^p)/p with p = d - beta; 0 when a == b."""
     if not 0 <= a <= b < math.inf:
         raise ValueError(f"need 0 <= a <= b < inf, got a = {a} b = {b}")
     lb = math.log(b) if b > 0 else NEG_INF
-    return _linear(float(_log_power_interval(m.power, lb, _log_ratio(a, b, lb, b - a))), m,
+    return _linear(float(_log_power_interval(m.homogeneity, lb, _log_ratio(a, b, lb, b - a))), m,
                    f"gamma0({a}, {b})")
 
 
-def profile_l1_norm(m: WeightedLineMeasure, f: RadialProfile) -> float:
+def profile_l1_norm(m: PowerLawMeasure, f: RadialProfile) -> float:
     """L1 norm of the profile under gamma0."""
     return _linear(_log_l1(m, f), m,
                    f"||f||_1 on ({f.breakpoints[0]}, {f.breakpoints[-1]})")
 
 
-def uncentered_max_grid(m: WeightedLineMeasure, f: RadialProfile, xs) -> np.ndarray:
+def uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.ndarray:
     """M^u f at many points: exp of _log_uncentered_max_grid, which stays
     finite where a value lies below the double range and reads 0 here."""
     return np.exp(_log_uncentered_max_grid(m, f, xs))
 
 
-def _log_uncentered_max_grid(m: WeightedLineMeasure, f: RadialProfile, xs) -> np.ndarray:
+def _log_uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.ndarray:
     """ln M^u f at many points, by exact candidate enumeration in logs (vectorized).
 
     Candidate left endpoints: the breakpoints capped at x; right endpoints:
@@ -218,7 +204,7 @@ def _log_uncentered_max_grid(m: WeightedLineMeasure, f: RadialProfile, xs) -> np
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs > 0) & (xs < math.inf)):
         raise ValueError("evaluation points must be positive and finite")
-    p = m.power
+    p = m.homogeneity
     lt, lg, lv = _log_pieces(m, f)
     n = len(lg)
     i = np.arange(n + 1)
@@ -251,12 +237,12 @@ def _log_uncentered_max_grid(m: WeightedLineMeasure, f: RadialProfile, xs) -> np
     return log_avg.max(axis=(1, 2))
 
 
-def uncentered_max(m: WeightedLineMeasure, f: RadialProfile, x: float) -> float:
+def uncentered_max(m: PowerLawMeasure, f: RadialProfile, x: float) -> float:
     """Uncentered maximal function of the profile at a single point x > 0."""
     return float(uncentered_max_grid(m, f, np.array([float(x)]))[0])
 
 
-def _level_extents(m: WeightedLineMeasure, f: RadialProfile, lambdas):
+def _level_extents(m: PowerLawMeasure, f: RadialProfile, lambdas):
     """ln L_i and ln R_i, shape (levels, n + 1): {M^u f > lam} = U_i (L_i, R_i).
 
     R_i = sup{b : e(t_i, b) > 0} and L_i = inf{a : e(a, t_i) > 0} for the
@@ -270,7 +256,7 @@ def _level_extents(m: WeightedLineMeasure, f: RadialProfile, lambdas):
     with v = 0 on (0, t_0] and past t_n.  An anchor with no positive
     excess on a side is its own extent there.
     """
-    p = m.power
+    p = m.homogeneity
     lam = np.asarray(lambdas, dtype=float)[:, None]
     lt, lg, _ = _log_pieces(m, f)
     n = len(lg)
@@ -306,7 +292,7 @@ def _level_extents(m: WeightedLineMeasure, f: RadialProfile, lambdas):
     return log_l, log_r
 
 
-def _level_set_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas):
+def _level_set_logs(m: PowerLawMeasure, f: RadialProfile, lambdas):
     """(ln gamma0{M^u f > lam}, ln sup{M^u f > lam}) per level; -inf when empty.
 
     The extents are sorted by their left end; each adds the part of itself
@@ -322,7 +308,7 @@ def _level_set_logs(m: WeightedLineMeasure, f: RadialProfile, lambdas):
     lo = np.maximum(log_l, covered)
     hi = np.maximum(log_r, covered)
     with np.errstate(invalid="ignore"):
-        parts = _log_power_interval(m.power, hi, lo - hi)
+        parts = _log_power_interval(m.homogeneity, hi, lo - hi)
     sup = np.where(log_r > log_l, log_r, NEG_INF).max(axis=1)
     return np.logaddexp.reduce(parts, axis=1), sup
 
@@ -362,7 +348,7 @@ class LevelSetResult:
     window: float
 
 
-def _check_levels(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> np.ndarray:
+def _check_levels(m: PowerLawMeasure, f: RadialProfile, lambdas) -> np.ndarray:
     """The levels as an array, after checking them and the profile."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
@@ -374,7 +360,7 @@ def _check_levels(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> np.ndarr
     return lambdas
 
 
-def level_sets(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> list[LevelSetResult]:
+def level_sets(m: PowerLawMeasure, f: RadialProfile, lambdas) -> list[LevelSetResult]:
     """gamma0-measure of {M^u f > lambda} for several lambdas at once.
 
     Each level set is exact, a union of breakpoint-anchored extents (see
@@ -388,7 +374,7 @@ def level_sets(m: WeightedLineMeasure, f: RadialProfile, lambdas) -> list[LevelS
             for lam, a, b in zip(lambdas, log_mu, log_sup)]
 
 
-def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, log_lambdas, points: int,
+def _grid_level_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas, points: int,
                      tol: float, max_fn, window_scale: float, lower_fn=None):
     """(ln gamma0{M > lam}, ln gamma0-width of its unresolved brackets) per ln lam.
 
@@ -411,7 +397,7 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, log_lambdas, poin
     values as without the bound.
     """
     log_lambdas = np.asarray(log_lambdas, dtype=float)
-    p = m.power
+    p = m.homogeneity
     t_n = f.breakpoints[-1]
     log_T = (np.logaddexp(p * math.log(t_n), math.log(p * window_scale) + _log_l1(m, f)
                           - log_lambdas.min()) / p + math.log1p(1e-12))
@@ -501,7 +487,7 @@ def _grid_level_logs(m: WeightedLineMeasure, f: RadialProfile, log_lambdas, poin
     return log_mu, log_width
 
 
-def weak_type_quotient_1d(m: WeightedLineMeasure, f: RadialProfile, lambdas,
+def weak_type_quotient_1d(m: PowerLawMeasure, f: RadialProfile, lambdas,
                           grid: GridConfig | None = None) -> float:
     """max over the lambda grid of lambda * gamma0{M^u f > lambda} / ||f||_1.
 
@@ -513,7 +499,7 @@ def weak_type_quotient_1d(m: WeightedLineMeasure, f: RadialProfile, lambdas,
     return math.exp(float((np.log(lambdas) + log_mu).max()) - _log_l1(m, f))
 
 
-def default_lambda_grid(m: WeightedLineMeasure, f: RadialProfile, n: int = 32) -> np.ndarray:
+def default_lambda_grid(m: PowerLawMeasure, f: RadialProfile, n: int = 32) -> np.ndarray:
     """Geometric lambda grid from 1e-3 max f (deep engulfing) up to 1.1 max f."""
     vmax = max(f.values)
     if vmax <= 0:

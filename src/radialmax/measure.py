@@ -37,24 +37,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PowerLawMeasure:
-    """The measure |y|^(-beta) dy on R^d; locally finite only for beta < d."""
+    """The measure |y|^(-beta) dy on R^d, locally finite only for beta < d, and
+    its radial trace d(gamma0) = t^(d-1-beta) dt on (0, inf), maximal1d's measure."""
 
     d: int
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValueError("dimension d must be an integer >= 1")
+        # no commas: the CLI writes these messages into a CSV cell
+        got = f"got beta = {self.beta} at d = {self.d}"
+        if not (self.d >= 1 and float(self.d).is_integer()):
+            raise ValueError(f"dimension d must be an integer >= 1: {got}")
         if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got beta = {self.beta} at d = {self.d}")
+            raise ValueError(f"beta must be finite: {got}")
         if not self.beta < self.d:
-            raise ValueError(
-                f"beta={self.beta} >= d={self.d}: measure is not locally finite at the origin"
-            )
+            raise ValueError(f"beta must be < d for a locally finite measure: {got}")
 
     @property
     def homogeneity(self) -> float:
-        """Scaling degree: mu(lambda A) = lambda^(d - beta) mu(A)."""
+        """p = d - beta: mu(lambda A) = lambda^p mu(A), and gamma0(0, t) = t^p / p."""
         return self.d - self.beta
 
 

@@ -27,12 +27,12 @@ import numpy as np
 from .maximal1d import (
     GridConfig,
     RadialProfile,
-    WeightedLineMeasure,
     _check_levels,
     _grid_level_logs,
     _log_l1,
 )
 from .measure import (
+    BallSpec,
     PowerLawMeasure,
     _batched_shell_logs,
     shift_condition_ratios,
@@ -111,8 +111,7 @@ def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
 def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
                  cfg: MaximalConfig = DEFAULT_MAXIMAL) -> float:
     """Average of the radial profile over the ball B(c e1, R)."""
-    if not (0 <= c < math.inf and 0 < R < math.inf):
-        raise ValueError(f"need 0 <= c < inf and 0 < R < inf, got c = {c} R = {R}")
+    BallSpec(c, R)  # checks c and R, naming the bad one
     return math.exp(_ball_averages_batch(m, f, [c], [R], cfg.quad)[0])
 
 
@@ -370,7 +369,7 @@ def weak_type_quotient_radial(m: PowerLawMeasure, f: RadialProfile, lambdas,
     in ||f||_1; everything happens on the radial section, and the quotient
     is formed in logs, so it stays finite where gamma0 overflows a double.
     """
-    lambdas = _check_levels(WeightedLineMeasure(m.d, m.beta), f, lambdas)
+    lambdas = _check_levels(m, f, lambdas)
     return _weak_type_quotient_logs(m, f, np.log(lambdas), cfg)
 
 
@@ -378,7 +377,6 @@ def _weak_type_quotient_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas,
                              cfg: MaximalConfig) -> float:
     """weak_type_quotient_radial on the levels' logs, which stay finite
     where the levels themselves underflow a double."""
-    line = WeightedLineMeasure(m.d, m.beta)
     # bracketing window via the 1D control: M_mu f <= (C+1) M^u f0
     C = _window_shift_constant(m, cfg.quad)
     max_fn = lambda ts: _log_centered_max_grid(m, f, ts, cfg)
@@ -396,7 +394,7 @@ def _weak_type_quotient_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas,
         out[todo] = _ball_averages_batch(m, f, ts[todo], ts[todo] + t_n, cfg.quad)
         return out
 
-    log_mu, _ = _grid_level_logs(line, f, log_lambdas, cfg.level_grid.points, cfg.quad.tol,
+    log_mu, _ = _grid_level_logs(m, f, log_lambdas, cfg.level_grid.points, cfg.quad.tol,
                                  max_fn, C + 1.0, lower_fn)
-    return math.exp(float((log_lambdas + log_mu).max()) - _log_l1(line, f))
+    return math.exp(float((log_lambdas + log_mu).max()) - _log_l1(m, f))
 

@@ -2,7 +2,8 @@
 
 The oracles share no code with what they check: Monte Carlo ball
 averages, a golden-section maximizer of the spike profile, the dense-grid
-M^u, composite Simpson, the unit-ball volume from math.lgamma, and mpmath
+M^u (searched on convex hulls, and checked against its own brute force),
+composite Simpson, the unit-ball volume from math.lgamma, and mpmath
 integrals over a ball's sphere.
 """
 
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from radialmax.bounds import g_eval
-from radialmax.maximal1d import RadialProfile, WeightedLineMeasure
+from radialmax.maximal1d import RadialProfile
+from radialmax.measure import PowerLawMeasure
 
 # one line per acceptance criterion, echoed after the run (see
 # pytest_terminal_summary below); capture would otherwise swallow them
@@ -45,7 +47,7 @@ def random_line_measure(rng, d_max=50):
     d = int(rng.integers(1, d_max + 1))
     # spread beta over (-2, d): covers heavy weights and near-degenerate ones
     beta = float(rng.uniform(-2.0, d - 0.05))
-    return WeightedLineMeasure(d, beta)
+    return PowerLawMeasure(d, beta)
 
 
 def profile_mass(p, f, t):
@@ -57,8 +59,36 @@ def profile_mass(p, f, t):
     return (v * (np.clip(t, bp[:-1], bp[1:]) ** p - bp[:-1] ** p)).sum(axis=-1) / p
 
 
-def oracle_uncentered_max(m, f, x, n_grid=10_000, t_hi=None):
-    """Exhaustive interval search on a dense endpoint grid (plus breakpoints)."""
+def _convex_hull(G, N, lower: bool):
+    """Indices of the lower (or upper) convex hull of the points (G_i, N_i), G
+    ascending, by Andrew's monotone chain, each widened by its two neighbours
+    so that rounding in the turn test drops no near-hull point."""
+    G, N = G.tolist(), N.tolist()
+    hull = []
+    for i, (g, n) in enumerate(zip(G, N)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            turn = (G[a] - G[o]) * (n - N[o]) - (N[a] - N[o]) * (g - G[o])
+            if (turn > 0) if lower else (turn < 0):
+                break
+            hull.pop()
+        hull.append(i)
+    hull = np.array(hull)
+    return np.unique(np.clip(np.concatenate([hull - 1, hull, hull + 1]), 0, len(G) - 1))
+
+
+def oracle_uncentered_max(m, f, x, n_grid=10_000, t_hi=None, reduce=True):
+    """Exhaustive interval search on a dense endpoint grid (plus breakpoints).
+
+    The average over (a, b) is the slope (N(b) - N(a)) / (G(b) - G(a)) of the
+    points (G, N) = (gamma0(0, t), int_0^t f d(gamma0)).  For a fixed b the
+    best a lies on the lower convex hull of the left points, and for a fixed
+    a the best b on the upper hull of the right points (the maximum-density
+    segment argument of Goldwasser, Kao and Lu, J. Comput. Syst. Sci. 2005),
+    so with reduce the brute force runs on the hulls only: the same maximum
+    over the same grid.  reduce=False searches every pair, the check on the
+    reduction itself.
+    """
     p = m.d - m.beta
     bp = np.asarray(f.breakpoints)
     if t_hi is None:
@@ -69,9 +99,12 @@ def oracle_uncentered_max(m, f, x, n_grid=10_000, t_hi=None):
         [np.linspace(x, t_hi, n_grid // 2), bp[bp >= x], [x]]))
     Na, Ga = profile_mass(p, f, left), left ** p / p
     Nb, Gb = profile_mass(p, f, right), right ** p / p
+    if reduce:
+        a, b = _convex_hull(Ga, Na, lower=True), _convex_hull(Gb, Nb, lower=False)
+        Na, Ga, Nb, Gb = Na[a], Ga[a], Nb[b], Gb[b]
     best = -np.inf
     chunk = 2000
-    for i in range(0, len(left), chunk):
+    for i in range(0, len(Na), chunk):
         num = Nb[None, :] - Na[i:i + chunk, None]
         den = Gb[None, :] - Ga[i:i + chunk, None]
         # only the degenerate pair a = b = x has den <= 0, and there num = 0,

@@ -10,7 +10,6 @@ from radialmax.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE
 from radialmax.maximal1d import (
     GridConfig,
     RadialProfile,
-    WeightedLineMeasure,
     _log_uncentered_max_grid,
     uncentered_max,
 )
@@ -123,7 +122,7 @@ def test_maximal1d_eval_matches_library(tmp_path):
          "--x", "0.5,1.5,4.0"],
     )
     assert rc == EXIT_OK
-    m = WeightedLineMeasure(3, 1.0)
+    m = PowerLawMeasure(3, 1.0)
     f = RadialProfile((0.0, 1.0, 2.5), (2.0, 0.5))
     for row in rows:
         x = float(row["x"])
@@ -211,7 +210,7 @@ def test_maximal1d_eval_below_double_range_exits_numerical(tmp_path, capsys):
     # (5/x)^400 is below the double range at x = 100 and 1000: the log core
     # keeps it, and the CLI leaves those cells empty, names each point on one
     # stderr line and exits 3 instead of printing a silent 0
-    m, f = WeightedLineMeasure(400, 0.0), RadialProfile((0.0, 5.0), (1.0,))
+    m, f = PowerLawMeasure(400, 0.0), RadialProfile((0.0, 5.0), (1.0,))
     xs = (10.0, 100.0, 1000.0)
     got = _log_uncentered_max_grid(m, f, xs)
     np.testing.assert_allclose(got, [400 * math.log(5.0 / x) for x in xs], rtol=1e-13)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from radialmax.maximal1d import (
     GridConfig,
     RadialProfile,
-    WeightedLineMeasure,
     default_lambda_grid,
     gamma0_interval,
     level_sets,
@@ -24,10 +23,12 @@ from radialmax.maximal1d import (
     _level_set_logs,
     _log_uncentered_max_grid,
 )
+import radialmax.maximal1d as maximal1d
+from radialmax.measure import PowerLawMeasure
 
 from conftest import oracle_uncentered_max, profile_mass, random_line_measure, random_profile
 
-LEB = WeightedLineMeasure(1, 0.0)
+LEB = PowerLawMeasure(1, 0.0)
 # _grid_level_logs's grid points and crossing tolerance in these tests
 POINTS, TOL = 1024, 1e-10
 CHI01 = RadialProfile.indicator(1.0)
@@ -39,7 +40,7 @@ CHI01 = RadialProfile.indicator(1.0)
 
 def test_gamma0_interval_examples():
     assert gamma0_interval(LEB, 0.0, 1.0) == 1.0
-    assert gamma0_interval(WeightedLineMeasure(3, 0.0), 0.0, 1.0) == pytest.approx(1 / 3)
+    assert gamma0_interval(PowerLawMeasure(3, 0.0), 0.0, 1.0) == pytest.approx(1 / 3)
     assert gamma0_interval(LEB, 0.7, 0.7) == 0.0
     with pytest.raises(ValueError):
         gamma0_interval(LEB, 1.0, 0.5)
@@ -48,19 +49,26 @@ def test_gamma0_interval_examples():
             gamma0_interval(LEB, a, b)
 
 
+def test_line_measure_is_the_power_law_record():
+    # gamma0 is the radial trace of mu: one record, validated in one place
+    # (tests/test_measure.py); the old name is the same class object
+    assert maximal1d.WeightedLineMeasure is PowerLawMeasure
+
+
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
 def test_line_measure_rejects_non_finite_beta(beta):
-    # NaN fails "beta < d" too, but that would name the wrong condition
+    # callers that still build the measure under its old name get the
+    # record's own finite-beta message, not a "beta < d" one
     with pytest.raises(ValueError) as exc:
-        WeightedLineMeasure(4, beta)
-    assert str(exc.value) == f"beta must be finite, got beta = {beta} at d = 4"
+        maximal1d.WeightedLineMeasure(4, beta)
+    assert str(exc.value) == f"beta must be finite: got beta = {beta} at d = 4"
 
 
 @pytest.mark.parametrize("d,beta", [(1, 0.0), (3, 0.0), (12, 11.5)])
 def test_thin_intervals_keep_their_digits_vs_mpmath(d, beta):
     mp = pytest.importorskip("mpmath").mp
-    m = WeightedLineMeasure(d, beta)
-    p = m.power
+    m = PowerLawMeasure(d, beta)
+    p = m.homogeneity
     with mp.workdps(50):
         for b in (0.7, 2.5, 37.0):
             for k in (4, 8, 11):
@@ -116,7 +124,7 @@ def test_profile_from_text_and_value_at():
 
 def test_constant_profile_attained():
     f = RadialProfile((0.0, 2.0), (3.0,))
-    for m in (LEB, WeightedLineMeasure(6, 2.0)):
+    for m in (LEB, PowerLawMeasure(6, 2.0)):
         assert uncentered_max(m, f, 1.0) == pytest.approx(3.0, rel=1e-14)
 
 
@@ -131,9 +139,9 @@ def test_indicator_on_lebesgue_halfline():
 @pytest.mark.parametrize("x", [0.0, math.nan, math.inf])
 def test_uncentered_max_rejects_points_outside_the_half_line(x):
     with pytest.raises(ValueError):
-        uncentered_max(WeightedLineMeasure(3, 1.0), CHI01, x)
+        uncentered_max(PowerLawMeasure(3, 1.0), CHI01, x)
     with pytest.raises(ValueError):
-        uncentered_max_grid(WeightedLineMeasure(3, 1.0), CHI01, [1.0, x])
+        uncentered_max_grid(PowerLawMeasure(3, 1.0), CHI01, [1.0, x])
 
 
 def test_lower_bounded_by_left_average(rng):
@@ -191,6 +199,19 @@ def test_matches_grid_oracle(rng):
         assert exact == pytest.approx(ora, rel=1e-6)
         # the grid can only undershoot, up to rounding noise in its averages
         assert exact >= ora * (1.0 - 1e-9)
+
+
+def test_hull_oracle_matches_its_brute_force(rng):
+    # the grid oracle searches the convex hulls of its endpoint grids; on
+    # small grids every pair is searched too, which the hulls can only
+    # undercut, and then by rounding in the turn test alone
+    for _ in range(40):
+        m = random_line_measure(rng)
+        f = random_profile(rng)
+        x = float(rng.uniform(0.05, 4.0))
+        hull = oracle_uncentered_max(m, f, x, n_grid=800)
+        brute = oracle_uncentered_max(m, f, x, n_grid=800, reduce=False)
+        assert brute * (1.0 - 1e-15) <= hull <= brute, (m, f, x)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +275,7 @@ def test_weak_type_random_cases_below_two(rng):
 def test_default_lambda_grid_outside_the_double_range_names_its_inputs(vmax):
     # 1e-3 max f underflows to 0 (or 1.1 max f overflows): a ValueError
     # naming max f, d and beta, not numpy's bare geomspace error
-    m = WeightedLineMeasure(3, 0.5)
+    m = PowerLawMeasure(3, 0.5)
     with pytest.raises(ValueError) as exc:
         default_lambda_grid(m, RadialProfile((0.0, 1.0, 2.0), (0.0, vmax)))
     msg = str(exc.value)
@@ -265,7 +286,7 @@ def test_max_at_breakpoint_sees_both_sides():
     # at a breakpoint the corner limit is max of the adjacent piece values,
     # reached by the one-sided candidate intervals
     f = RadialProfile((0.0, 1.0, 2.0), (1.0, 3.0))
-    m = WeightedLineMeasure(4, 1.0)
+    m = PowerLawMeasure(4, 1.0)
     assert uncentered_max(m, f, 1.0) >= 3.0 - 1e-12
     f2 = RadialProfile((0.0, 1.0, 2.0), (3.0, 1.0))
     assert uncentered_max(m, f2, 1.0) >= 3.0 - 1e-12
@@ -285,7 +306,7 @@ def _log_step_max_fn(ts, high=2.0, low=0.5):
 def test_level_set_runs_at_both_window_ends():
     # one run starts at the first grid point, one is interior and one ends
     # at the window edge T
-    m = WeightedLineMeasure(3, 0.0)
+    m = PowerLawMeasure(3, 0.0)
     log_mu, log_width = _grid_level_logs(m, CHI01, [0.0], POINTS, TOL, _log_step_max_fn, 1.0)
     # the window: gamma0(1, T) = ||f||_1 / lam
     T = (1.0 + 3.0 * profile_l1_norm(m, CHI01)) ** (1.0 / 3.0)
@@ -309,7 +330,7 @@ def test_crossing_search_on_a_step_is_within_one_round_of_bisection(high, low):
         calls.append(np.array(ts))
         return _log_step_max_fn(ts, high, low)
 
-    _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [0.0], POINTS, TOL, counted, 1.0)
+    _grid_level_logs(PowerLawMeasure(3, 0.0), CHI01, [0.0], POINTS, TOL, counted, 1.0)
     xs = calls[0]
     k = np.flatnonzero(np.diff(_step_max_fn(xs) > 1.0)) + 1
     assert len(k) == 4
@@ -330,7 +351,7 @@ def test_crossing_search_emits_no_runtime_warning():
     # have ln 0 - ln 0 and no finite g
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        log_mu, log_width = _grid_level_logs(WeightedLineMeasure(3, 0.0), CHI01, [0.0],
+        log_mu, log_width = _grid_level_logs(PowerLawMeasure(3, 0.0), CHI01, [0.0],
                                              POINTS, TOL, _log_step_max_fn, 1.0)
     assert np.isfinite(log_mu).all() and np.isfinite(log_width).all()
 
@@ -375,7 +396,7 @@ def _components(m, f, lam):
 
 
 def test_uncentered_max_high_dimension_reproducers():
-    m = WeightedLineMeasure(400, 0.0)
+    m = PowerLawMeasure(400, 0.0)
     assert uncentered_max(m, RadialProfile.indicator(10.0), 5.0) == pytest.approx(1.0, rel=1e-14)
     got = uncentered_max(m, RadialProfile.indicator(5.0), 10.0)
     assert got > 0
@@ -387,7 +408,7 @@ def test_level_set_indicator_closed_form(d):
     # M^u chi_(0,r] = 1 on (0, r] and G(r)/G(x) beyond, so
     # {M^u > lam} = (0, r lam^(-1/p)) with gamma0-measure r^p/(p lam)
     for beta in (0.0, -1.5, d - 0.5):
-        m = WeightedLineMeasure(d, beta)
+        m = PowerLawMeasure(d, beta)
         p = d - beta
         for r in (0.01, 1.0, 7.3, 100.0):
             f = RadialProfile.indicator(r)
@@ -407,8 +428,8 @@ def test_level_set_component_reaching_near_zero():
     # G(R) = G(t0) + D/lam, D = G(t1) - G(t0), so its measure is D(2/lam - 1).
     # At p = 0.0996 and L = 1.7e-16, G(L) is 0.27 of G(R) = 25.7, which a
     # component measure taken from the gap R - L would round away
-    m = WeightedLineMeasure(1, 0.9004)
-    p = m.power
+    m = PowerLawMeasure(1, 0.9004)
+    p = m.homogeneity
     G = lambda t: t ** p / p
     t0, t1, L = 1.0, 100.0, 1.7e-16
     D = G(t1) - G(t0)
@@ -420,7 +441,7 @@ def test_level_set_component_reaching_near_zero():
 
 def test_level_set_thin_gap_is_outside():
     # M^u < lam on (1.76691, 1.77586): a dense grid counts this gap as inside
-    m = WeightedLineMeasure(32, 28.19151225922798)
+    m = PowerLawMeasure(32, 28.19151225922798)
     f = RadialProfile(
         (0.0, 0.08135929330977176, 0.774267147199887, 1.3457420516571306,
          1.7071336029656967, 2.444080093717913, 2.730126225219491),
@@ -436,7 +457,7 @@ def test_level_set_thin_gap_is_outside():
     for a, b in comps:
         assert np.all(uncentered_max_grid(m, f, [a * step, b / step]) > lam)
         assert np.all(uncentered_max_grid(m, f, [a / step, b * step]) <= lam)
-    p = m.power
+    p = m.homogeneity
     exact = sum((b ** p - a ** p) / p for a, b in comps)
     res = level_sets(m, f, [lam])[0]
     assert res.measure == pytest.approx(exact, rel=1e-12)
@@ -475,7 +496,7 @@ def _scaled_and_dilated(m, f, lams, c, s):
     homog, _ = _level_set_logs(m, f.scaled(c), c * lams)
     g = RadialProfile(tuple(s * t for t in f.breakpoints), f.values)
     dil, _ = _level_set_logs(m, g, lams)
-    return base, homog, dil - m.power * math.log(s)
+    return base, homog, dil - m.homogeneity * math.log(s)
 
 
 def _assert_same_logs(a, b):
@@ -506,7 +527,7 @@ def test_level_set_homogeneity_and_dilation(rng):
     s=st.floats(0.1, 10.0),
 )
 def test_level_set_homogeneity_and_dilation_property(d, beta_frac, widths, start, values, c, s):
-    m = WeightedLineMeasure(d, -2.0 + beta_frac * (d + 2.0))
+    m = PowerLawMeasure(d, -2.0 + beta_frac * (d + 2.0))
     vals = values[:len(widths)]
     assume(max(vals) > 0)
     f = RadialProfile((start, *(start + np.cumsum(widths))), tuple(vals))
@@ -542,7 +563,7 @@ def test_grid_path_matches_exact_past_the_double_range(d, lams):
     # gamma0 of these level sets is past the double range at d = 400; at
     # d = 300 and lam = 1e-9 the window T is about 10.7, which the linear
     # window (t_n^p + p ||f||_1 / lam)^(1/p) could not form
-    m = WeightedLineMeasure(d, 0.0)
+    m = PowerLawMeasure(d, 0.0)
     f = RadialProfile.indicator(10.0)
     grid, _ = _grid_level_logs(m, f, np.log(lams), POINTS, TOL,
                                lambda ts: _log_uncentered_max_grid(m, f, ts), 1.0)
@@ -557,7 +578,7 @@ def test_grid_path_matches_exact_past_the_double_range(d, lams):
 def test_linear_values_past_the_double_range_raise_typed_errors():
     # at d = 400, gamma0(0, 10) = 10^400/400: each linear value names its
     # inputs, while the log-space quotient stays finite
-    m = WeightedLineMeasure(400, 0.0)
+    m = PowerLawMeasure(400, 0.0)
     f = RadialProfile.indicator(10.0)
     for call, where in ((lambda: level_sets(m, f, [0.5]), "0.5"),
                         (lambda: gamma0_interval(m, 0.0, 10.0), "gamma0(0.0, 10.0)"),

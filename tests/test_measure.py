@@ -35,12 +35,17 @@ TIGHT = QuadratureConfig(tol=1e-11)
 # ---------------------------------------------------------------------------
 
 def test_power_law_rejects_non_finite_measure():
-    with pytest.raises(ValueError):
-        PowerLawMeasure(3, 3.0)
-    with pytest.raises(ValueError):
-        PowerLawMeasure(3, 5.0)
-    with pytest.raises(ValueError):
-        PowerLawMeasure(0, 0.0)
+    # one record serves the ball measures and the 1D operator alike; each
+    # message names d and beta and has no comma (the CLI writes it into a CSV cell)
+    for d, beta, rule in ((3, 3.0, "beta must be < d"), (3, 5.0, "beta must be < d"),
+                          (0, 0.0, "dimension d must be"), (-2, 1.0, "dimension d must be"),
+                          (2.5, 0.0, "dimension d must be"), (math.nan, 0.0, "dimension d must be"),
+                          (math.inf, 0.0, "dimension d must be")):
+        with pytest.raises(ValueError) as exc:
+            PowerLawMeasure(d, beta)
+        msg = str(exc.value)
+        assert msg.startswith(rule) and "," not in msg, msg
+        assert f"d = {d}" in msg and f"beta = {beta}" in msg, msg
     PowerLawMeasure(3, 2.9999)  # fine
     PowerLawMeasure(3, -4.0)    # radially increasing weight is allowed
 
@@ -50,7 +55,7 @@ def test_power_law_rejects_non_finite_beta(beta):
     # NaN fails "beta < d" too, but that would name the wrong condition
     with pytest.raises(ValueError) as exc:
         PowerLawMeasure(4, beta)
-    assert str(exc.value) == f"beta must be finite, got beta = {beta} at d = 4"
+    assert str(exc.value) == f"beta must be finite: got beta = {beta} at d = 4"
 
 
 def test_ball_spec_validation():

@@ -10,7 +10,6 @@ from radialmax.bounds import delta_lower_bound
 from radialmax.maximal1d import (
     GridConfig,
     RadialProfile,
-    WeightedLineMeasure,
     uncentered_max,
 )
 from radialmax.specfun import log_sphere_area
@@ -98,12 +97,12 @@ def test_average_never_exceeds_max_value():
 
 
 def test_average_domain():
+    # BallSpec's rule, whose message names the bad input
     m = PowerLawMeasure(3, 0.0)
-    with pytest.raises(ValueError):
-        ball_average(m, RadialProfile.indicator(1.0), 0.5, 0.0, FAST)
-    for c, R in ((-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (0.5, math.inf),
-                 (0.5, math.nan)):
-        with pytest.raises(ValueError):
+    for c, R, bad in ((0.5, 0.0, "radius"), (-1.0, 0.5, "center_distance"),
+                      (math.nan, 0.5, "center_distance"), (math.inf, 0.5, "center_distance"),
+                      (0.5, math.inf, "radius"), (0.5, math.nan, "radius")):
+        with pytest.raises(ValueError, match=bad):
             ball_average(m, RadialProfile.indicator(1.0), c, R, FAST)
 
 
@@ -389,6 +388,11 @@ def test_max_matches_dense_oracle():
     cases.append((3, 1.0, 0.12413248009008032, RadialProfile(
         (0.0, 0.11938319430638428, 0.35449402742393166, 1.6930298159993944),
         (1.9592090591440379, 1.865386078869699, 1.1818487850725563))))
+    # a breakpoint at 2c puts the kink |c - t| = c at R = c, so the search
+    # asks for slopes on balls through the origin, where the sphere riders
+    # read low at small p = d - beta (p = 1.2 and 1.5 here)
+    cases.append((12, 10.8, 0.7, RadialProfile((0.0, 0.3, 0.5, 1.4, 1.75), (2.0, 0.5, 1.5, 3.0))))
+    cases.append((5, 3.5, 0.7, RadialProfile((0.0, 0.3, 1.4, 1.75), (2.0, 0.5, 3.0))))
     for d, beta, c, f in cases:
         m = PowerLawMeasure(d, beta)
         want = _dense_oracle_max(m, f, c)
@@ -508,7 +512,7 @@ def test_domination_lebesgue_c_one(rng):
         f = random_profile(rng, max_pieces=4)
         c = float(rng.uniform(0.2, 2.0))
         lhs = centered_max_radial(m, f, c, FAST)
-        rhs = (1.0 + 1.0) * uncentered_max(WeightedLineMeasure(3, 0.0), f, c)
+        rhs = (1.0 + 1.0) * uncentered_max(m, f, c)
         assert lhs <= rhs * (1.0 + 1e-6), (lhs, rhs, c)
 
 
@@ -520,17 +524,15 @@ def test_domination_power_law(rng):
         f = random_profile(rng, max_pieces=5)
         c = float(rng.uniform(0.1, 2.5))
         lhs = centered_max_radial(m, f, c, FAST)
-        rhs = (certified_shift_constant(m) + 1.0) * uncentered_max(
-            WeightedLineMeasure(d, alpha), f, c)
+        rhs = (certified_shift_constant(m) + 1.0) * uncentered_max(m, f, c)
         assert lhs <= rhs * (1.0 + 1e-6), (d, alpha, c, lhs, rhs)
 
 
 def test_domination_far_support_zero():
     m = PowerLawMeasure(4, 1.0)
     f = RadialProfile((5.0, 6.0), (1.0,))
-    line = WeightedLineMeasure(4, 1.0)
     # both sides positive but tiny far from the support; at the support they match
-    assert uncentered_max(line, f, 5.5) == pytest.approx(1.0, rel=1e-12)
+    assert uncentered_max(m, f, 5.5) == pytest.approx(1.0, rel=1e-12)
     assert centered_max_radial(m, f, 5.5, FAST) == pytest.approx(1.0, rel=1e-8)
 
 
