@@ -304,12 +304,11 @@ def cmd_maximal1d_eval(args) -> int:
         return EXIT_USAGE
     columns = ["x", "uncentered_max", "profile_value"]
     rows, under = [], []
-    for x in xs:
-        log_max = m1d._log_uncentered_max_grid(m, f, np.array([x]))
-        value = float(np.exp(log_max)[0])
-        if value == 0.0 and log_max[0] > sf.NEG_INF:
+    log_maxes = m1d._log_uncentered_max_grid(m, f, np.array(xs))
+    for x, log_max, value in zip(xs, log_maxes.tolist(), np.exp(log_maxes).tolist()):
+        if value == 0.0 and log_max > sf.NEG_INF:
             # below the double range: an empty cell, not a silent 0
-            under.append(f"x={x!r} ln M^u={float(log_max[0])!r}")
+            under.append(f"x={x!r} ln M^u={log_max!r}")
             value = math.nan
         rows.append({"x": x, "uncentered_max": value, "profile_value": float(f.value_at(x))})
     _emit(args, "maximal1d-eval", columns, rows)

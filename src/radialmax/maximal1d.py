@@ -11,9 +11,15 @@ Drag argument.  Moving an endpoint of an interval across a constancy piece
 of value v drags the running average monotonically toward v (and freezes
 it on contact).  Two exact reductions follow on step profiles:
 
-* M^u f(x): interval optima sit at profile breakpoints or at x, so the
-  supremum is a maximum over a finite candidate set; a dense-grid oracle
-  guards the claim in the tests.
+* M^u f(x): write v_k for the value on piece k, with v = 0 on (0, t_0]
+  and past t_n, so that t_k lies between pieces k and k + 1.  An optimal
+  interval (a, b) around x has a = x or a left end t_k where f steps up
+  (v_k <= v_{k+1}), and b = x or a right end t_k where f steps down
+  (v_k >= v_{k+1}): at any other left end t_k, either v_k > avg and a
+  moving to t_{k-1} raises the average, or v_{k+1} < v_k <= avg and a
+  moving to min(t_{k+1}, x) raises it (right ends alike).  The supremum
+  is a maximum over these pairs; a dense-grid oracle and an mpmath search
+  over every pair of breakpoints guard the claim in the tests.
 * {M^u f > lam} is the union of the open intervals with positive excess
   e(a, b) = int_a^b (f - lam) d(gamma0).  Pushing an end of such an
   interval through a piece of value > lam raises e, so it grows into one
@@ -192,14 +198,16 @@ def uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.ndarray:
 def _log_uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.ndarray:
     """ln M^u f at many points, by exact candidate enumeration in logs (vectorized).
 
-    Candidate left endpoints: the breakpoints capped at x; right endpoints:
-    the breakpoints floored at x, and x.  Capping and flooring turn
-    out-of-side candidates into duplicates of x, which cost nothing; 0 is
-    no candidate, since f = 0 on (0, t_0].  Each candidate (a, b) is split
-    at x, so its mass and its gamma0-measure are each a sum of two positive
-    terms, one per side, joined with logaddexp: whole pieces between
-    breakpoints come from a per-profile table, and only the piece holding x
-    is cut.  No power of t is formed, so nothing overflows.
+    Candidate left endpoints: x and the breakpoints where f steps up, capped
+    at x; right endpoints: x and the breakpoints where f steps down,
+    floored at x (the drag argument in the module docstring; ties stay on
+    both sides).  The lists depend on the profile alone, so capping and
+    flooring turn out-of-side candidates into duplicates of x, which cost
+    nothing; 0 is no candidate, since f = 0 on (0, t_0].  Each candidate
+    (a, b) is split at x, so its mass and its gamma0-measure are each a sum
+    of two positive terms, one per side, joined with logaddexp: whole
+    pieces between breakpoints come from a per-profile table, and only the
+    piece holding x is cut.  No power of t is formed, so nothing overflows.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs > 0) & (xs < math.inf)):
@@ -207,32 +215,36 @@ def _log_uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.nda
     p = m.homogeneity
     lt, lg, lv = _log_pieces(m, f)
     n = len(lg)
-    i = np.arange(n + 1)
     table = _log_piece_table(p, f.breakpoints, tuple(lv))
+    # t_k lies between pieces k and k + 1; by the drag argument a left end
+    # needs f to step up there and a right end needs it to step down
+    v = np.concatenate([[0.0], f.values, [0.0]])
+    left = np.flatnonzero(v[:-1] <= v[1:])
+    right = np.flatnonzero(v[:-1] >= v[1:])
     # x lies in piece q = (t_{q-1}, t_q], with t_{-1} = 0, t_{n+1} = inf and
     # f = 0 on pieces 0 and n + 1
-    q = np.searchsorted(f.breakpoints, xs, side="right")
-    lx = np.log(xs)
+    q = np.searchsorted(f.breakpoints, xs, side="right")[:, None]
+    lx = np.log(xs)[:, None]
     lt_q = np.concatenate([[NEG_INF], lt, [np.inf]])
     lv_q = np.concatenate([[NEG_INF], lv, [NEG_INF]])[q]
-    la = np.minimum(lt, lx[:, None])
-    lb = np.maximum(lt, lx[:, None])
+    la = np.minimum(lt[left], lx)
+    lb = np.maximum(lt[right], lx)
+    # the ends a = x and b = x add nothing on their side
+    empty = np.full((len(xs), 1), NEG_INF)
     with np.errstate(invalid="ignore"):
         cut_left = lv_q + _log_power_interval(p, lx, lt_q[q] - lx)
         cut_right = np.where(q <= n, lv_q + _log_power_interval(p, lt_q[q + 1], lx - lt_q[q + 1]),
                              NEG_INF)
-        mass_a = np.where(i < q[:, None], np.logaddexp(
-            table[i, np.maximum(q - 1, 0)[:, None]], cut_left[:, None]), NEG_INF)
-        mass_b = np.where(i >= q[:, None], np.logaddexp(
-            cut_right[:, None], table[np.minimum(q, n)[:, None], i]), NEG_INF)
-        gamma_a = _log_power_interval(p, lx[:, None], la - lx[:, None])
-        gamma_b = _log_power_interval(p, lb, lx[:, None] - lb)
-        # the right endpoint b = x adds nothing on its side
-        empty = np.full((len(xs), 1, 1), NEG_INF)
-        num = np.logaddexp(mass_a[:, :, None],
-                           np.concatenate([empty, mass_b[:, None, :]], axis=2))
-        den = np.logaddexp(gamma_a[:, :, None],
-                           np.concatenate([empty, gamma_b[:, None, :]], axis=2))
+        mass_a = np.where(left < q, np.logaddexp(table[left, np.maximum(q - 1, 0)], cut_left),
+                          NEG_INF)
+        mass_b = np.where(right >= q, np.logaddexp(cut_right, table[np.minimum(q, n), right]),
+                          NEG_INF)
+        gamma_a = _log_power_interval(p, lx, la - lx)
+        gamma_b = _log_power_interval(p, lb, lx - lb)
+        num = np.logaddexp(np.concatenate([empty, mass_a], axis=1)[:, :, None],
+                           np.concatenate([empty, mass_b], axis=1)[:, None, :])
+        den = np.logaddexp(np.concatenate([empty, gamma_a], axis=1)[:, :, None],
+                           np.concatenate([empty, gamma_b], axis=1)[:, None, :])
         log_avg = np.where(den > NEG_INF, num - den, NEG_INF)
     return log_avg.max(axis=(1, 2))
 
@@ -261,34 +273,32 @@ def _level_extents(m: PowerLawMeasure, f: RadialProfile, lambdas):
     lt, lg, _ = _log_pieces(m, f)
     n = len(lg)
     v = np.concatenate([[0.0], f.values, [0.0]])    # v[k] on piece k; 0 on pieces 0, n + 1
-    r = np.arange(n + 1)[:, None]
-    k = np.arange(1, n + 1)[None, :]
-    lG = _log_power_interval(p, lt, NEG_INF)
-    with np.errstate(invalid="ignore", over="ignore"):
-        W = np.where(k <= r, np.exp(lg - lG[:, None]), 0.0)   # (n + 1, n)
-    # S[l, r, s] = sum over s < k <= r of (v_k - lam) g_k / G(t_r): the
-    # excess on (t_s, t_r) in units of G(t_r)
-    S = ((v[1:-1] - lam[..., None]) * W) @ (k > r).T
-    anchor = np.broadcast_to(r.T, S.shape[:2])
+    anchor = np.arange(n + 1)
+    r = anchor[:, None]
+    k = anchor[None, 1:]
+    level = np.arange(len(lam))[:, None]
     # the slack <= 0 branches only catch rounding: past the last positive
     # excess (before the first) the next piece's value is below lam
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # G(t_r) = t_r^p / p
+        W = np.where(k <= r, np.exp(lg - (p * lt - math.log(p))[:, None]), 0.0)   # (n + 1, n)
+        # S[l, r, s] = sum over s < k <= r of (v_k - lam) g_k / G(t_r): the
+        # excess on (t_s, t_r) in units of G(t_r)
+        S = ((v[1:-1] - lam[..., None]) * W) @ (k > r).T
+        pos = S > 0
         # right: last j with e(t_i, t_j) = S[l, j, i] > 0
-        right = S.transpose(0, 2, 1)
-        pos = right > 0
-        j = np.where(pos.any(axis=2), n - np.argmax(pos[:, :, ::-1], axis=2), anchor)
-        e = np.take_along_axis(right, j[..., None], axis=2)[..., 0]
+        j = np.where(pos.any(axis=1), n - np.argmax(pos[:, ::-1, :], axis=1), anchor)
+        e = S[level, j, anchor]
         slack = lam - v[j + 1]
         log_r = np.where(e > 0, np.where(slack > 0, lt[j] + np.log1p(e / slack) / p,
                                          lt[np.minimum(j + 1, n)]), lt[j])
         # left: first j with e(t_j, t_i) = S[l, i, j] > 0
-        pos = S > 0
         j = np.where(pos.any(axis=2), np.argmax(pos, axis=2), anchor)
-        e = np.take_along_axis(S, j[..., None], axis=2)[..., 0]
+        e = S[level, anchor, j]
         slack = lam - v[j]
-        rest = np.exp(p * (lt[j] - lt[anchor])) - e / slack
-        log_l = np.where(e > 0, np.where(slack > 0, lt[anchor] + np.log(np.maximum(rest, 0.0)) / p,
-                                         lt[np.maximum(j - 1, 0)]), lt[anchor])
+        rest = np.exp(p * (lt[j] - lt)) - e / slack
+        log_l = np.where(e > 0, np.where(slack > 0, lt + np.log(np.maximum(rest, 0.0)) / p,
+                                         lt[np.maximum(j - 1, 0)]), lt)
     return log_l, log_r
 
 
@@ -300,9 +310,8 @@ def _level_set_logs(m: PowerLawMeasure, f: RadialProfile, lambdas):
     measures, each from ln a - ln b, sum to the measure of the union.
     """
     log_l, log_r = _level_extents(m, f, lambdas)
-    order = np.argsort(log_l, axis=1)
-    log_l = np.take_along_axis(log_l, order, axis=1)
-    log_r = np.take_along_axis(log_r, order, axis=1)
+    order = (np.arange(len(log_l))[:, None], np.argsort(log_l, axis=1))
+    log_l, log_r = log_l[order], log_r[order]
     reach = np.maximum.accumulate(log_r, axis=1)
     covered = np.concatenate([np.full((len(reach), 1), NEG_INF), reach[:, :-1]], axis=1)
     lo = np.maximum(log_l, covered)
@@ -348,16 +357,17 @@ class LevelSetResult:
     window: float
 
 
-def _check_levels(m: PowerLawMeasure, f: RadialProfile, lambdas) -> np.ndarray:
-    """The levels as an array, after checking them and the profile."""
+def _check_levels(m: PowerLawMeasure, f: RadialProfile, lambdas) -> tuple[np.ndarray, float]:
+    """(the levels as an array, ln ||f||_1), after checking them and the profile."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("need at least one lambda")
     if not np.all((lambdas > 0) & (lambdas < math.inf)):
         raise ValueError("levels must be positive and finite")
-    if _log_l1(m, f) == NEG_INF:
+    log_l1 = _log_l1(m, f)
+    if log_l1 == NEG_INF:
         raise ValueError("profile is a.e. zero")
-    return lambdas
+    return lambdas, log_l1
 
 
 def level_sets(m: PowerLawMeasure, f: RadialProfile, lambdas) -> list[LevelSetResult]:
@@ -367,7 +377,7 @@ def level_sets(m: PowerLawMeasure, f: RadialProfile, lambdas) -> list[LevelSetRe
     _level_extents).  A measure past the double range raises OverflowError;
     weak_type_quotient_1d stays finite there.
     """
-    lambdas = _check_levels(m, f, lambdas)
+    lambdas, _ = _check_levels(m, f, lambdas)
     log_mu, log_sup = _level_set_logs(m, f, lambdas)
     return [LevelSetResult(_linear(a, m, f"gamma0{{M^u f > {lam:g}}}"),
                            _linear(b, m, f"sup{{M^u f > {lam:g}}}"))
@@ -494,9 +504,9 @@ def weak_type_quotient_1d(m: PowerLawMeasure, f: RadialProfile, lambdas,
     Exact level sets (grid is unused); the quotient is formed in logs, so
     it stays finite where gamma0 of the level set overflows a double.
     """
-    lambdas = _check_levels(m, f, lambdas)
+    lambdas, log_l1 = _check_levels(m, f, lambdas)
     log_mu, _ = _level_set_logs(m, f, lambdas)
-    return math.exp(float((np.log(lambdas) + log_mu).max()) - _log_l1(m, f))
+    return math.exp(float((np.log(lambdas) + log_mu).max()) - log_l1)
 
 
 def default_lambda_grid(m: PowerLawMeasure, f: RadialProfile, n: int = 32) -> np.ndarray:

@@ -369,7 +369,7 @@ def weak_type_quotient_radial(m: PowerLawMeasure, f: RadialProfile, lambdas,
     in ||f||_1; everything happens on the radial section, and the quotient
     is formed in logs, so it stays finite where gamma0 overflows a double.
     """
-    lambdas = _check_levels(m, f, lambdas)
+    lambdas, _ = _check_levels(m, f, lambdas)
     return _weak_type_quotient_logs(m, f, np.log(lambdas), cfg)
 
 

@@ -3,8 +3,9 @@
 The oracles share no code with what they check: Monte Carlo ball
 averages, a golden-section maximizer of the spike profile, the dense-grid
 M^u (searched on convex hulls, and checked against its own brute force),
-composite Simpson, the unit-ball volume from math.lgamma, and mpmath
-integrals over a ball's sphere.
+an mpmath pair search for M^u over every breakpoint, composite Simpson,
+the unit-ball volume from math.lgamma, and mpmath integrals over a ball's
+sphere.
 """
 
 import math
@@ -113,6 +114,35 @@ def oracle_uncentered_max(m, f, x, n_grid=10_000, t_hi=None, reduce=True):
         num /= den
         best = max(best, float(num.max()))
     return best
+
+
+def mp_log_uncentered_max(d, beta, breakpoints, values, x):
+    """ln M^u f(x) by mpmath at 40 digits: the largest average of f over (a, b)
+    with 0 <= a <= x <= b, every pair of ends from 0, the breakpoints and x.
+
+    The average is (N(b) - N(a)) / (G(b) - G(a)) with G(t) = t^p/p and
+    N(t) = sum_k v_k (clip(t, t_{k-1}, t_k)^p - t_{k-1}^p)/p, p = d - beta,
+    each in closed form.  A step profile's interval optima sit at these
+    ends, so the pair search is the exact maximum; no pair is pruned.
+    """
+    from mpmath import mp
+    with mp.workdps(40):
+        p = mp.mpf(d) - mp.mpf(beta)
+        bps = [mp.mpf(t) for t in breakpoints]
+        vals = [mp.mpf(v) for v in values]
+        x = mp.mpf(x)
+
+        def G(t):
+            return t ** p / p
+
+        def N(t):
+            return sum(v * (G(min(max(t, a), b)) - G(a)) for a, b, v in zip(bps, bps[1:], vals))
+
+        ends = sorted({mp.mpf(0), x, *bps})
+        left = [(G(t), N(t)) for t in ends if t <= x]
+        right = [(G(t), N(t)) for t in ends if t >= x]
+        best = max((nb - na) / (gb - ga) for ga, na in left for gb, nb in right if gb > ga)
+        return float(mp.log(best))
 
 
 def simpson(f, a, b, n=4001):

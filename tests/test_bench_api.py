@@ -59,3 +59,26 @@ def test_tracer_counts_the_quadrature_and_its_callers(workloads):
     counts = traced_counts()
     assert all(c > 0 for c in counts), dict(zip(names, counts))
     assert traced_counts() == counts
+
+
+def test_tracer_counts_the_1d_layer(workloads):
+    # perfbench/tracer.py wraps uncentered_max_grid and weak_type_quotient_1d
+    # by name; a renamed or bypassed one would zero the 1D layer's counts in
+    # the benchmark's traced run
+    tracer = _bench_module("tracer")
+
+    def traced_counts():
+        cases = workloads.build("line-weaktype", 7)
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            for case in cases:
+                case.run()
+        finally:
+            tr.uninstall()
+        quotients = sum(s[tracer.NAME] == "maximal1d.weak_type_quotient_1d" for s in tr.spans)
+        return tracer.layer_metrics(tr.spans)["maximal1d.uncentered_points"][0], quotients
+
+    counts = traced_counts()
+    assert counts == (10_752, 308)
+    assert traced_counts() == counts

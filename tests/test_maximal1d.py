@@ -214,6 +214,43 @@ def test_hull_oracle_matches_its_brute_force(rng):
         assert brute * (1.0 - 1e-15) <= hull <= brute, (m, f, x)
 
 
+def _flat_step_profile(rng):
+    """Step profile with values from a pool of three, zero among them, so
+    that equal neighbours (flat steps) and zero interior pieces are common;
+    the support starts above 0 one time in two."""
+    n = int(rng.integers(2, 13))
+    ends = np.sort(rng.choice(np.arange(1, 301), n, replace=False)) / 100.0
+    start = float(rng.uniform(0.0, ends[0])) if rng.random() < 0.5 else 0.0
+    vals = rng.choice([0.0, *rng.uniform(0.05, 4.0, 2)], n)
+    vals[rng.integers(n)] = rng.uniform(0.05, 4.0)
+    return RadialProfile((start, *ends), tuple(vals))
+
+
+def test_uncentered_max_matches_the_mpmath_pair_search():
+    # M^u keeps a left end only where f steps up and a right end only where
+    # it steps down, ties kept; the oracle searches every pair of ends, so
+    # flat steps, zero pieces and x on a breakpoint or outside the support
+    # check the pruning rule and its ties
+    from conftest import mp_log_uncentered_max
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2302)
+    flat = zero = 0
+    for case in range(40):
+        f = _flat_step_profile(rng)
+        bp, v = np.asarray(f.breakpoints), np.asarray(f.values)
+        flat += int(np.count_nonzero(v[1:] == v[:-1]))
+        zero += int(np.count_nonzero(v[1:-1] == 0.0))
+        d = 400 if case % 8 == 0 else int(rng.integers(1, 401))
+        m = PowerLawMeasure(d, float(rng.uniform(-2.0, d - 0.05)))
+        below = bp[0] if bp[0] > 0 else bp[1]
+        xs = np.array([rng.choice(bp[bp > 0]), rng.uniform(0.05, 1.0) * below,
+                       bp[-1] * rng.uniform(1.0, 3.0), *rng.uniform(0.01, bp[-1], 2)])
+        got = maximal1d._log_uncentered_max_grid(m, f, xs)
+        want = [mp_log_uncentered_max(m.d, m.beta, f.breakpoints, f.values, x) for x in xs]
+        assert got == pytest.approx(want, abs=1e-12, rel=0), (m, f, xs)
+    assert flat > 0 and zero > 0
+
+
 # ---------------------------------------------------------------------------
 # level sets
 # ---------------------------------------------------------------------------
