@@ -26,7 +26,8 @@ from radialmax.maximal1d import (
 import radialmax.maximal1d as maximal1d
 from radialmax.measure import PowerLawMeasure
 
-from conftest import oracle_uncentered_max, profile_mass, random_line_measure, random_profile
+from conftest import (mp_log_uncentered_max, oracle_uncentered_max, profile_mass,
+                      random_line_measure, random_profile)
 
 LEB = PowerLawMeasure(1, 0.0)
 # _grid_level_logs's grid points and crossing tolerance in these tests
@@ -231,7 +232,6 @@ def test_uncentered_max_matches_the_mpmath_pair_search():
     # it steps down, ties kept; the oracle searches every pair of ends, so
     # flat steps, zero pieces and x on a breakpoint or outside the support
     # check the pruning rule and its ties
-    from conftest import mp_log_uncentered_max
     pytest.importorskip("mpmath")
     rng = np.random.default_rng(2302)
     flat = zero = 0
@@ -245,7 +245,7 @@ def test_uncentered_max_matches_the_mpmath_pair_search():
         below = bp[0] if bp[0] > 0 else bp[1]
         xs = np.array([rng.choice(bp[bp > 0]), rng.uniform(0.05, 1.0) * below,
                        bp[-1] * rng.uniform(1.0, 3.0), *rng.uniform(0.01, bp[-1], 2)])
-        got = maximal1d._log_uncentered_max_grid(m, f, xs)
+        got = _log_uncentered_max_grid(m, f, xs)
         want = [mp_log_uncentered_max(m.d, m.beta, f.breakpoints, f.values, x) for x in xs]
         assert got == pytest.approx(want, abs=1e-12, rel=0), (m, f, xs)
     assert flat > 0 and zero > 0
