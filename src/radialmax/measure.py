@@ -160,6 +160,8 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
     table = _log_piece_table(p, tuple(bp), tuple(log_v)) if n else None
     angles, FAR, NEAR = (_crossing_angles(C[:, None], RR[:, None], t_cross, tangent) if n
                          else (np.zeros((len(C), 0)), None, None))
+    with np.errstate(divide="ignore"):
+        log_bp = np.log(bp)
 
     def pw(log_t):
         # ln t^(p-1); p = 1 gives 1 even at t = 0
@@ -176,58 +178,75 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
                 k = R / c
                 cos_t = np.sqrt(cx * cx + (c - R) * (c + R) / (c * c) * sx * sx)
                 t_plus = c * cos_t + R * cx
-                d_plus = R * sx * sx * (k / (1.0 + cos_t) + 1.0 / (1.0 + cx))
                 t_minus = (c - R) * (c + R) / t_plus
-                d_minus = (c - R) * d_plus / t_plus
                 chord = 2.0 * R * cx
                 log_sin = (d - 2) * np.log(k * sx)
                 log_w = log_sin + np.log(k * cx / cos_t)
             else:
                 root = np.sqrt((R - c * sx) * (R + c * sx))
                 t_plus = np.where(cx >= 0, c * cx + root, (R - c) * (R + c) / (root - c * cx))
-                one_minus_cos = np.where(cx >= 0, sx * sx / (1.0 + cx), 1.0 - cx)
-                d_plus = c * one_minus_cos + (c * sx) ** 2 / (R + root)
                 chord = t_plus
                 log_w = (d - 2) * np.log(sx)
             log_tp = np.log(t_plus)
             whole = log_cut(t_minus if tangent else 0.0, t_plus, log_tp, chord)
-            # t- lies in [t_{q-1}, t_q) and t+ in (t_{q-1}, t_q] for q = lo, hi,
-            # both decided by the exact distances, as the gaps are
-            hi = sum((FAR[seg, j] > d_plus for j in range(n)), o)
-            lo = sum((NEAR[seg, j] <= d_minus for j in range(n)), o) if tangent else o
-            mass = lv[hi] + whole
-            # flat indices of the chords that cross a sphere, whose end
-            # pieces are clipped; t_{hi-1} and t_lo lie in t_cross
-            cut = np.flatnonzero(lo < hi)
-            if len(cut):
-                s = np.broadcast_to(seg, x.shape).ravel()[cut] * n - o
-                r = hi.ravel()[cut]
-                # around the origin t- = 0, and every piece below t+'s is whole
-                q = lo.ravel()[cut] if tangent else 0
-                terms = [table[q, r - 1],
-                         lv[r] + log_cut(bp[r - 1], t_plus.ravel()[cut], log_tp.ravel()[cut],
-                                         FAR.ravel()[s + r - 1] - d_plus.ravel()[cut])]
+            if not n:
+                # no sphere to cross: every chord lies in piece o
+                hi = lo = o
+                mass = lv[o] + whole
+            else:
+                # t- lies in [t_{q-1}, t_q) and t+ in (t_{q-1}, t_q] for q = lo, hi,
+                # both decided by the exact distances, as the gaps are
                 if tangent:
-                    terms.append(lv[q] + log_cut(t_minus.ravel()[cut], bp[q], np.log(bp[q]),
-                                                 NEAR.ravel()[s + q] - d_minus.ravel()[cut]))
-                top = np.maximum.reduce(terms)
-                top = np.where(top > NEG_INF, top, 0.0)
-                np.put(mass, cut, top + np.log(sum(np.exp(t - top) for t in terms)))
+                    d_plus = R * sx * sx * (k / (1.0 + cos_t) + 1.0 / (1.0 + cx))
+                    d_minus = (c - R) * d_plus / t_plus
+                else:
+                    one_minus_cos = np.where(cx >= 0, sx * sx / (1.0 + cx), 1.0 - cx)
+                    d_plus = c * one_minus_cos + (c * sx) ** 2 / (R + root)
+                far = FAR[seg[:, 0]]
+                hi = sum((far[:, j, None] > d_plus for j in range(n)), o)
+                lo = o
+                if tangent:
+                    near = NEAR[seg[:, 0]]
+                    lo = sum((near[:, j, None] <= d_minus for j in range(n)), o)
+                mass = lv[hi] + whole
+                # flat indices of the chords that cross a sphere, whose end
+                # pieces are clipped; t_{hi-1} and t_lo lie in t_cross
+                cut = np.flatnonzero(lo < hi)
+                if len(cut):
+                    row = cut // x.shape[1]
+                    r = hi.ravel()[cut]
+                    # around the origin t- = 0, and every piece below t+'s is whole;
+                    # both ends are clipped in one pass, t+'s first
+                    q = lo.ravel()[cut] if tangent else 0
+                    ends = (bp[r - 1], t_plus.ravel()[cut], log_tp.ravel()[cut],
+                            far[row, r - 1 - o] - d_plus.ravel()[cut])
+                    if tangent:
+                        ends = [np.concatenate(e) for e in zip(ends, (
+                            t_minus.ravel()[cut], bp[q], log_bp[q],
+                            near[row, q - o] - d_minus.ravel()[cut]))]
+                    clip = log_cut(*ends)
+                    terms = [table[q, r - 1], lv[r] + clip[:len(cut)]]
+                    if tangent:
+                        terms.append(lv[q] + clip[len(cut):])
+                    top = np.maximum.reduce(terms)
+                    top = np.where(top > NEG_INF, top, 0.0)
+                    np.put(mass, cut, top + np.log(sum(np.exp(t - top) for t in terms)))
+                del d_plus  # a node array, like those dropped below
             if parts == 4:
                 # sphere terms v t^(p-1); t- = 0 only on a sphere through
                 # the origin, which every ray then meets once, at t+
-                ends = [(lv[hi], pw(log_tp))]
+                end = pw(log_tp)
+                sphere = [end, lv[hi] + end]
                 if tangent:
-                    ends.append((lv[lo], np.where(t_minus > 0, pw(np.log(t_minus)), NEG_INF)))
+                    start = np.where(t_minus > 0, pw(np.log(t_minus)), NEG_INF)
+                    sphere = [np.logaddexp(end, start), np.logaddexp(sphere[1], lv[lo] + start)]
                     log_dw = lw + log_sin + np.log(k / cos_t)
                 else:
                     log_dw = lw + log_w + np.log(R / root)
-                sphere = [np.logaddexp.reduce([e[1] for e in ends]),
-                          np.logaddexp.reduce([v + e for v, e in ends])]
         base = lw + log_w
         # the node arrays are (panels, 21) each: dropping these before the
         # result is formed lowers the peak memory of large batches
-        del sx, cx, t_plus, d_plus, chord, log_tp
+        del sx, cx, t_plus, chord, log_tp
         if parts == 1:
             return (mass + base)[:, None]
         out = [whole + base, mass + base]
@@ -240,9 +259,26 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
 
 # the widest layer at pi/2 that gets graded first panels
 _LAYER_MAX = math.pi / 32
-# first panels are at most _SPIKE/sqrt(d) wide: the ray integrand's factor
-# sin^(d-2) is a spike of width ~ 1/sqrt(d)
-_SPIKE = 4.0
+# first panels are at most _spike_width(d, tol) wide: the ray integrand's factor
+# sin^(d-2) is a spike of width ~ 1/sqrt(d), on B(c e1, c) sigma = 1/sqrt(2(d - 2 + p))
+_SPIKE_WIDE, _SPIKE_NARROW = 4.0, 2.5
+
+
+def _spike_width(d: int, tol: float) -> float:
+    """The first-panel cap, _SPIKE_WIDE/sqrt(d) at tol >= 1e-7 and _SPIKE_NARROW/sqrt(d)
+    at tol <= 1e-8, geometric in tol between.
+
+    At tol >= 1e-7 every radial run converges on the wide panels, and narrower
+    ones only add evaluations; at 1e-8 a lone ball B(c e1, c) took 2.04 rounds on
+    them.  2.5/sqrt(d) is 5 sigma of the narrowest spike, p ~ d, where GK21's
+    |G10 - K21| on a Gaussian is at worst 1.7e-8 of its integral (4e-5 at 8
+    sigma), and those balls converge on their first panels.  A function of
+    (d, tol) alone, so a ball keeps its bits in any batch.
+    """
+    s = 0.0 if tol >= 1e-7 else 1.0 if tol <= 1e-8 else math.log10(1e-7 / tol)
+    return _SPIKE_WIDE * (_SPIKE_NARROW / _SPIKE_WIDE) ** s / math.sqrt(d)
+
+
 # a layer is graded where it holds _LAYER_SHARE tol of the panel next to pi/2 (at
 # tol 1e-8, 3 x 480 random thin balls erred up to 1.0e-8 with tol, 1.8e-9 with tol/16)
 # or that panel is at most _LAYER_NEAR eps wide (else a d = 200 quotient moved 5.7e-14)
@@ -317,8 +353,8 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
     boundary crosses the spheres |y| = t_k, and from panels graded into the
     layer at pi/2 where its boundary passes close to the origin and that
     layer carries weight (see _layer_edges); pieces wider than the
-    sin^(d-2) spike, _SPIKE/sqrt(d), are cut into equal panels no wider
-    (see _spike_panels).  Returns shape (n,), or (n, parts) with parts = 2
+    sin^(d-2) spike, _spike_width(d, tol), are cut into equal panels no
+    wider (see _spike_panels).  Returns shape (n,), or (n, parts) with parts = 2
     (the ball's measure ahead of its f-mass) or 4 (then their R-derivatives,
     which ride on the nodes the first two choose).
     """
@@ -337,7 +373,7 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
     # the f-mass (2p below p = 1, chords past pi/2 ending eps^2 away), p - 1 of riders
     p = m.homogeneity
     q = p - 1.0 if parts == 4 else min(p + 1.0, 2.0 * p)
-    width = _SPIKE / math.sqrt(m.d)
+    width = _spike_width(m.d, quad.tol)
     for tangent, top in ((False, math.pi), (True, 0.5 * math.pi)):
         idx = np.nonzero(origin_inside != tangent)[0]
         if idx.size == 0:

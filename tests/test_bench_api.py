@@ -29,6 +29,19 @@ def workloads():
     return _bench_module("workloads")
 
 
+def _traced_spans(workloads, tracer, name):
+    """The tracer's spans of one pass over the seed-7 cases of a workload."""
+    cases = workloads.build(name, 7)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        for case in cases:
+            case.run()
+    finally:
+        tr.uninstall()
+    return tr.spans
+
+
 @pytest.mark.parametrize("name", ["ball-sweep", "radial", "line-weaktype"])
 def test_bench_workload_builds_and_warms_up(workloads, name):
     assert name in workloads.WORKLOADS
@@ -45,15 +58,7 @@ def test_tracer_counts_the_quadrature_and_its_callers(workloads):
              "radial.ball_averages")
 
     def traced_counts():
-        cases = workloads.build("radial", 7)
-        tr = tracer.Tracer()
-        tr.install()
-        try:
-            for case in cases:
-                case.run()
-        finally:
-            tr.uninstall()
-        metrics = tracer.layer_metrics(tr.spans)
+        metrics = tracer.layer_metrics(_traced_spans(workloads, tracer, "radial"))
         return [metrics[name][0] for name in names]
 
     counts = traced_counts()
@@ -68,17 +73,26 @@ def test_tracer_counts_the_1d_layer(workloads):
     tracer = _bench_module("tracer")
 
     def traced_counts():
-        cases = workloads.build("line-weaktype", 7)
-        tr = tracer.Tracer()
-        tr.install()
-        try:
-            for case in cases:
-                case.run()
-        finally:
-            tr.uninstall()
-        quotients = sum(s[tracer.NAME] == "maximal1d.weak_type_quotient_1d" for s in tr.spans)
-        return tracer.layer_metrics(tr.spans)["maximal1d.uncentered_points"][0], quotients
+        spans = _traced_spans(workloads, tracer, "line-weaktype")
+        quotients = sum(s[tracer.NAME] == "maximal1d.weak_type_quotient_1d" for s in spans)
+        return tracer.layer_metrics(spans)["maximal1d.uncentered_points"][0], quotients
 
     counts = traced_counts()
     assert counts == (10_752, 308)
+    assert traced_counts() == counts
+
+
+def test_tracer_counts_the_ball_sweep_rounds(workloads):
+    # seed-7 ball-sweep measures 7,000 balls; at tol 1e-8 its 200 lone balls
+    # B(s e1, s) converge on their first panels, 2.5/sqrt(d) wide, so the
+    # integrand calls are 275 (483 with panels 4/sqrt(d) wide)
+    tracer = _bench_module("tracer")
+    names = ("measure.balls", "quadrature.integrand_calls")
+
+    def traced_counts():
+        metrics = tracer.layer_metrics(_traced_spans(workloads, tracer, "ball-sweep"))
+        return tuple(metrics[name][0] for name in names)
+
+    counts = traced_counts()
+    assert counts == (7_000, 275)
     assert traced_counts() == counts

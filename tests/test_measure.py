@@ -506,14 +506,15 @@ def test_ball_quadrature_work_repeats_and_stays_bounded():
     assert _ball_sweep_work() == work  # identical work on a rerun
     calls, nodes = map(sum, zip(*work))
     # 25 balls, one integral each, starting from panels no wider than the
-    # sin^(d-2) spike; measured 3,633 nodes in 56 calls (from the crossing
-    # pieces alone: 5,061 nodes in 103 calls)
-    assert nodes <= 3633 and calls <= 56
+    # sin^(d-2) spike, 2.5/sqrt(d) at tol 1e-8; measured 3,486 nodes in 33
+    # calls (3,633 in 56 at 4/sqrt(d); from the crossing pieces alone, 5,061
+    # nodes in 103 calls)
+    assert nodes <= 3486 and calls <= 33
 
 
 @pytest.mark.parametrize("d", [12, 50, 197, 400])
 def test_lone_ball_through_origin_takes_at_most_two_rounds(d):
-    """B(c e1, c) starts from panels no wider than its spike, 4/sqrt(d).
+    """B(c e1, c) starts from panels no wider than its spike, _spike_width(d, tol).
 
     From the one piece [0, pi/2] alone, bisection spends a round per halving
     before it reaches the spike: 2 to 6 rounds over these d and beta.
@@ -525,6 +526,49 @@ def test_lone_ball_through_origin_takes_at_most_two_rounds(d):
             assert len(work) == 1 and work[0][0] <= 2, (beta, c, work)
             want = log_ball_offcenter_unit_closed(m).log + m.homogeneity * math.log(c)
             assert abs(got - want) <= 1e-8, (beta, c)
+
+
+@pytest.mark.parametrize("d", [12, 52, 102, 197, 400])
+def test_lone_ball_through_origin_converges_on_its_first_panels(d):
+    """At tol 1e-8 B(c e1, c) converges in the round of its first panels.
+
+    Its spike sin^(d-2)(phi) (2c cos(phi))^p is sigma = 1/sqrt(2(d - 2 + p))
+    wide; first panels 4/sqrt(d) wide, about 8 sigma at p ~ d, left GK21's
+    |G10 - K21| above tol and took 2.04 rounds per ball on ball-sweep.  At
+    2.5/sqrt(d) one integrand call suffices.
+    """
+    quad = QuadratureConfig(tol=1e-8)
+    for beta in (-2.0, 0.0, d / 2):
+        m = PowerLawMeasure(d, beta)
+        for c in (0.3, 1.0, 7.0):
+            got, work = _with_work(lambda: log_ball_offcenter(m, BallSpec(c, c), quad).log)
+            assert len(work) == 1 and work[0][0] == 1, (beta, c, work)
+            want = log_ball_offcenter_unit_closed(m).log + m.homogeneity * math.log(c)
+            assert abs(got - want) <= 1e-8, (beta, c)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 4])
+@pytest.mark.parametrize("tol", [1e-7, 1e-8])
+def test_whole_ball_path_is_the_cut_path_with_a_sphere_outside(parts, tol):
+    """A breakpoint sphere |y| = T past every ball changes no bit.
+
+    bp = (0, inf) takes the whole-ball path, which forms no distances to a
+    sphere; bp = (0, T) with T > c + R crosses no chord, so every chord stays
+    in the one piece.  The tangent form (c >= R) and the origin form
+    (c < R) both run; at d >= 7 the first-panel cap is below pi/2, so the
+    crossing angle 0 of the outside sphere leaves the layer grading as it is.
+    """
+    rng = np.random.default_rng(24)
+    quad = QuadratureConfig(tol=tol)
+    for d, beta in ((7, 0.0), (12, 3.0), (50, -2.0), (200, 100.0)):
+        m = PowerLawMeasure(d, beta)
+        cs = np.concatenate([rng.uniform(0.1, 3.0, 6), [1.0, 2.0, 0.0]])
+        Rs = np.concatenate([cs[:6] * rng.uniform(0.5, 1.5, 6), [1.0, 2.0 - 1e-9, 0.7]])
+        assert (cs >= Rs).any() and (cs < Rs).any()
+        T = 1.01 * float(np.max(cs + Rs))
+        whole = _batched_shell_logs(m, cs, Rs, [0.0, math.inf], [0.0], quad, parts)
+        cut = _batched_shell_logs(m, cs, Rs, [0.0, T], [0.0], quad, parts)
+        assert [v.hex() for v in whole.ravel()] == [v.hex() for v in cut.ravel()], (d, beta)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.3, 1.0, 5.0])
