@@ -84,8 +84,8 @@ def test_tracer_counts_the_1d_layer(workloads):
 
 def test_tracer_counts_the_ball_sweep_rounds(workloads):
     # seed-7 ball-sweep measures 7,000 balls; at tol 1e-8 its 200 lone balls
-    # B(s e1, s) converge on their first panels, 2.5/sqrt(d) wide, so the
-    # integrand calls are 275 (483 with panels 4/sqrt(d) wide)
+    # B(s e1, s) converge on their first panels, 2.5/sqrt(d) wide, in one
+    # integrand call each, and the whole pass makes 275
     tracer = _bench_module("tracer")
     names = ("measure.balls", "quadrature.integrand_calls")
 
