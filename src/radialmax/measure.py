@@ -11,6 +11,7 @@ since the quantities overflow doubles once d reaches the low hundreds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,22 +116,44 @@ def _crossing_angles(c, R, r, tangent: bool):
     return np.where((q_minus > 0) & (q_plus > 0), x, 0.0), far, near
 
 
-def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, parts: int):
+@functools.lru_cache(maxsize=64)
+def _step_terms(p: float, bp: tuple, log_v: tuple):
+    """What the ray integrand uses of a step function f at p, per (p, f): its
+    breakpoints, the number o of them at the origin, the spheres t_cross a
+    chord can cross, ln v_k on the pieces 0..K + 1, _log_piece_table (None
+    with no sphere to cross) and ln t_k.  Read-only: the cache hands the same
+    arrays to every call.
+    """
+    bp = np.array(bp, dtype=float)
+    # chords lie in 0 <= |y| < inf: o breakpoints lie at the origin, and the spheres
+    # a chord can cross are t_cross = bp[o:o + n]; with none, no chord is clipped
+    o = int(np.count_nonzero(bp <= 0.0))
+    t_cross = bp[(bp > 0.0) & (bp < math.inf)]
+    lv = np.concatenate([[NEG_INF], log_v, [NEG_INF]])
+    table = _log_piece_table(p, tuple(bp), log_v) if len(t_cross) else None
+    with np.errstate(divide="ignore"):
+        log_bp = np.log(bp)
+    for a in (bp, t_cross, lv, log_bp):
+        a.flags.writeable = False
+    return bp, o, t_cross, lv, table, log_bp
+
+
+def _ray_log_integrand(m: PowerLawMeasure, C, RR, terms, tangent: bool, parts: int):
     """(log_f, angles): the log ray integrand of the f-mass of B(c e1, R),
     batched over balls, and the _crossing_angles angles of bp in (0, inf).
 
     f is the step function with value v_k = exp(log_v[k - 1]) on the piece
     (t_{k-1}, t_k] of the breakpoints bp = (t_0, .., t_K), and 0 below t_0
-    and past t_K; a shell r_in <= |y| <= r_out is the one piece (r_in, r_out]
-    of value 1.  The ray at angle theta from e1 meets B(c e1, R) in
-    [t-, t+], and its integrand is omega_{d-2} sin^{d-2}(theta) times the
-    f-mass of the chord, the sum of v_k (b^p - a^p)/p over its overlap
-    [a, b] with each piece, p = d - beta.  Only the pieces holding t- and
-    t+ are clipped; the whole pieces between them come from a table.  The
-    integrand has shape (m, parts, 21).  With parts = 2 the measure
-    (t+^p - t-^p)/p of the whole chord comes ahead of it; with parts = 4 two
-    more follow, their R-derivatives (by co-area, the weighted area of the
-    sphere |y - c e1| = R and f's mass on it):
+    and past t_K, given by its _step_terms; a shell r_in <= |y| <= r_out is
+    the one piece (r_in, r_out] of value 1.  The ray at angle theta from e1
+    meets B(c e1, R) in [t-, t+], and its integrand is omega_{d-2}
+    sin^{d-2}(theta) times the f-mass of the chord, the sum of
+    v_k (b^p - a^p)/p over its overlap [a, b] with each piece, p = d - beta.
+    Only the pieces holding t- and t+ are clipped; the whole pieces between
+    them come from a table.  The integrand has shape (m, parts, 21).  With
+    parts = 2 the measure (t+^p - t-^p)/p of the whole chord comes ahead of
+    it; with parts = 4 two more follow, their R-derivatives (by co-area, the
+    weighted area of the sphere |y - c e1| = R and f's mass on it):
     v(t+) t+^(p-1) dt+/dR + v(t-) t-^(p-1) |dt-/dR| with v = 1 for the chord,
     that is (R/c)/cos(theta) times the sum in the tangent form, and
     R/sqrt(R^2 - c^2 sin^2 theta) v(t+) t+^(p-1) around the origin.
@@ -139,29 +162,21 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
     [0, pi] and t- = 0.  Otherwise it is phi in [0, pi/2] with
     c sin(theta) = R sin(phi): the chord is exactly 2R cos(phi), with no
     square-root endpoint at the tangent ray, and the jacobian is
-    (R/c) cos(phi)/cos(theta).  The chord and its clipped ends take ln(a/b)
-    from specfun._log_ratio: the chord's gap is 2R cos(phi) (t+ around the
-    origin), and each clipped gap is formed from the distances
-    d+ = c + R - t+ and d- = t- - (c - R) (d- = t- = 0 around the origin)
-    and the exact per-ball distances c + R - t_k and t_k - (c - R) that come
-    with the angles; a whole ball has neither.
+    (R/c) cos(phi)/cos(theta).  Around the origin the chord [0, t+] holds
+    t+^p/p; the tangent chord and the clipped ends take ln(a/b) from
+    specfun._log_ratio: the chord's gap is 2R cos(phi), and each clipped gap
+    is formed from the distances d+ = c + R - t+ and d- = t- - (c - R)
+    (d- = t- = 0 around the origin) and the exact per-ball distances
+    c + R - t_k and t_k - (c - R) that come with the angles; a whole ball
+    has neither.
     """
     lw = log_sphere_area(m.d - 1)
     p = m.homogeneity
     d = m.d
-    bp = np.asarray(bp, dtype=float)
-    # chords lie in 0 <= |y| < inf: o breakpoints lie at the origin, and the spheres
-    # a chord can cross are t_cross = bp[o:o + n]; with none, no chord is clipped
-    o = int(np.count_nonzero(bp <= 0.0))
-    t_cross = bp[(bp > 0.0) & (bp < math.inf)]
+    bp, o, t_cross, lv, table, log_bp = terms
     n = len(t_cross)
-    log_v = np.asarray(log_v, dtype=float)
-    lv = np.concatenate([[NEG_INF], log_v, [NEG_INF]])  # ln v_k on pieces 0..K + 1
-    table = _log_piece_table(p, tuple(bp), tuple(log_v)) if n else None
     angles, FAR, NEAR = (_crossing_angles(C[:, None], RR[:, None], t_cross, tangent) if n
                          else (np.zeros((len(C), 0)), None, None))
-    with np.errstate(divide="ignore"):
-        log_bp = np.log(bp)
 
     def pw(log_t):
         # ln t^(p-1); p = 1 gives 1 even at t = 0
@@ -169,6 +184,8 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
 
     def log_cut(a, b, log_b, gap):
         return _log_power_interval(p, log_b, _log_ratio(a, b, log_b, gap))
+
+    log_p = math.log(p)
 
     def log_f(seg, x):
         c, R = C[seg], RR[seg]
@@ -179,20 +196,26 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
                 cos_t = np.sqrt(cx * cx + (c - R) * (c + R) / (c * c) * sx * sx)
                 t_plus = c * cos_t + R * cx
                 t_minus = (c - R) * (c + R) / t_plus
-                chord = 2.0 * R * cx
+                # t- = 0 on every node when each ball has c = R: ln t- is -inf
+                # either way, and a scalar 0 keeps numpy's slow log of zeros
+                # off the nodes
+                t_low = t_minus if t_minus.any() else 0.0
                 log_sin = (d - 2) * np.log(k * sx)
                 log_w = log_sin + np.log(k * cx / cos_t)
+                log_tp = np.log(t_plus)
+                whole = log_cut(t_low, t_plus, log_tp, 2.0 * R * cx)
             else:
-                root = np.sqrt((R - c * sx) * (R + c * sx))
-                t_plus = np.where(cx >= 0, c * cx + root, (R - c) * (R + c) / (root - c * cx))
-                chord = t_plus
+                csx, ccx = c * sx, c * cx
+                root = np.sqrt((R - csx) * (R + csx))
+                fwd = cx >= 0
+                t_plus = np.where(fwd, ccx + root, (R - c) * (R + c) / (root - ccx))
                 log_w = (d - 2) * np.log(sx)
-            log_tp = np.log(t_plus)
-            whole = log_cut(t_minus if tangent else 0.0, t_plus, log_tp, chord)
+                log_tp = np.log(t_plus)
+                # the chord [0, t+] holds t+^p / p, the power interval with a = 0
+                whole = p * log_tp - log_p
             if not n:
                 # no sphere to cross: every chord lies in piece o
                 hi = lo = o
-                mass = lv[o] + whole
             else:
                 # t- lies in [t_{q-1}, t_q) and t+ in (t_{q-1}, t_q] for q = lo, hi,
                 # both decided by the exact distances, as the gaps are
@@ -200,59 +223,70 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, log_v, tangent: bool, part
                     d_plus = R * sx * sx * (k / (1.0 + cos_t) + 1.0 / (1.0 + cx))
                     d_minus = (c - R) * d_plus / t_plus
                 else:
-                    one_minus_cos = np.where(cx >= 0, sx * sx / (1.0 + cx), 1.0 - cx)
-                    d_plus = c * one_minus_cos + (c * sx) ** 2 / (R + root)
+                    one_minus_cos = np.where(fwd, sx * sx / (1.0 + cx), 1.0 - cx)
+                    d_plus = c * one_minus_cos + csx ** 2 / (R + root)
                 far = FAR[seg[:, 0]]
                 hi = sum((far[:, j, None] > d_plus for j in range(n)), o)
                 lo = o
                 if tangent:
                     near = NEAR[seg[:, 0]]
                     lo = sum((near[:, j, None] <= d_minus for j in range(n)), o)
-                mass = lv[hi] + whole
+            lv_hi = lv[hi]
+            mass = lv_hi + whole
+            if n:
                 # flat indices of the chords that cross a sphere, whose end
                 # pieces are clipped; t_{hi-1} and t_lo lie in t_cross
                 cut = np.flatnonzero(lo < hi)
                 if len(cut):
                     row = cut // x.shape[1]
                     r = hi.ravel()[cut]
+                    below = r - 1
                     # around the origin t- = 0, and every piece below t+'s is whole;
                     # both ends are clipped in one pass, t+'s first
                     q = lo.ravel()[cut] if tangent else 0
-                    ends = (bp[r - 1], t_plus.ravel()[cut], log_tp.ravel()[cut],
-                            far[row, r - 1 - o] - d_plus.ravel()[cut])
+                    ends = (bp[below], t_plus.ravel()[cut], log_tp.ravel()[cut],
+                            far[row, below - o] - d_plus.ravel()[cut])
                     if tangent:
                         ends = [np.concatenate(e) for e in zip(ends, (
                             t_minus.ravel()[cut], bp[q], log_bp[q],
                             near[row, q - o] - d_minus.ravel()[cut]))]
                     clip = log_cut(*ends)
-                    terms = [table[q, r - 1], lv[r] + clip[:len(cut)]]
+                    terms = [table[q, below], lv[r] + clip[:len(cut)]]
                     if tangent:
                         terms.append(lv[q] + clip[len(cut):])
-                    top = np.maximum.reduce(terms)
+                    top = np.maximum(terms[0], terms[1])
+                    if tangent:
+                        top = np.maximum(top, terms[2])
                     top = np.where(top > NEG_INF, top, 0.0)
-                    np.put(mass, cut, top + np.log(sum(np.exp(t - top) for t in terms)))
+                    total = np.exp(terms[0] - top) + np.exp(terms[1] - top)
+                    if tangent:
+                        total = total + np.exp(terms[2] - top)
+                    np.put(mass, cut, top + np.log(total))
                 del d_plus  # a node array, like those dropped below
+            base = lw + log_w
             if parts == 4:
                 # sphere terms v t^(p-1); t- = 0 only on a sphere through
                 # the origin, which every ray then meets once, at t+
                 end = pw(log_tp)
-                sphere = [end, lv[hi] + end]
+                sphere = [end, lv_hi + end]
                 if tangent:
-                    start = np.where(t_minus > 0, pw(np.log(t_minus)), NEG_INF)
+                    start = np.where(t_low > 0, pw(np.log(t_low)), NEG_INF)
                     sphere = [np.logaddexp(end, start), np.logaddexp(sphere[1], lv[lo] + start)]
                     log_dw = lw + log_sin + np.log(k / cos_t)
                 else:
-                    log_dw = lw + log_w + np.log(R / root)
-        base = lw + log_w
+                    log_dw = base + np.log(R / root)
         # the node arrays are (panels, 21) each: dropping these before the
         # result is formed lowers the peak memory of large batches
-        del sx, cx, t_plus, chord, log_tp
+        del sx, cx, t_plus, log_tp
         if parts == 1:
             return (mass + base)[:, None]
-        out = [whole + base, mass + base]
+        out = np.empty((len(x), parts, x.shape[1]))
+        np.add(whole, base, out=out[:, 0])
+        np.add(mass, base, out=out[:, 1])
         if parts == 4:
-            out += [s + log_dw for s in sphere]
-        return np.stack(out, axis=1)
+            np.add(sphere[0], log_dw, out=out[:, 2])
+            np.add(sphere[1], log_dw, out=out[:, 3])
+        return out
 
     return log_f, angles
 
@@ -330,14 +364,17 @@ def _spike_panels(edges, h: float):
     order, and their bits do not depend on the other rows.
     """
     a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    k = np.ceil((b - a) / h)
+    w = b - a
+    k = np.ceil(w / h)
     n = k.astype(np.intp)
     # per panel: its piece, its place i in the piece, and the piece's values
     piece = np.repeat(np.arange(len(a)), n)
     i = np.arange(len(piece)) - np.repeat(np.cumsum(n) - n, n)
-    a, w, b, k = a[piece], (b - a)[piece], b[piece], k[piece]
-    return (piece // (edges.shape[1] - 1), a + w * (i / k),
-            np.where(i + 1 < k, a + w * ((i + 1) / k), b))
+    k = k[piece]
+    lo = a[piece] + w[piece] * (i / k)
+    # a panel ends where the next one of its piece starts, the last one at b
+    hi = np.where(i + 1 < k, np.concatenate([lo[1:], b[-1:]]), b[piece])
+    return piece // (edges.shape[1] - 1), lo, hi
 
 
 def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureConfig,
@@ -364,11 +401,12 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
         c, R = (float(cs[0]), float(Rs[0])) if len(cs) else (None, None)
         raise ValueError(f"off-center ball measures require d >= 2, got d={m.d} "
                          f"beta={m.beta!r} for the ball c={c!r} R={R!r}")
-    bp = np.asarray(bp, dtype=float)
+    terms = _step_terms(m.homogeneity, tuple(bp), tuple(log_v))
+    bp = terms[0]
     out = np.full((len(cs), parts), NEG_INF)
     origin_inside = cs < Rs
     # the two derivatives ride on the nodes the measure and the mass choose
-    riders = {"riders": 2} if parts == 4 else {}
+    riders = 2 if parts == 4 else 0
     # the layer at pi/2 holds eps^q (see _layer_edges): p + 1 of the measure and
     # the f-mass (2p below p = 1, chords past pi/2 ending eps^2 away), p - 1 of riders
     p = m.homogeneity
@@ -379,14 +417,14 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
         if idx.size == 0:
             continue
         c, R = cs[idx], Rs[idx]
-        log_f, angles = _ray_log_integrand(m, c, R, bp, log_v, tangent, parts)
-        edges = np.sort(np.column_stack([
-            np.zeros(idx.size), angles, np.full(idx.size, top),
+        log_f, angles = _ray_log_integrand(m, c, R, terms, tangent, parts)
+        edges = np.sort(np.concatenate([
+            np.zeros((idx.size, 1)), angles, np.full((idx.size, 1), top),
             _layer_edges(c, R, angles, tangent, quad.tol, q, width),
-        ]), axis=1)
+        ], axis=1), axis=1)
         at, lo, hi = _spike_panels(edges, width)
         try:
-            out[idx], _ = log_integrate_batch(log_f, at, lo, hi, idx.size, quad, **riders)
+            out[idx], _ = log_integrate_batch(log_f, at, lo, hi, idx.size, quad, riders=riders)
         except QuadratureError as exc:
             i = idx[exc.segment]
             raise QuadratureError(

@@ -125,6 +125,7 @@ def _segment_reduce(values, ids, n_out):
     values has shape (m, w): each column of an id is reduced alone, in row
     order, so an id's result depends on its own rows only.  The sums go
     through flat ids, which keeps the one-dimensional fast path of ufunc.at.
+    Runs under log_integrate_batch's np.errstate (ln 0 = -inf).
     """
     w = values.shape[1]
     flat_ids = (ids[:, None] * w + np.arange(w)).ravel()
@@ -133,9 +134,10 @@ def _segment_reduce(values, ids, n_out):
     np.maximum.at(top, flat_ids, flat)
     acc = np.zeros(n_out * w)
     safe = np.where(top == NEG_INF, 0.0, top)
-    np.add.at(acc, flat_ids, np.where(flat == NEG_INF, 0.0, np.exp(flat - safe[flat_ids])))
-    with np.errstate(divide="ignore"):
-        lse = np.where(top == NEG_INF, NEG_INF, safe + np.log(np.maximum(acc, 1e-300)))
+    # a -inf row adds exp(-inf) = 0; an id's top row adds 1, so only an id
+    # with no finite row sums to 0, and its ln 0 = -inf
+    np.add.at(acc, flat_ids, np.exp(flat - safe[flat_ids]))
+    lse = safe + np.log(acc)
     return lse.reshape(n_out, w), top.reshape(n_out, w)
 
 
@@ -181,17 +183,20 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
     error = np.full((n, n_comp), NEG_INF)
     log_tol = math.log(cfg.tol)
     for rounds in range(_MAX_ROUNDS + 1):
-        sums, tops = _segment_reduce(p_val, p_at, len(active))
-        seg_total, seg_err = sums[:, :n_comp], sums[:, n_comp:]
-        judged_total = seg_total[:, :k]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sums, tops = _segment_reduce(p_val, p_at, len(active))
+            seg_total, seg_err = sums[:, :n_comp], sums[:, n_comp:]
+            judged_total = seg_total[:, :k]
             bad = seg_err > judged_total + log_tol
         bad &= judged_total != NEG_INF
         still = bad[:, 0] if k == 1 else bad.any(axis=1)
-        total[active[~still]] = seg_total[~still]
-        error[active[~still], :k] = seg_err[~still]
         if not still.any():
+            total[active] = seg_total
+            error[active, :k] = seg_err
             return total, error
+        done = ~still
+        total[active[done]] = seg_total[done]
+        error[active[done], :k] = seg_err[done]
         if rounds == _MAX_ROUNDS:
             with np.errstate(invalid="ignore"):
                 rel = np.where(judged_total != NEG_INF, np.exp(seg_err - judged_total), 0.0)

@@ -18,6 +18,7 @@ above every level without a radius search.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -84,6 +85,14 @@ class MaximalConfig:
 DEFAULT_MAXIMAL = MaximalConfig()
 
 
+@functools.lru_cache(maxsize=64)
+def _log_values(values: tuple) -> tuple:
+    """(ln v_k per piece, as a tuple, and ln max f) of a profile's values."""
+    with np.errstate(divide="ignore"):
+        log_v = np.log(values)
+    return tuple(log_v), float(log_v.max())
+
+
 def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
                          quad: QuadratureConfig, slopes: bool = False):
     """ln of the averages of f over B(c_i e1, R_i), one quadrature pass each ball.
@@ -97,10 +106,9 @@ def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
     nodes, and R (sigma S / F - sigma / mu) = (R sigma / mu)(S / A - 1).
     The slope is +inf where the ball misses f (A = 0).
     """
-    with np.errstate(divide="ignore"):
-        log_v = np.log(f.values)
+    log_v, log_vmax = _log_values(f.values)
     logs = _batched_shell_logs(m, cs, Rs, f.breakpoints, log_v, quad, parts=4 if slopes else 2)
-    log_avg = np.minimum(logs[:, 1] - logs[:, 0], log_v.max())
+    log_avg = np.minimum(logs[:, 1] - logs[:, 0], log_vmax)
     if not slopes:
         return log_avg
     with np.errstate(invalid="ignore", over="ignore"):
@@ -163,11 +171,15 @@ def _kink_radii(f: RadialProfile, c: float, rho: float) -> np.ndarray:
 
 # the bracket helpers below run under np.errstate(**_QUIET)
 
-
-def _concave_ends(ua, ub, ya, yb, sa, sb):
-    """Brackets whose end data fit a concave ln A: sa >= secant >= sb, all finite."""
-    secant = (yb - ya) / (ub - ua)
-    return (sa >= secant) & (secant >= sb) & np.isfinite(ya + yb + sa + sb)
+# rows of _radius_supremum's bracket state: the ends ua < ub in u = ln R, ln A
+# and its slope at each, the end that the last round replaced (u_old, s_old),
+# and the round's trial point (ut, yt, st)
+_BRACKET_ROWS = _UA, _UB, _YA, _YB, _SA, _SB, _UO, _SO, _UT, _YT, _ST = range(11)
+# the state after a round that keeps the half above the trial, or below it
+_HALF_HI = np.array([_UT, _UB, _YT, _YB, _ST, _SB, _UA, _SA])
+_HALF_LO = np.array([_UA, _UT, _YA, _YT, _SA, _ST, _UB, _SB])
+# (ya, yb, sa, sb) of the lower half, then the upper, for one _holds_max call
+_HALVES = np.array([[_YA, _YT], [_YT, _YB], [_SA, _ST], [_ST, _SB]])
 
 
 def _holds_max(ya, yb, sa, sb):
@@ -178,7 +190,8 @@ def _holds_max(ya, yb, sa, sb):
     between.  A NaN slope counts as either sign.
     """
     dy = yb - ya
-    return ((~(sa < 0) & ~(sb >= 0)) | ((sa < 0) & (sb < 0) & (dy > 0))
+    falls = sa < 0
+    return (~(falls | (sb >= 0)) | (falls & (sb < 0) & (dy > 0))
             | ((sa > 0) & (sb > 0) & (dy < 0)))
 
 
@@ -186,11 +199,15 @@ def _tangent_gain(ua, ub, ya, yb, sa, sb):
     """Bound on max ln A over [ua, ub] from the end tangents of ln A in u = ln R.
 
     The peak of min(ya + sa (u - ua), yb + sb (u - ub)), which bounds a
-    concave ln A; +inf where the end data do not fit a concave ln A.
+    concave ln A; +inf where the end data do not fit a concave ln A, that
+    is unless sa >= secant >= sb, all finite.
     """
-    u = np.clip((yb - ya + sa * ua - sb * ub) / (sa - sb), ua, ub)
+    dy = yb - ya
+    u = np.clip((dy + sa * ua - sb * ub) / (sa - sb), ua, ub)
     peak = np.minimum(ya + sa * (u - ua), yb + sb * (u - ub))
-    return np.where(_concave_ends(ua, ub, ya, yb, sa, sb), peak, np.inf)
+    secant = dy / (ub - ua)
+    concave = (sa >= secant) & (secant >= sb) & np.isfinite(ya + yb + sa + sb)
+    return np.where(concave, peak, np.inf)
 
 
 def _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old):
@@ -209,28 +226,37 @@ def _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old):
     """
     w = ub - ua
     # p'(x) = a x^2 + b x + c0 on x in [0, 1]; its root with p'' < 0
-    dy = yb - ya
-    a = 3.0 * w * (sa + sb) - 6.0 * dy
-    b = 6.0 * dy - 2.0 * w * (2.0 * sa + sb)
+    dy6 = 6.0 * (yb - ya)
+    a = 3.0 * w * (sa + sb) - dy6
+    b = dy6 - 2.0 * w * (2.0 * sa + sb)
     c0 = w * sa
     q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c0, 0.0)), b))
-    r1, r2 = q / a, c0 / q
-    peak = lambda r: (r > 0) & (r < 1) & (2.0 * a * r + b < 0)
-    hermite = np.where(peak(r2), r2, np.where(peak(r1), r1, np.nan))
+    # the roots q / a and c0 / q, one row each
+    r = np.empty((2, len(q)))
+    np.divide(q, a, out=r[0])
+    np.divide(c0, q, out=r[1])
+    peak = (r > 0) & (r < 1) & (2.0 * a * r + b < 0)
+    hermite = np.where(peak[1], r[1], np.where(peak[0], r[0], np.nan))
     secant = sa / (sa - sb)
     x = np.where(np.isfinite(ya + yb + sa + sb + hermite), hermite,
                  np.where((secant > 0) & (secant < 1), secant, 0.5))
     left, right = u_old < ua, u_old > ub  # the end the last round placed
-    x = np.clip(x, np.where(left, _EDGE_NEW, _EDGE), 1.0 - np.where(right, _EDGE_NEW, _EDGE))
+    # x lies in (0, 1) here, so this is np.clip without its wrapper
+    x = np.minimum(np.maximum(x, np.where(left, _EDGE_NEW, _EDGE)),
+                   1.0 - np.where(right, _EDGE_NEW, _EDGE))
     u = ua + w * x
     newer, s_new = np.where(left, ua, ub), np.where(left, sa, sb)
-    extra = newer - s_new * (newer - u_old) / (s_new - s_old)
-    use = (np.abs(newer - u_old) < w) & (extra > ua + _EDGE * w) & (extra < ub - _EDGE * w)
+    step = newer - u_old
+    extra = newer - s_new * step / (s_new - s_old)
+    margin = _EDGE * w
+    use = (np.abs(step) < w) & (extra > ua + margin) & (extra < ub - margin)
     return np.where(use, extra, u)
 
 
-def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureConfig):
-    """(ln sup_R A(c, R), ln-gap bound) per center distance c.
+def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, rho, limit,
+                     quad: QuadratureConfig):
+    """(ln sup_R A(c, R), ln-gap bound) per center distance c, given its
+    _small_balls (rho, limit).
 
     Between consecutive kink radii (_kink_radii) the average is smooth and
     A'(R) = sigma(R) / mu(B_R) (S(R) - A(R)), S the sphere average, so an
@@ -250,9 +276,8 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureC
     A point on a breakpoint (rho = 0) also has the limit R -> 0, the mean
     of the two pieces beside it.
     """
-    cs = np.asarray(cs, dtype=float)
-    rho, limit = _small_balls(f, cs)
-    kinks = [_kink_radii(f, c, r) for c, r in zip(cs, rho)]
+    # Python floats: _kink_radii's scalar arithmetic is slower on numpy's
+    kinks = [_kink_radii(f, c, r) for c, r in zip(cs.tolist(), rho.tolist())]
     radii = [np.sort(np.concatenate([k, np.sqrt(k[:-1] * k[1:])])) for k in kinks]
     sizes = np.array([len(r) for r in radii])
     first = np.cumsum(sizes) - sizes
@@ -263,36 +288,35 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, quad: QuadratureC
         slope[first[(R[first] == rho) & (y[first] > NEG_INF)]] = 0.0
         best = np.log(np.where(rho == 0, limit, 0.0))
         np.maximum.at(best, pt, y)
-        u = np.log(R)
-        # brackets between consecutive radii of a point: (point, ua, ub, ya,
-        # yb, sa, sb, and the end replaced last round, u_old and s_old)
+        # brackets between consecutive radii of a point, one column each, and
+        # the point p of each
         left = np.flatnonzero(np.arange(len(R)) + 1 < (first + sizes)[pt])
-        nan = np.full(len(left), np.nan)
-        br = [pt[left], u[left], u[left + 1], y[left], y[left + 1],
-              slope[left], slope[left + 1], nan, nan]
-        br = [v[_holds_max(*br[3:7])] for v in br]
+        br = np.full((len(_BRACKET_ROWS), len(left)), np.nan)
+        br[:_UO] = np.stack([np.log(R), y, slope])[:, [left, left + 1]].reshape(_UO, -1)
+        keep = _holds_max(*br[_YA:_UO])
+        p, br = pt[left[keep]], br[:, keep]
     gain_tol = _GAIN_SHARE * quad.tol
     for _ in range(_SEARCH_ROUNDS):
         with np.errstate(**_QUIET):
-            open_ = _tangent_gain(*br[1:7]) - best[br[0]] > gain_tol
+            gain = _tangent_gain(*br[:_UO]) - best[p]
+            open_ = gain > gain_tol
             if not open_.any():
                 break
-            p, ua, ub, ya, yb, sa, sb, u_old, s_old = (v[open_] for v in br)
-            ut = _trial_point(ua, ub, ya, yb, sa, sb, u_old, s_old)
-        yt, st = _ball_averages_batch(m, f, cs[p], np.exp(ut), quad, slopes=True)
-        np.maximum.at(best, p, yt)
+            p, br = p[open_], br[:, open_]
+            br[_UT] = _trial_point(*br[:_UT])
+        br[_YT], br[_ST] = _ball_averages_batch(m, f, cs[p], np.exp(br[_UT]), quad, slopes=True)
+        np.maximum.at(best, p, br[_YT])
         with np.errstate(**_QUIET):
             # keep the half that holds a maximum, the one with the higher end
             # if both do, or else the one next to the higher end
-            in_lo, in_hi = _holds_max(ya, yt, sa, st), _holds_max(yt, yb, st, sb)
-        hi = np.where(in_lo == in_hi, yb > ya, in_hi)
-        br = [p, np.where(hi, ut, ua), np.where(hi, ub, ut), np.where(hi, yt, ya),
-              np.where(hi, yb, yt), np.where(hi, st, sa), np.where(hi, sb, st),
-              np.where(hi, ua, ub), np.where(hi, sa, sb)]
-    with np.errstate(**_QUIET):
-        gain = _tangent_gain(*br[1:7]) - best[br[0]]
+            in_lo, in_hi = _holds_max(*br[_HALVES])
+        hi = np.where(in_lo == in_hi, br[_YB] > br[_YA], in_hi)
+        br[:_UT] = np.where(hi, br[_HALF_HI], br[_HALF_LO])
+    else:
+        with np.errstate(**_QUIET):
+            gain = _tangent_gain(*br[:_UO]) - best[p]
     log_gap = np.zeros(len(cs))
-    np.maximum.at(log_gap, br[0], gain)
+    np.maximum.at(log_gap, p, gain)
     return best, log_gap
 
 
@@ -313,9 +337,10 @@ def _log_centered_max_grid(m: PowerLawMeasure, f: RadialProfile, cs,
         return np.full(len(cs), NEG_INF)
     vmax = max(f.values)
     out = np.full(len(cs), np.log(vmax))
-    todo = _small_balls(f, cs)[1] < vmax
+    rho, limit = _small_balls(f, cs)
+    todo = limit < vmax
     if todo.any():
-        out[todo] = _radius_supremum(m, f, cs[todo], cfg.quad)[0]
+        out[todo] = _radius_supremum(m, f, cs[todo], rho[todo], limit[todo], cfg.quad)[0]
     return out
 
 

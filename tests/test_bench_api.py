@@ -96,3 +96,36 @@ def test_tracer_counts_the_ball_sweep_rounds(workloads):
     counts = traced_counts()
     assert counts == (7_000, 275)
     assert traced_counts() == counts
+
+
+def test_tracer_counts_the_radial_rounds(workloads):
+    # seed-7 radial makes 96 quadrature calls, each converging on its first
+    # panels in one integrand call, on 768 balls; a cut in the fixed cost of
+    # a call or a radius-search round moves none of these counts
+    tracer = _bench_module("tracer")
+    names = ("quadrature.calls", "quadrature.integrand_calls", "quadrature.integrand_evals",
+             "measure.balls")
+
+    def traced_counts():
+        metrics = tracer.layer_metrics(_traced_spans(workloads, tracer, "radial"))
+        return tuple(metrics[name][0] for name in names)
+
+    counts = traced_counts()
+    assert counts == (96, 96, 69_195, 768)
+    assert traced_counts() == counts
+
+
+# the 13 seed-7 radial outputs, bit for bit: twelve criterion-9 points
+# M_mu f(c) and, seventh, the criterion-10 weak-type quotient
+RADIAL_SEED7_HEX = (
+    "0x1.98080061a52f7p-1", "0x1.86c337df9a7bbp+1", "0x1.bd3c3ee684cc5p+0",
+    "0x1.f4397015b3aadp+0", "0x1.ccde9b6e30224p+0", "0x1.f495728c0bad9p+0",
+    "0x1.532c93f35a51cp+1", "0x1.ff18e5711c281p-1", "0x1.c144fff62f0e7p+1",
+    "0x1.7df2918dfda6cp+1", "0x1.6dfa0b7090e74p+1", "0x1.e8d0f9eb781a6p+0",
+    "0x1.bd6831c8e772ep+1",
+)
+
+
+def test_radial_outputs_keep_their_bits(workloads):
+    outputs = tuple(float(case.run()).hex() for case in workloads.build("radial", 7))
+    assert outputs == RADIAL_SEED7_HEX

@@ -695,3 +695,35 @@ def test_mc_matches_quadrature(d, beta, c, R, seed):
 def test_mc_rejects_high_dimension():
     with pytest.raises(ValueError):
         mc_ball_average(PowerLawMeasure(8, 0.0), RadialProfile.indicator(1.0), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("beta", [10.8, 11.5])
+def test_search_with_slopes_at_r_equal_c_matches_a_dense_sweep(monkeypatch, beta):
+    # the breakpoint 1.4 = 2c puts the kink |c - 1.4| at R = c, a ball
+    # through the origin, where the sphere riders read low for 1 < p < 2 and
+    # diverge for p <= 1 (p = 1.2 and 0.5 here); the search takes slopes
+    # there, and only their sign steers it, so it still finds the sup of a
+    # dense sweep of averages (no riders), refined around its best radius
+    m = PowerLawMeasure(12, beta)
+    f = RadialProfile((0.0, 0.3, 0.5, 1.4, 1.75), (2.0, 0.5, 1.5, 3.0))
+    c, quad = 0.7, QuadratureConfig(tol=1e-8)
+    sloped = []
+    batch = radial._ball_averages_batch
+
+    def recording(m, f, cs, Rs, quad, slopes=False):
+        if slopes:
+            sloped.extend(Rs)
+        return batch(m, f, cs, Rs, quad, slopes)
+
+    monkeypatch.setattr(radial, "_ball_averages_batch", recording)
+    got = centered_max_radial(m, f, c, MaximalConfig(quad=quad))
+    assert c in sloped
+    kinks = radial._kink_radii(f, c, radial._small_balls(f, [c])[0][0])
+    R = np.unique(np.concatenate([np.geomspace(kinks[0], kinks[-1], 10_000), kinks]))
+    want = 0.0
+    for _ in range(5):
+        A = np.exp(batch(m, f, np.full(len(R), c), R, quad))
+        k = int(A.argmax())
+        want = max(want, float(A[k]))
+        R = np.linspace(R[max(k - 1, 0)], R[min(k + 1, len(R) - 1)], 64)
+    assert want * (1.0 - quad.tol) <= got <= want * (1.0 + 1e-7), (got, want)
