@@ -322,15 +322,18 @@ def _level_set_logs(m: PowerLawMeasure, f: RadialProfile, lambdas):
     return np.logaddexp.reduce(parts, axis=1), sup
 
 
-# ITP constants (Oliveira & Takahashi 2021) for _grid_level_logs: the
-# truncation is kappa_1 w^2 with kappa_1 = _ITP_K1 / w_0 for the initial
-# bracket width w_0, and _ITP_N0 rounds of slack over bisection.  The
-# minmax radius steers toward _ITP_AIM * 2 eps rather than 2 eps itself,
-# so a bracket held on the radius (a step-like g) ends clear of the
-# stopping rule's edge, where rounding in t could cost one more round
-_ITP_K1 = 0.2
-_ITP_N0 = 1
-_ITP_AIM = 0.875
+# the crossing search of _grid_level_logs, in u = ln t, where a bracket
+# closes at width 2 eps: the first round moves each regula-falsi point
+# _CROSS_FIRST of its bracket toward the midpoint, so that the root most
+# likely falls between it and the nearer end; a bracket closes from an end
+# at width _CROSS_AIM * 2 eps rather than 2 eps itself, and ITP's minmax
+# radius (Oliveira & Takahashi 2021), which allows _CROSS_N0 rounds of
+# slack over bisection, steers toward that width too, so that a closed
+# bracket ends clear of the stopping rule's edge, where rounding in t could
+# cost one more round
+_CROSS_FIRST = 0.005
+_CROSS_N0 = 1
+_CROSS_AIM = 0.875
 
 
 @dataclass(frozen=True)
@@ -389,16 +392,21 @@ def _grid_level_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas, points: 
     """(ln gamma0{M > lam}, ln gamma0-width of its unresolved brackets) per ln lam.
 
     For any vectorized c -> ln M(c) with M <= window_scale * M^u f (radial's
-    centered operator, with C + 1): M on one grid shared by all levels up to
-    the window T, gamma0(t_n, T) = window_scale ||f||_1 / min lam, then a
-    lockstep ITP search (Oliveira & Takahashi 2021) of every crossing: each
-    round is one max_fn call at the regula-falsi points of
-    g = ln M - ln lam in u = ln t, truncated toward each bracket's midpoint
-    and kept within the minmax radius, so g near a power law closes in a
-    few rounds and a step function takes at most _ITP_N0 more than
-    bisection.  Measures come from ln a - ln b of bracket midpoints.  A
-    bracket (a, b) closes once b - a <= tol b, tol being max_fn's accuracy
-    (radial's quad.tol): gamma0 = t^p / p is resolved to about p tol.
+    centered operator, with C + 1) and M >= v_k on every open piece
+    (t_{k-1}, t_k) of f (true of both operators here): M on one grid shared
+    by all levels up to the window T, gamma0(t_n, T) = window_scale
+    ||f||_1 / min lam, then a lockstep search of every crossing of
+    g = ln M - ln lam in u = ln t.  A bracket inside a piece of value above
+    its level whose end below the level is a breakpoint (a grid point)
+    crosses exactly there, where M jumps, and closes at once.  Each round
+    is one max_fn call at a trial point per open bracket, placed so that
+    the bracket closes from both sides, and kept within ITP's minmax radius
+    (Oliveira & Takahashi 2021): g near a power law closes in about three
+    rounds, and a step function takes at most _CROSS_N0 more than
+    bisection.  A bracket (a, b) closes once b - a <= tol b, tol being
+    max_fn's accuracy (radial's quad.tol), and its crossing is read at the
+    regula-falsi point between its ends: gamma0 = t^p / p is resolved to
+    within p tol, and to far less where g is smooth.
 
     lower_fn, a vectorized c -> lower bound of ln M(c), settles a grid point
     whose bound exceeds the top level: it lies in every level set.  max_fn
@@ -441,53 +449,87 @@ def _grid_level_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas, points: 
     entering = edges[level, k] > 0
     bl = np.concatenate([[0.0], xs])[k]
     bh = np.where(k == 0, 0.0, np.concatenate([xs, xs[-1:]])[k])
+    log_lam = log_lambdas[level]
+    # every breakpoint is a grid point, so a bracket lies in one piece
+    below = np.where(entering, bl, bh)
+    with np.errstate(divide="ignore"):
+        jump = np.isin(below, bp) & (np.log(f.value_at(0.5 * (bl + bh))) > log_lam)
+    bl[jump] = bh[jump] = below[jump]
     # g = ln M - ln lam at the bracket ends, from the grid values; the
     # zero-width brackets at 0 and T start (and stay) converged
-    log_lam = log_lambdas[level]
     with np.errstate(divide="ignore", invalid="ignore"):
         g_lo = np.concatenate([[np.nan], lM])[k] - log_lam
         g_hi = np.concatenate([lM, [np.nan]])[k] - log_lam
         w0 = np.log(bh) - np.log(bl)
-        # ITP in u = ln t: width <= 2 eps meets the stopping rule below, within
-        # n_max rounds (_ITP_N0 beyond bisection); one more for rounding in t
+        # in u = ln t, width <= 2 eps meets the stopping rule below, within
+        # n_max rounds (_CROSS_N0 beyond bisection); one more for rounding in t
         eps = 0.5 * math.log1p(tol)
-        n_max = np.ceil(np.log2(w0 / (2.0 * eps))) + _ITP_N0
+        n_max = np.ceil(np.log2(w0 / (2.0 * eps))) + _CROSS_N0
     # stop per-bracket relative to its own location, not the window;
     # converged brackets drop out of the (possibly expensive) max_fn
     unresolved = lambda: bh - bl > tol * np.maximum(bh, 1e-300)
+    # the end each bracket's last round replaced, with its g, and whether
+    # that was the hi end
+    u_old = np.full(len(bl), np.nan)
+    g_old = np.full(len(bl), np.nan)
+    hi_moved = np.zeros(len(bl), dtype=bool)
+    # a bracket closed from an end spans aim; a trial eps/2 past an estimate
+    # within reach of that end would still close it
+    aim = 2.0 * _CROSS_AIM * eps
+    reach = aim - 0.5 * eps
     for j in range(int(n_max[unresolved()].max(initial=-1.0)) + 1):
         active = unresolved()
         if not active.any():
             break
         ul, uh = np.log(bl[active]), np.log(bh[active])
-        gl, gh = g_lo[active], g_hi[active]
+        gl, gh, uo, go = g_lo[active], g_hi[active], u_old[active], g_old[active]
         w = uh - ul
         mid = 0.5 * (ul + uh)
-        # regula falsi, truncated toward the midpoint by kappa_1 w^2 and
-        # projected into the minmax radius r around it; a non-finite end
-        # value (or equal ones) falls back to the midpoint
-        with np.errstate(divide="ignore", invalid="ignore"):
-            falsi = ul - gl * w / (gh - gl)
-        falsi = np.where(np.isfinite(gl) & np.isfinite(gh) & np.isfinite(falsi), falsi, mid)
-        sigma = np.sign(mid - falsi)
-        delta = _ITP_K1 * w * w / w0[active]
-        trunc = np.where(delta <= np.abs(mid - falsi), falsi + sigma * delta, mid)
-        r = np.maximum(_ITP_AIM * eps * 2.0 ** (n_max[active] - j) - 0.5 * w, 0.0)
-        u = np.where(np.abs(trunc - mid) <= r, trunc, mid - sigma * r)
+        # inverse quadratic interpolation through both ends and the replaced
+        # one (Brent 1973), or regula falsi where that is missing or leaves
+        # the bracket; a non-finite end value falls back to the midpoint
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            est = (ul * gh * go / ((gl - gh) * (gl - go)) + uh * gl * go / ((gh - gl) * (gh - go))
+                   + uo * gl * gh / ((go - gl) * (go - gh)))
+            est = np.where((est > ul) & (est < uh), est, ul - gl * w / (gh - gl))
+        if j == 0:
+            # no replaced end yet: toward the midpoint, past the root if the
+            # regula-falsi point falls short of it
+            shift = _CROSS_FIRST * w
+            est = np.where(np.abs(mid - est) > shift, est + np.sign(mid - est) * shift, mid)
+        else:
+            # straddle: eps/2 past the estimate, away from the end that moved
+            # last, so that the root falls between the trial and that end
+            est = est + np.where(hi_moved[active], -0.5, 0.5) * eps
+        # next to an end, the trial goes as far from it as still closes the
+        # bracket; no trial lies within eps/2 of an end, so g = 0 at an end
+        # stalls nothing
+        est = np.where(est - ul < reach, ul + aim, np.where(uh - est < reach, uh - aim, est))
+        est = np.where(np.isfinite(est), np.clip(est, ul + 0.5 * eps, uh - 0.5 * eps), mid)
+        # ITP's projection into the minmax radius r around the midpoint
+        r = np.maximum(_CROSS_AIM * eps * 2.0 ** (n_max[active] - j) - 0.5 * w, 0.0)
+        u = np.where(np.abs(est - mid) <= r, est, mid + np.sign(est - mid) * r)
         t = np.exp(u)
         g = max_fn(t) - log_lam[active]
-        up = g > 0
         # entering brackets have the above-level state on their hi side,
         # leaving ones on their lo side
+        up = g > 0
         move_hi = np.where(entering[active], up, ~up)
+        u_old[active] = np.where(move_hi, uh, ul)
+        g_old[active] = np.where(move_hi, gh, gl)
+        hi_moved[active] = move_hi
         bh[active] = np.where(move_hi, t, bh[active])
         g_hi[active] = np.where(move_hi, g, gh)
         bl[active] = np.where(move_hi, bl[active], t)
         g_lo[active] = np.where(move_hi, gl, g)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        ends = np.log(0.5 * (bl + bh))
+        # each crossing at the regula-falsi point of its closed bracket, or
+        # at the midpoint where an end value is not finite
         lo, hi = np.log(bl), np.log(bh)
+        ends = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        ends = np.where(np.isfinite(g_lo + g_hi) & (ends >= lo) & (ends <= hi), ends,
+                        np.log(0.5 * (bl + bh)))
         runs = _log_power_interval(p, ends[1::2], ends[::2] - ends[1::2])
         widths = _log_power_interval(p, hi, lo - hi)
     log_mu = np.full(len(log_lambdas), NEG_INF)

@@ -8,12 +8,17 @@ of that slope between the kink radii, run in lockstep for a whole grid
 of points as a few batched quadrature runs.  Level sets in R^d are taken
 through the radial section: the angular factor cancels from the weak-type quotient, and
 maximal1d._grid_level_logs samples this module's maximal function on a
-bracketing grid and closes its crossings with a safeguarded secant in
-ln t.  From the ball average to the quotient every number is a log, so
-levels below the double range still count; linear values exist only at
-the public functions.  The average over B(t e1, t + t_n), which holds
-all of f, bounds M(t) from below and settles the grid points that lie
-above every level without a radius search.
+bracketing grid and closes its crossings from both sides in ln t, by
+interpolation and straddling steps inside ITP's minmax radius; a crossing
+at a breakpoint where M jumps closes there at once, since M >= v_k on
+the open piece (t_{k-1}, t_k) of value v_k: every ball smaller than the
+distance to the piece's ends lies in it, which is why the radius search
+starts from the small-ball limit at every point.  From the ball average
+to the quotient every number is a log, so levels below the double range
+still count; linear values exist only at the public functions.  The
+average over B(t e1, t + t_n), which holds all of f, bounds M(t) from
+below and settles the grid points that lie above every level without a
+radius search.
 """
 
 from __future__ import annotations
@@ -273,8 +278,10 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, rho, limit,
     At the floor rho (_small_balls) the ball touches a breakpoint sphere
     from inside c's own piece: S = A there and the slope is 0, and it
     counts as + so that a rise and fall right past the contact is searched.
-    A point on a breakpoint (rho = 0) also has the limit R -> 0, the mean
-    of the two pieces beside it.
+    Every point's best starts at its limit R -> 0 (on a breakpoint, rho = 0,
+    the mean of the two pieces beside it): the radii start at 1e-6 r_hi or
+    above, so a point nearer than that to a breakpoint has no searched
+    ball inside its own piece.
     """
     # Python floats: _kink_radii's scalar arithmetic is slower on numpy's
     kinks = [_kink_radii(f, c, r) for c, r in zip(cs.tolist(), rho.tolist())]
@@ -286,7 +293,7 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, rho, limit,
     y, slope = _ball_averages_batch(m, f, cs[pt], R, quad, slopes=True)
     with np.errstate(**_QUIET):
         slope[first[(R[first] == rho) & (y[first] > NEG_INF)]] = 0.0
-        best = np.log(np.where(rho == 0, limit, 0.0))
+        best = np.log(limit)
         np.maximum.at(best, pt, y)
         # brackets between consecutive radii of a point, one column each, and
         # the point p of each

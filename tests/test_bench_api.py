@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+import radialmax.radial as radial
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -99,9 +101,10 @@ def test_tracer_counts_the_ball_sweep_rounds(workloads):
 
 
 def test_tracer_counts_the_radial_rounds(workloads):
-    # seed-7 radial makes 96 quadrature calls, each converging on its first
-    # panels in one integrand call, on 768 balls; a cut in the fixed cost of
-    # a call or a radius-search round moves none of these counts
+    # seed-7 radial makes 72 quadrature calls, each converging on its first
+    # panels in one integrand call, on 537 balls; its weak-type case takes
+    # 3 crossing-search rounds after the grid call, and a cut in the fixed
+    # cost of a call or a radius-search round moves none of these counts
     tracer = _bench_module("tracer")
     names = ("quadrature.calls", "quadrature.integrand_calls", "quadrature.integrand_evals",
              "measure.balls")
@@ -111,16 +114,33 @@ def test_tracer_counts_the_radial_rounds(workloads):
         return tuple(metrics[name][0] for name in names)
 
     counts = traced_counts()
-    assert counts == (96, 96, 69_195, 768)
+    assert counts == (72, 72, 47_061, 537)
     assert traced_counts() == counts
 
 
+def test_radial_weak_type_case_takes_at_most_six_max_fn_calls(workloads, monkeypatch):
+    # the seed-7 weak-type case: the level grid's call, then one call per
+    # round of the crossing search, which closes its brackets in 3 rounds
+    sizes = []
+    grid_max = radial._log_centered_max_grid
+
+    def counted(m, f, ts, cfg):
+        sizes.append(len(ts))
+        return grid_max(m, f, ts, cfg)
+
+    monkeypatch.setattr(radial, "_log_centered_max_grid", counted)
+    case = next(c for c in workloads.build("radial", 7) if c.kind == "weaktype-radial")
+    case.run()
+    assert 2 <= len(sizes) <= 6, sizes
+
+
 # the 13 seed-7 radial outputs, bit for bit: twelve criterion-9 points
-# M_mu f(c) and, seventh, the criterion-10 weak-type quotient
+# M_mu f(c) and, seventh, the criterion-10 weak-type quotient, 3.9e-13
+# relative from its value at tol 1e-11 (0x1.532c93f7e72a1p+1)
 RADIAL_SEED7_HEX = (
     "0x1.98080061a52f7p-1", "0x1.86c337df9a7bbp+1", "0x1.bd3c3ee684cc5p+0",
     "0x1.f4397015b3aadp+0", "0x1.ccde9b6e30224p+0", "0x1.f495728c0bad9p+0",
-    "0x1.532c93f35a51cp+1", "0x1.ff18e5711c281p-1", "0x1.c144fff62f0e7p+1",
+    "0x1.532c93f7e6985p+1", "0x1.ff18e5711c281p-1", "0x1.c144fff62f0e7p+1",
     "0x1.7df2918dfda6cp+1", "0x1.6dfa0b7090e74p+1", "0x1.e8d0f9eb781a6p+0",
     "0x1.bd6831c8e772ep+1",
 )

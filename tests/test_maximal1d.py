@@ -393,6 +393,52 @@ def test_crossing_search_emits_no_runtime_warning():
     assert np.isfinite(log_mu).all() and np.isfinite(log_width).all()
 
 
+def _counted(max_fn):
+    """max_fn, wrapped, and the list of the point arrays it was called on."""
+    calls = []
+
+    def counted(ts):
+        calls.append(np.array(ts))
+        return max_fn(ts)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-6])
+def test_crossing_search_on_a_level_hit_exactly_never_stalls(tol):
+    # ln M = -3 ln t meets the level 1 exactly at the grid point t = 1, the
+    # profile's breakpoint, where g = 0.0 counts as below the level; regula
+    # falsi then returns that bracket end on every round.  No trial point
+    # lands on an end, and the bracket closes in two rounds
+    counted, calls = _counted(lambda ts: -3.0 * np.log(ts))
+    log_mu, _ = _grid_level_logs(PowerLawMeasure(3, 0.0), CHI01, [0.0], POINTS, tol, counted, 1.0)
+    assert 1.0 in calls[0]
+    assert all(0.0 < c.min() and c.max() < 1.0 for c in calls[1:])
+    assert len(calls) - 1 <= 2, [len(c) for c in calls]
+    # {M > 1} = (0, 1) and gamma0(0, 1) = 1/3
+    assert math.exp(log_mu[0]) == pytest.approx(1.0 / 3.0, rel=3.0 * tol)
+
+
+@pytest.mark.parametrize("d,beta", [(2, 1.0), (12, 3.0), (50, 2.0)])
+@pytest.mark.parametrize("tol", [TOL, 1e-6])
+def test_crossing_search_closes_a_power_law_in_four_rounds(d, beta, tol):
+    # ln M = p (2 - |ln 2t|), p = d - beta, is a power law on each side of
+    # t = 1/2, so g = ln M - ln lam is linear in u = ln t and the
+    # interpolation lands on each root; each of the 5 levels crosses once
+    # entering, at e^-s / 2, and once leaving, at e^s / 2, and every
+    # crossing closes within 4 rounds after the grid call.  The levels stay
+    # above f = 1, so that M > f on f's piece, and window_scale = e^(3p)
+    # puts the window T past the last crossing
+    m = PowerLawMeasure(d, beta)
+    p = m.homogeneity
+    s = np.array([0.2, 0.5, 0.9, 1.3, 1.7])
+    counted, calls = _counted(lambda ts: p * (2.0 - np.abs(np.log(2.0 * ts))))
+    log_mu, _ = _grid_level_logs(m, CHI01, p * (2.0 - s), POINTS, tol, counted, math.exp(3.0 * p))
+    assert len(calls) - 1 <= 4, [len(c) for c in calls]
+    want = (np.exp(p * s) - np.exp(-p * s)) * 0.5 ** p / p
+    assert np.exp(log_mu) == pytest.approx(want, rel=(p + 1.0) * tol)
+
+
 def test_level_sets_multi_matches_single(rng):
     # the shared-grid multi-level path must agree with one-level calls
     for _ in range(5):
