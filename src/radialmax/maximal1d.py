@@ -152,7 +152,7 @@ def _log_pieces(m: PowerLawMeasure, f: RadialProfile):
         lt = np.log(bp)
         lv = np.log(np.asarray(f.values))
     lg = _log_power_interval(m.homogeneity, lt[1:],
-                             _log_ratio(bp[:-1], bp[1:], lt[1:], np.diff(bp)))
+                             _log_ratio(lt[:-1], bp[1:], lt[1:], bp[1:] - bp[:-1]))
     for x in (lt, lg, lv):
         x.flags.writeable = False
     return lt, lg, lv
@@ -178,8 +178,9 @@ def gamma0_interval(m: PowerLawMeasure, a: float, b: float) -> float:
     """gamma0(a, b) = (b^p - a^p)/p with p = d - beta; 0 when a == b."""
     if not 0 <= a <= b < math.inf:
         raise ValueError(f"need 0 <= a <= b < inf, got a = {a} b = {b}")
+    la = math.log(a) if a > 0 else NEG_INF
     lb = math.log(b) if b > 0 else NEG_INF
-    return _linear(float(_log_power_interval(m.homogeneity, lb, _log_ratio(a, b, lb, b - a))), m,
+    return _linear(float(_log_power_interval(m.homogeneity, lb, _log_ratio(la, b, lb, b - a))), m,
                    f"gamma0({a}, {b})")
 
 
@@ -198,55 +199,72 @@ def uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.ndarray:
 def _log_uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.ndarray:
     """ln M^u f at many points, by exact candidate enumeration in logs (vectorized).
 
-    Candidate left endpoints: x and the breakpoints where f steps up, capped
-    at x; right endpoints: x and the breakpoints where f steps down,
-    floored at x (the drag argument in the module docstring; ties stay on
-    both sides).  The lists depend on the profile alone, so capping and
-    flooring turn out-of-side candidates into duplicates of x, which cost
-    nothing; 0 is no candidate, since f = 0 on (0, t_0].  Each candidate
-    (a, b) is split at x, so its mass and its gamma0-measure are each a sum
-    of two positive terms, one per side, joined with logaddexp: whole
-    pieces between breakpoints come from a per-profile table, and only the
-    piece holding x is cut.  No power of t is formed, so nothing overflows.
+    Candidate left ends: x and the breakpoints below x where f steps up;
+    right ends: x and the breakpoints from x on where f steps down (the drag
+    argument in the module docstring; ties stay on both sides); 0 is no
+    candidate, since f = 0 on (0, t_0].  For x in piece q these are a prefix
+    of the step-up breakpoints and a suffix of the step-down ones, so only
+    live pairs (a, b) are formed.  Each is split at x, so its mass and its
+    gamma0-measure are each a sum of two terms, one per side: whole pieces
+    between breakpoints come from a per-profile table, and only the piece
+    holding x is cut.  A pair with an end at x has one term each, read off
+    the per-end arrays; the pairs with both ends at breakpoints join their
+    terms with logaddexp, in one flat list whose runs, one per point, each
+    reduce to that point's maximum.  No power of t is formed, so nothing
+    overflows.
     """
     xs = np.asarray(xs, dtype=float)
-    if not np.all((xs > 0) & (xs < math.inf)):
-        raise ValueError("evaluation points must be positive and finite")
+    ok = (xs > 0) & (xs < math.inf)
+    if not ok.all():
+        raise ValueError(f"evaluation points must be positive and finite, got x = "
+                         f"{float(xs[~ok].flat[0])!r} at d = {m.d}, beta = {m.beta}")
     p = m.homogeneity
     lt, lg, lv = _log_pieces(m, f)
     n = len(lg)
     table = _log_piece_table(p, f.breakpoints, tuple(lv))
     # t_k lies between pieces k and k + 1; by the drag argument a left end
-    # needs f to step up there and a right end needs it to step down
+    # needs f to step up there and a right end needs it to step down; the
+    # right ends run downward, so that those from x on are a prefix too
     v = np.concatenate([[0.0], f.values, [0.0]])
     left = np.flatnonzero(v[:-1] <= v[1:])
-    right = np.flatnonzero(v[:-1] >= v[1:])
+    right = np.flatnonzero(v[:-1] >= v[1:])[::-1]
     # x lies in piece q = (t_{q-1}, t_q], with t_{-1} = 0, t_{n+1} = inf and
     # f = 0 on pieces 0 and n + 1
-    q = np.searchsorted(f.breakpoints, xs, side="right")[:, None]
+    q = np.searchsorted(f.breakpoints, xs, side="right")
     lx = np.log(xs)[:, None]
     lt_q = np.concatenate([[NEG_INF], lt, [np.inf]])
-    lv_q = np.concatenate([[NEG_INF], lv, [NEG_INF]])[q]
-    la = np.minimum(lt[left], lx)
-    lb = np.maximum(lt[right], lx)
-    # the ends a = x and b = x add nothing on their side
-    empty = np.full((len(xs), 1), NEG_INF)
+    lv_q = np.concatenate([[NEG_INF], lv, [NEG_INF]])[q][:, None]
+    qc = q[:, None]
+    # per point and end, the mass and measure between the end and x; an
+    # end on the wrong side of x has measure -inf and is never paired
     with np.errstate(invalid="ignore"):
-        cut_left = lv_q + _log_power_interval(p, lx, lt_q[q] - lx)
-        cut_right = np.where(q <= n, lv_q + _log_power_interval(p, lt_q[q + 1], lx - lt_q[q + 1]),
-                             NEG_INF)
-        mass_a = np.where(left < q, np.logaddexp(table[left, np.maximum(q - 1, 0)], cut_left),
-                          NEG_INF)
-        mass_b = np.where(right >= q, np.logaddexp(cut_right, table[np.minimum(q, n), right]),
-                          NEG_INF)
-        gamma_a = _log_power_interval(p, lx, la - lx)
-        gamma_b = _log_power_interval(p, lb, lx - lb)
-        num = np.logaddexp(np.concatenate([empty, mass_a], axis=1)[:, :, None],
-                           np.concatenate([empty, mass_b], axis=1)[:, None, :])
-        den = np.logaddexp(np.concatenate([empty, gamma_a], axis=1)[:, :, None],
-                           np.concatenate([empty, gamma_b], axis=1)[:, None, :])
-        log_avg = np.where(den > NEG_INF, num - den, NEG_INF)
-    return log_avg.max(axis=(1, 2))
+        cut_left = lv_q + _log_power_interval(p, lx, lt_q[qc] - lx)
+        cut_right = lv_q + _log_power_interval(p, lt_q[qc + 1], lx - lt_q[qc + 1])
+        mass_a = np.logaddexp(table[left, np.maximum(qc - 1, 0)], cut_left)
+        mass_b = np.logaddexp(cut_right, table[np.minimum(qc, n), right])
+        gamma_a = _log_power_interval(p, lx, lt[left] - lx)
+        gamma_b = _log_power_interval(p, lt[right], lx - lt[right])
+        # the pairs (a, x) and (x, b), whose end at x adds nothing
+        log_max = np.maximum(
+            np.where(gamma_a > NEG_INF, mass_a - gamma_a, NEG_INF).max(axis=1),
+            np.where(gamma_b > NEG_INF, mass_b - gamma_b, NEG_INF).max(axis=1))
+    # the pairs with both ends at breakpoints: point i has nl by nr of them,
+    # row-major in one flat list, where it takes a run of nl nr
+    nl = np.searchsorted(left, q)
+    nr = np.searchsorted(-right, -q, side="right")
+    size = nl * nr
+    start = np.cumsum(size) - size
+    i = np.repeat(np.arange(len(xs)), size)
+    k = np.arange(len(i)) - start[i]
+    a = k // nr[i]
+    ia = i * len(left) + a
+    ib = i * len(right) + (k - a * nr[i])
+    # b > x, so every such pair has a positive measure
+    log_avg = (np.logaddexp(mass_a.ravel()[ia], mass_b.ravel()[ib])
+               - np.logaddexp(gamma_a.ravel()[ia], gamma_b.ravel()[ib]))
+    # an empty run reads the next one's first pair, or the -inf past the end
+    runs = np.maximum.reduceat(np.append(log_avg, NEG_INF), start)
+    return np.where(size > 0, np.maximum(log_max, runs), log_max)
 
 
 def uncentered_max(m: PowerLawMeasure, f: RadialProfile, x: float) -> float:
@@ -265,61 +283,69 @@ def _level_extents(m: PowerLawMeasure, f: RadialProfile, lambdas):
     first one (left), e is linear in G, and its root is the extent:
         R = t_j (1 + e/(lam - v_{j+1}))^(1/p),
         (L/t_i)^p = (t_j/t_i)^p - e/(lam - v_j),   L = 0 below zero,
-    with v = 0 on (0, t_0] and past t_n.  An anchor with no positive
-    excess on a side is its own extent there.
+    with v = 0 on (0, t_0] and past t_n.  Each anchor's own excess, e = 0,
+    counts as positive, so an anchor with no positive excess on a side is
+    its own extent there (j = i, where both roots read t_i), and the last
+    and first positive excesses are one argmax each.
     """
     p = m.homogeneity
     lam = np.asarray(lambdas, dtype=float)[:, None]
     lt, lg, _ = _log_pieces(m, f)
     n = len(lg)
     v = np.concatenate([[0.0], f.values, [0.0]])    # v[k] on piece k; 0 on pieces 0, n + 1
+    # lt_pad[j + 1] = ln t_j, clamped to ln t_0 .. ln t_n one step beyond either end
+    lt_pad = np.concatenate([lt[:1], lt, lt[-1:]])
     anchor = np.arange(n + 1)
     r = anchor[:, None]
     k = anchor[None, 1:]
     level = np.arange(len(lam))[:, None]
-    # the slack <= 0 branches only catch rounding: past the last positive
-    # excess (before the first) the next piece's value is below lam
+    # where the formula's slack lam - v <= 0, which past the last positive
+    # excess (before the first) only rounding makes, the extent ends at the
+    # next breakpoint out; at j = i it stays at t_i
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # G(t_r) = t_r^p / p
         W = np.where(k <= r, np.exp(lg - (p * lt - math.log(p))[:, None]), 0.0)   # (n + 1, n)
         # S[l, r, s] = sum over s < k <= r of (v_k - lam) g_k / G(t_r): the
-        # excess on (t_s, t_r) in units of G(t_r)
+        # excess on (t_s, t_r) in units of G(t_r); 0 on and above the diagonal
         S = ((v[1:-1] - lam[..., None]) * W) @ (k > r).T
         pos = S > 0
+        pos[:, anchor, anchor] = True
         # right: last j with e(t_i, t_j) = S[l, j, i] > 0
-        j = np.where(pos.any(axis=1), n - np.argmax(pos[:, ::-1, :], axis=1), anchor)
-        e = S[level, j, anchor]
-        slack = lam - v[j + 1]
-        log_r = np.where(e > 0, np.where(slack > 0, lt[j] + np.log1p(e / slack) / p,
-                                         lt[np.minimum(j + 1, n)]), lt[j])
-        # left: first j with e(t_j, t_i) = S[l, i, j] > 0
-        j = np.where(pos.any(axis=2), np.argmax(pos, axis=2), anchor)
-        e = S[level, anchor, j]
+        j = n - np.argmax(pos[:, ::-1, :], axis=1)
+        slack = lam - v[1:][j]
+        log_r = np.where(slack > 0, lt[j] + np.log1p(S[level, j, anchor] / slack) / p,
+                         lt_pad[1:][j + (j > anchor)])
+        # left: first j with e(t_j, t_i) = S[l, i, j] > 0; at j = i the
+        # rest reads 1, or NaN at t_0 = 0, which fmax takes to L = 0 = t_0
+        j = np.argmax(pos, axis=2)
         slack = lam - v[j]
-        rest = np.exp(p * (lt[j] - lt)) - e / slack
-        log_l = np.where(e > 0, np.where(slack > 0, lt + np.log(np.maximum(rest, 0.0)) / p,
-                                         lt[np.maximum(j - 1, 0)]), lt)
+        rest = np.exp(p * (lt[j] - lt)) - S[level, anchor, j] / slack
+        log_l = np.where(slack > 0, lt + np.log(np.fmax(rest, 0.0)) / p,
+                         lt_pad[j + (j == anchor)])
     return log_l, log_r
 
 
-def _level_set_logs(m: PowerLawMeasure, f: RadialProfile, lambdas):
-    """(ln gamma0{M^u f > lam}, ln sup{M^u f > lam}) per level; -inf when empty.
+def _log_union(p: float, log_l, log_r) -> np.ndarray:
+    """ln gamma0 of the union of the extents (L_i, R_i) of each row; -inf when empty.
 
     The extents are sorted by their left end; each adds the part of itself
     beyond the running right end, so the parts are disjoint and their
     measures, each from ln a - ln b, sum to the measure of the union.
     """
-    log_l, log_r = _level_extents(m, f, lambdas)
-    order = (np.arange(len(log_l))[:, None], np.argsort(log_l, axis=1))
-    log_l, log_r = log_l[order], log_r[order]
-    reach = np.maximum.accumulate(log_r, axis=1)
-    covered = np.concatenate([np.full((len(reach), 1), NEG_INF), reach[:, :-1]], axis=1)
-    lo = np.maximum(log_l, covered)
-    hi = np.maximum(log_r, covered)
+    rows = np.arange(len(log_l))[:, None]
+    order = np.argsort(log_l, axis=1)
+    log_l = log_l[rows, order]
+    # the running right end, which is also each part's right end
+    reach = np.maximum.accumulate(log_r[rows, order], axis=1)
+    np.maximum(log_l[:, 1:], reach[:, :-1], out=log_l[:, 1:])
     with np.errstate(invalid="ignore"):
-        parts = _log_power_interval(m.homogeneity, hi, lo - hi)
-    sup = np.where(log_r > log_l, log_r, NEG_INF).max(axis=1)
-    return np.logaddexp.reduce(parts, axis=1), sup
+        parts = _log_power_interval(p, reach, log_l - reach)
+    return np.logaddexp.reduce(parts, axis=1)
+
+
+def _level_set_logs(m: PowerLawMeasure, f: RadialProfile, lambdas) -> np.ndarray:
+    """ln gamma0{M^u f > lam} per level; -inf when empty."""
+    return _log_union(m.homogeneity, *_level_extents(m, f, lambdas))
 
 
 # the crossing search of _grid_level_logs, in u = ln t, where a bracket
@@ -364,9 +390,11 @@ def _check_levels(m: PowerLawMeasure, f: RadialProfile, lambdas) -> tuple[np.nda
     """(the levels as an array, ln ||f||_1), after checking them and the profile."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
-        raise ValueError("need at least one lambda")
-    if not np.all((lambdas > 0) & (lambdas < math.inf)):
-        raise ValueError("levels must be positive and finite")
+        raise ValueError(f"need at least one lambda at d = {m.d}, beta = {m.beta}")
+    ok = (lambdas > 0) & (lambdas < math.inf)
+    if not ok.all():
+        raise ValueError(f"levels must be positive and finite, got lambda = "
+                         f"{float(lambdas[~ok].flat[0])!r} at d = {m.d}, beta = {m.beta}")
     log_l1 = _log_l1(m, f)
     if log_l1 == NEG_INF:
         raise ValueError("profile is a.e. zero")
@@ -381,7 +409,9 @@ def level_sets(m: PowerLawMeasure, f: RadialProfile, lambdas) -> list[LevelSetRe
     weak_type_quotient_1d stays finite there.
     """
     lambdas, _ = _check_levels(m, f, lambdas)
-    log_mu, log_sup = _level_set_logs(m, f, lambdas)
+    log_l, log_r = _level_extents(m, f, lambdas)
+    log_mu = _log_union(m.homogeneity, log_l, log_r)
+    log_sup = np.where(log_r > log_l, log_r, NEG_INF).max(axis=1)
     return [LevelSetResult(_linear(a, m, f"gamma0{{M^u f > {lam:g}}}"),
                            _linear(b, m, f"sup{{M^u f > {lam:g}}}"))
             for lam, a, b in zip(lambdas, log_mu, log_sup)]
@@ -547,7 +577,7 @@ def weak_type_quotient_1d(m: PowerLawMeasure, f: RadialProfile, lambdas,
     it stays finite where gamma0 of the level set overflows a double.
     """
     lambdas, log_l1 = _check_levels(m, f, lambdas)
-    log_mu, _ = _level_set_logs(m, f, lambdas)
+    log_mu = _level_set_logs(m, f, lambdas)
     return math.exp(float((np.log(lambdas) + log_mu).max()) - log_l1)
 
 

@@ -182,8 +182,8 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, terms, tangent: bool, parts: i
         # ln t^(p-1); p = 1 gives 1 even at t = 0
         return (p - 1.0) * log_t if p != 1.0 else np.zeros_like(log_t)
 
-    def log_cut(a, b, log_b, gap):
-        return _log_power_interval(p, log_b, _log_ratio(a, b, log_b, gap))
+    def log_cut(log_a, b, log_b, gap):
+        return _log_power_interval(p, log_b, _log_ratio(log_a, b, log_b, gap))
 
     log_p = math.log(p)
 
@@ -200,10 +200,11 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, terms, tangent: bool, parts: i
                 # either way, and a scalar 0 keeps numpy's slow log of zeros
                 # off the nodes
                 t_low = t_minus if t_minus.any() else 0.0
+                log_tm = np.log(t_low)
                 log_sin = (d - 2) * np.log(k * sx)
                 log_w = log_sin + np.log(k * cx / cos_t)
                 log_tp = np.log(t_plus)
-                whole = log_cut(t_low, t_plus, log_tp, 2.0 * R * cx)
+                whole = log_cut(log_tm, t_plus, log_tp, 2.0 * R * cx)
             else:
                 csx, ccx = c * sx, c * cx
                 root = np.sqrt((R - csx) * (R + csx))
@@ -244,11 +245,13 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, terms, tangent: bool, parts: i
                     # around the origin t- = 0, and every piece below t+'s is whole;
                     # both ends are clipped in one pass, t+'s first
                     q = lo.ravel()[cut] if tangent else 0
-                    ends = (bp[below], t_plus.ravel()[cut], log_tp.ravel()[cut],
+                    ends = (log_bp[below], t_plus.ravel()[cut], log_tp.ravel()[cut],
                             far[row, below - o] - d_plus.ravel()[cut])
                     if tangent:
+                        log_a = (log_tm.ravel()[cut] if t_low is t_minus
+                                 else np.full(len(cut), NEG_INF))
                         ends = [np.concatenate(e) for e in zip(ends, (
-                            t_minus.ravel()[cut], bp[q], log_bp[q],
+                            log_a, bp[q], log_bp[q],
                             near[row, q - o] - d_minus.ravel()[cut]))]
                     clip = log_cut(*ends)
                     terms = [table[q, below], lv[r] + clip[:len(cut)]]
@@ -270,7 +273,7 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, terms, tangent: bool, parts: i
                 end = pw(log_tp)
                 sphere = [end, lv_hi + end]
                 if tangent:
-                    start = np.where(t_low > 0, pw(np.log(t_low)), NEG_INF)
+                    start = np.where(t_low > 0, pw(log_tm), NEG_INF)
                     sphere = [np.logaddexp(end, start), np.logaddexp(sphere[1], lv[lo] + start)]
                     log_dw = lw + log_sin + np.log(k / cos_t)
                 else:

@@ -91,8 +91,10 @@ _W01_K = 0.5 * np.concatenate([_WK, _WK[-2::-1]])
 _W01_G = 0.5 * np.concatenate([_WG, _WG[::-1]])
 
 
-def _panel_logs(log_f, seg, lo, hi):
-    """(log Gauss-10, log Kronrod-21) integrals of panels [lo, hi], shape (m, c).
+def _panel_logs(log_f, seg, lo, hi, riders: int = 0):
+    """(log Gauss-10, log Kronrod-21) integrals of panels [lo, hi], shapes
+    (m, c - riders) and (m, c): the last `riders` components get no error
+    estimate, so no Gauss-10 sum either.
 
     One log_f call per batch: seg[:, None] against the (m, 21) nodes,
     returning (m, c, 21).  A panel where exp(log_f) vanishes sums to 0 and
@@ -101,12 +103,13 @@ def _panel_logs(log_f, seg, lo, hi):
     """
     width = hi - lo
     lf = log_f(seg[:, None], lo[:, None] + width[:, None] * _X01)
+    k = lf.shape[1] - riders
     top = lf.max(axis=-1)
     safe = np.where(top == NEG_INF, 0.0, top)
     e = np.exp(lf - safe[..., None])
     with np.errstate(divide="ignore"):
         scale = safe + np.log(width)[:, None]
-        return (np.log(np.einsum("...j,j->...", e[..., 1::2], _W01_G)) + scale,
+        return (np.log(np.einsum("...j,j->...", e[:, :k, 1::2], _W01_G)) + scale[:, :k],
                 np.log(np.einsum("...j,j->...", e, _W01_K)) + scale)
 
 
@@ -169,14 +172,14 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
     p_at = np.asarray(at, dtype=np.intp)
     p_lo = np.asarray(lo, dtype=float)
     p_hi = np.asarray(hi, dtype=float)
-    low, high = _panel_logs(log_f, p_at, p_lo, p_hi)
+    low, high = _panel_logs(log_f, p_at, p_lo, p_hi, riders)
     n_comp = high.shape[1]
     k = n_comp - riders  # the judged components; riders get no error estimate
 
     def with_errors(low, high):
         # per panel, the Kronrod values of every component, then the error
         # estimates of the judged ones
-        return np.concatenate([high, _log_abs_diff(low[:, :k], high[:, :k])], axis=1)
+        return np.concatenate([high, _log_abs_diff(low, high[:, :k])], axis=1)
 
     p_val = with_errors(low, high)
     total = np.full((n, n_comp), NEG_INF)
@@ -221,7 +224,7 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
         c_at = np.concatenate([p_at[split], p_at[split]])
         c_lo = np.concatenate([p_lo[split], mid])
         c_hi = np.concatenate([mid, p_hi[split]])
-        c_val = with_errors(*_panel_logs(log_f, active[c_at], c_lo, c_hi))
+        c_val = with_errors(*_panel_logs(log_f, active[c_at], c_lo, c_hi, riders))
 
         keep = still[p_at] & ~split
         p_at = (np.cumsum(still) - 1)[np.concatenate([p_at[keep], c_at])]

@@ -63,14 +63,14 @@ def stirling_bounds(x: float) -> tuple[float, float]:
     return lower, lower + 1.0 / (12.0 * x)
 
 
-def _log_ratio(a, b, log_b, gap):
-    """ln(a/b) for 0 <= a <= b from ln b and the gap b - a formed exactly (by
-    Sterbenz where a >= b/2, or from a caller's two-term distances).  A thin
-    interval, gap < b/2, takes log1p(-gap/b), so that b - a never cancels;
-    a wide one takes ln a - ln b, where gap/b would round a away."""
+def _log_ratio(log_a, b, log_b, gap):
+    """ln(a/b) for 0 <= a <= b from ln a, ln b and the gap b - a formed exactly
+    (by Sterbenz where a >= b/2, or from a caller's two-term distances).  A
+    thin interval, gap < b/2, takes log1p(-gap/b), so that b - a never
+    cancels; a wide one takes ln a - ln b, where gap/b would round a away."""
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.divide(gap, b)
-        wide = np.log(a) - log_b
+        wide = log_a - log_b
         thin = x < 0.5
         # clamped, a wide entry's unused log1p takes no slow path
         return np.where(thin, np.log1p(-np.minimum(x, 0.5)), wide) if thin.any() else wide
@@ -93,9 +93,11 @@ def _log_power_interval(p: float, log_b, log_ratio):
 def _log_piece_table(p: float, bp: tuple, log_v: tuple):
     """T[i, j] = ln of the mass of the pieces i < k <= j (-inf for j <= i), piece k = 1..K
     being (t_{k-1}, t_k] of bp, of mass exp(log_v[k - 1]) (t_k^p - t_{k-1}^p)/p; read-only."""
-    a, b = np.array(bp[:-1]), np.array(bp[1:])
+    bp = np.array(bp)
+    a, b = bp[:-1], bp[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = log_v + _log_power_interval(p, np.log(b), _log_ratio(a, b, np.log(b), b - a))
+        lt = np.log(bp)
+        w = log_v + _log_power_interval(p, lt[1:], _log_ratio(lt[:-1], b, lt[1:], b - a))
         k = np.arange(len(bp))
         table = np.logaddexp.accumulate(
             np.where(k[:, None] < k, np.append(NEG_INF, w), NEG_INF), axis=1)

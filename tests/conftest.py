@@ -5,7 +5,9 @@ averages, a golden-section maximizer of the spike profile, the dense-grid
 M^u (searched on convex hulls, and checked against its own brute force),
 an mpmath pair search for M^u over every breakpoint, composite Simpson,
 the unit-ball volume from math.lgamma, and mpmath integrals over a ball's
-sphere.
+sphere.  One reference is not an oracle: the rectangular all-pairs M^u,
+which shares the library's log-space primitives so that the library's
+pruned pair list can be checked against it bit for bit.
 """
 
 import math
@@ -14,8 +16,9 @@ import numpy as np
 import pytest
 
 from radialmax.bounds import g_eval
-from radialmax.maximal1d import RadialProfile
+from radialmax.maximal1d import RadialProfile, _log_pieces
 from radialmax.measure import PowerLawMeasure
+from radialmax.specfun import NEG_INF, _log_piece_table, _log_power_interval
 
 # one line per acceptance criterion, echoed after the run (see
 # pytest_terminal_summary below); capture would otherwise swallow them
@@ -114,6 +117,50 @@ def oracle_uncentered_max(m, f, x, n_grid=10_000, t_hi=None, reduce=True):
         num /= den
         best = max(best, float(num.max()))
     return best
+
+
+def rect_log_uncentered_max(m, f, xs):
+    """ln M^u f at many points over the rectangular (points x left x right)
+    tensor of candidate pairs, every step-up left end against every
+    step-down right end whatever side of x they lie on.
+
+    Left ends are capped at x and right ends floored at it, so an end on
+    the wrong side becomes an exact duplicate of the end at x (its mass and
+    measure read -inf).  The same candidates, split at x and joined with
+    the same log-space primitives as maximal1d._log_uncentered_max_grid,
+    which forms the live pairs only: its result must match bit for bit.
+    """
+    xs = np.asarray(xs, dtype=float)
+    p = m.homogeneity
+    lt, lg, lv = _log_pieces(m, f)
+    n = len(lg)
+    table = _log_piece_table(p, f.breakpoints, tuple(lv))
+    v = np.concatenate([[0.0], f.values, [0.0]])
+    left = np.flatnonzero(v[:-1] <= v[1:])
+    right = np.flatnonzero(v[:-1] >= v[1:])
+    q = np.searchsorted(f.breakpoints, xs, side="right")[:, None]
+    lx = np.log(xs)[:, None]
+    lt_q = np.concatenate([[NEG_INF], lt, [np.inf]])
+    lv_q = np.concatenate([[NEG_INF], lv, [NEG_INF]])[q]
+    la = np.minimum(lt[left], lx)
+    lb = np.maximum(lt[right], lx)
+    empty = np.full((len(xs), 1), NEG_INF)
+    with np.errstate(invalid="ignore"):
+        cut_left = lv_q + _log_power_interval(p, lx, lt_q[q] - lx)
+        cut_right = np.where(q <= n, lv_q + _log_power_interval(p, lt_q[q + 1], lx - lt_q[q + 1]),
+                             NEG_INF)
+        mass_a = np.where(left < q, np.logaddexp(table[left, np.maximum(q - 1, 0)], cut_left),
+                          NEG_INF)
+        mass_b = np.where(right >= q, np.logaddexp(cut_right, table[np.minimum(q, n), right]),
+                          NEG_INF)
+        gamma_a = _log_power_interval(p, lx, la - lx)
+        gamma_b = _log_power_interval(p, lb, lx - lb)
+        num = np.logaddexp(np.concatenate([empty, mass_a], axis=1)[:, :, None],
+                           np.concatenate([empty, mass_b], axis=1)[:, None, :])
+        den = np.logaddexp(np.concatenate([empty, gamma_a], axis=1)[:, :, None],
+                           np.concatenate([empty, gamma_b], axis=1)[:, None, :])
+        log_avg = np.where(den > NEG_INF, num - den, NEG_INF)
+    return log_avg.max(axis=(1, 2))
 
 
 def mp_log_uncentered_max(d, beta, breakpoints, values, x):

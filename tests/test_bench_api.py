@@ -7,10 +7,12 @@ library change that breaks those calls fail the test suite, not only the
 benchmark run.
 """
 
+import hashlib
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radialmax.radial as radial
@@ -149,3 +151,29 @@ RADIAL_SEED7_HEX = (
 def test_radial_outputs_keep_their_bits(workloads):
     outputs = tuple(float(case.run()).hex() for case in workloads.build("radial", 7))
     assert outputs == RADIAL_SEED7_HEX
+
+
+def _output_text(out):
+    """A case output as text that keeps its bits: float.hex of a float and of
+    each entry of an array, and a CLI case's exit code and text as printed."""
+    if isinstance(out, tuple):
+        rc, text = out
+        return f"{rc}\n{text}"
+    if isinstance(out, np.ndarray):
+        return " ".join(float(x).hex() for x in out.ravel())
+    return float(out).hex()
+
+
+# sha256 of every seed-7 case output of each workload, one output per line
+# (_output_text): a change that keeps every output bit keeps these
+WORKLOAD_SEED7_SHA256 = {
+    "ball-sweep": "53dd5391b868c7cff934a241b12484498cfd42d016c0a987592c0377fa198266",
+    "radial": "b806de0392caf7cc84b70ce993329653e19afdf9ba377188c1ee765b2b5f99e6",
+    "line-weaktype": "b3aa63e2235625d9a98dc971a457ff051c2e37f772f48f658694dacff52d4cca",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SEED7_SHA256))
+def test_workload_outputs_keep_their_bits(workloads, workload):
+    body = "\n".join(_output_text(case.run()) for case in workloads.build(workload, 7))
+    assert hashlib.sha256(body.encode()).hexdigest() == WORKLOAD_SEED7_SHA256[workload]

@@ -27,7 +27,7 @@ import radialmax.maximal1d as maximal1d
 from radialmax.measure import PowerLawMeasure
 
 from conftest import (mp_log_uncentered_max, oracle_uncentered_max, profile_mass,
-                      random_line_measure, random_profile)
+                      random_line_measure, random_profile, rect_log_uncentered_max)
 
 LEB = PowerLawMeasure(1, 0.0)
 # _grid_level_logs's grid points and crossing tolerance in these tests
@@ -137,12 +137,21 @@ def test_indicator_on_lebesgue_halfline():
     assert uncentered_max(LEB, CHI01, 2.0) == pytest.approx(0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("x", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
 def test_uncentered_max_rejects_points_outside_the_half_line(x):
-    with pytest.raises(ValueError):
+    # the error names the first bad point, d and beta
+    pattern = rf"got x = {x!r} at d = 3, beta = 1\.0"
+    with pytest.raises(ValueError, match=pattern):
         uncentered_max(PowerLawMeasure(3, 1.0), CHI01, x)
-    with pytest.raises(ValueError):
-        uncentered_max_grid(PowerLawMeasure(3, 1.0), CHI01, [1.0, x])
+    with pytest.raises(ValueError, match=pattern):
+        uncentered_max_grid(PowerLawMeasure(3, 1.0), CHI01, [1.0, x, 0.0])
+
+
+def test_uncentered_max_of_no_points_is_empty():
+    f = RadialProfile((0.0, 0.5, 1.0, 2.0), (1.0, 3.0, 2.0))
+    for xs in ([], np.empty(0)):
+        got = uncentered_max_grid(PowerLawMeasure(3, 1.0), f, xs)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
 
 
 def test_lower_bounded_by_left_average(rng):
@@ -251,6 +260,46 @@ def test_uncentered_max_matches_the_mpmath_pair_search():
     assert flat > 0 and zero > 0
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 400),
+    p_frac=st.floats(0.0, 1.0),
+    start=st.sampled_from([0.0, 0.0, 0.3, 1e-3]),
+    widths=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=10),
+    values=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 4.0)),
+                    min_size=10, max_size=10),
+    picks=st.lists(st.tuples(st.sampled_from(["bp", "past", "inside", "below"]),
+                             st.floats(0.0, 1.0)), min_size=1, max_size=12),
+)
+def test_pruned_pairs_match_the_rectangular_enumeration(d, p_frac, start, widths, values, picks):
+    # the live pairs alone give the same bits as every step-up left end
+    # against every step-down right end, for unsorted points on
+    # breakpoints, past t_n, inside the support and below t_0, over tied
+    # and zero pieces and p = d - beta from 0.05 to d + 2
+    p = 0.05 + p_frac * (d + 1.95)
+    m = PowerLawMeasure(d, d - p)
+    vals = values[:len(widths)]
+    assume(max(vals) > 0)
+    bp = start + np.cumsum([0.0, *widths])
+    f = RadialProfile(tuple(bp), tuple(vals))
+    pos = bp[bp > 0]
+    t_n = bp[-1]
+    xs = []
+    for kind, u in picks:
+        if kind == "bp":
+            xs.append(pos[int(u * (len(pos) - 1))])
+        elif kind == "past":
+            xs.append(t_n * (1.0 + 3.0 * u))
+        elif kind == "inside":
+            xs.append(max(u * t_n, 1e-9))
+        elif bp[0] > 0:
+            xs.append(max(u * bp[0], 1e-9))
+    xs = np.array(xs)
+    got = _log_uncentered_max_grid(m, f, xs)
+    want = rect_log_uncentered_max(m, f, xs)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()], (m, f, xs)
+
+
 # ---------------------------------------------------------------------------
 # level sets
 # ---------------------------------------------------------------------------
@@ -275,16 +324,20 @@ def test_level_set_window_grows_like_one_over_lambda():
 
 
 def test_level_set_domain():
-    with pytest.raises(ValueError):
+    # each error names the first bad level, d and beta
+    with pytest.raises(ValueError, match=r"got lambda = 0\.0 at d = 1, beta = 0\.0"):
         level_sets(LEB, CHI01, [0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need at least one lambda at d = 1, beta = 0\.0"):
         level_sets(LEB, CHI01, [])
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            level_sets(LEB, CHI01, [0.5, bad])
-        with pytest.raises(ValueError):
-            weak_type_quotient_1d(LEB, CHI01, [0.5, bad])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need at least one lambda at d = 1, beta = 0\.0"):
+        weak_type_quotient_1d(LEB, CHI01, np.empty(0))
+    for bad in (math.nan, math.inf, -1.0):
+        pattern = rf"got lambda = {bad!r} at d = 1, beta = 0\.0"
+        with pytest.raises(ValueError, match=pattern):
+            level_sets(LEB, CHI01, [0.5, bad, 0.0])
+        with pytest.raises(ValueError, match=pattern):
+            weak_type_quotient_1d(LEB, CHI01, [0.5, bad, 0.0])
+    with pytest.raises(ValueError, match="a.e. zero"):
         weak_type_quotient_1d(LEB, RadialProfile((0.0, 1.0), (0.0,)), [1.0])
 
 
@@ -496,7 +549,9 @@ def test_level_set_indicator_closed_form(d):
         for r in (0.01, 1.0, 7.3, 100.0):
             f = RadialProfile.indicator(r)
             lams = np.array([1e-3, 0.1, 0.5, 0.99, 1.0, 1.5])
-            log_mu, log_sup = _level_set_logs(m, f, lams)
+            log_mu = _level_set_logs(m, f, lams)
+            log_l, log_r = _level_extents(m, f, lams)
+            log_sup = np.where(log_r > log_l, log_r, -np.inf).max(axis=1)
             for lam, lmu, lsup in zip(lams, log_mu, log_sup):
                 if lam >= 1.0:
                     assert lmu == -np.inf and lsup == -np.inf
@@ -575,10 +630,10 @@ def test_level_set_sampled_inside_and_gaps(rng):
 
 def _scaled_and_dilated(m, f, lams, c, s):
     """ln measures of E_lam(f), E_{c lam}(c f) and E_lam(f(./s)) - p ln s."""
-    base, _ = _level_set_logs(m, f, lams)
-    homog, _ = _level_set_logs(m, f.scaled(c), c * lams)
+    base = _level_set_logs(m, f, lams)
+    homog = _level_set_logs(m, f.scaled(c), c * lams)
     g = RadialProfile(tuple(s * t for t in f.breakpoints), f.values)
-    dil, _ = _level_set_logs(m, g, lams)
+    dil = _level_set_logs(m, g, lams)
     return base, homog, dil - m.homogeneity * math.log(s)
 
 
@@ -650,7 +705,7 @@ def test_grid_path_matches_exact_past_the_double_range(d, lams):
     f = RadialProfile.indicator(10.0)
     grid, _ = _grid_level_logs(m, f, np.log(lams), POINTS, TOL,
                                lambda ts: _log_uncentered_max_grid(m, f, ts), 1.0)
-    exact, _ = _level_set_logs(m, f, lams)
+    exact = _level_set_logs(m, f, lams)
     assert np.all(np.isfinite(grid))
     assert grid == pytest.approx(exact, abs=1e-6)
     if d == 400:
