@@ -108,9 +108,10 @@ def delta_lower_bound(d: int, alpha_d: float) -> BoundCertificate:
     exact >= stirling >= closed holds whenever all are defined.
     """
     if d < 2 or int(d) != d:
-        raise ValueError("delta_lower_bound requires an integer d >= 2")
+        raise ValueError(f"delta_lower_bound requires an integer d >= 2: got d = {d!r}")
     if not 0 <= alpha_d < d:
-        raise ValueError("exponent must satisfy 0 <= alpha_d < d")
+        raise ValueError(f"exponent must satisfy 0 <= alpha_d < d: got alpha_d = {alpha_d!r} "
+                         f"at d = {d!r}")
     d = int(d)
     inter: dict = {}
     if d >= 3 and alpha_d <= d - 1.5:
@@ -178,7 +179,7 @@ def part1_geometry(alpha: float) -> Part1Geometry:
     point of g.
     """
     if not 0.5 < alpha < 1.0:
-        raise ValueError("growth exponent must lie in (1/2, 1)")
+        raise ValueError(f"growth exponent must satisfy 1/2 < alpha < 1: got alpha = {alpha!r}")
     if not 0.55 <= alpha <= 0.95:
         warnings.warn(
             "cap geometry degenerates toward the endpoints of (1/2, 1); "
@@ -210,7 +211,7 @@ def cp_lower_bound(d: int, alpha: float, p: float = 1.0,
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got p = {p} (d = {d}, alpha = {alpha})")
     if d < 2 or int(d) != d:
-        raise ValueError("need an integer d >= 2")
+        raise ValueError(f"need an integer d >= 2: got d = {d!r} (alpha = {alpha})")
     d = int(d)
     geo = part1_geometry(alpha)
     m = PowerLawMeasure(d, alpha * d)

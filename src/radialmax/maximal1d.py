@@ -2,10 +2,10 @@
 
 The measure is d(gamma0) = t^{d-1-beta} dt, the radial trace of the
 measure.PowerLawMeasure that serves here too, with gamma0(0, t) = G(t) =
-t^p/p, p = d - beta (its homogeneity).  Every interval measure comes from
-the ball measures' log-space primitives in specfun (_log_power_interval,
-_log_ratio, _log_piece_table), so averages are differences of logs and
-nothing overflows at d in the hundreds.
+t^p/p, p = d - beta (its homogeneity).  Interval measures come from the
+ball measures' log-space primitives in specfun, and the profile's logs from
+the record the ray integrand reads too (specfun._step_terms), so averages
+are differences of logs and nothing overflows at d in the hundreds.
 
 Drag argument.  Moving an endpoint of an interval across a constancy piece
 of value v drags the running average monotonically toward v (and freezes
@@ -34,14 +34,13 @@ it on contact).  Two exact reductions follow on step profiles:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import PowerLawMeasure
-from .specfun import NEG_INF, _log_piece_table, _log_power_interval, _log_ratio
+from .specfun import NEG_INF, _log_piece_table, _log_power_interval, _log_ratio, _step_terms
 
 __all__ = [
     "WeightedLineMeasure",
@@ -75,17 +74,22 @@ class RadialProfile:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         if len(bp) != len(vals) + 1:
-            raise ValueError("need one more breakpoint than values")
+            raise ValueError(f"need one more breakpoint than values: got {len(bp)} breakpoints "
+                             f"for {len(vals)} values")
         if len(vals) < 1:
-            raise ValueError("profile needs at least one piece")
-        if not all(math.isfinite(x) for x in bp + vals):
-            raise ValueError("breakpoints and values must be finite")
+            raise ValueError(f"profile needs at least one piece: got t_0 = {bp[0]!r} alone")
+        bad = [x for x in bp + vals if not math.isfinite(x)]
+        if bad:
+            raise ValueError(f"breakpoints and values must be finite: got {bad[0]!r}")
         if bp[0] < 0:
-            raise ValueError("breakpoints must be >= 0")
-        if any(b >= c for b, c in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly ascending")
-        if any(v < 0 for v in vals):
-            raise ValueError("profile values must be nonnegative")
+            raise ValueError(f"breakpoints must be >= 0: got t_0 = {bp[0]!r}")
+        k = next((k for k in range(len(vals)) if bp[k] >= bp[k + 1]), None)
+        if k is not None:
+            raise ValueError(f"breakpoints must be strictly ascending: got t_{k} = {bp[k]!r} "
+                             f"then t_{k + 1} = {bp[k + 1]!r}")
+        k = next((k for k, v in enumerate(vals, 1) if v < 0), None)
+        if k is not None:
+            raise ValueError(f"profile values must be nonnegative: got v_{k} = {vals[k - 1]!r}")
 
     @classmethod
     def indicator(cls, r: float) -> "RadialProfile":
@@ -144,24 +148,10 @@ class RadialProfile:
         return RadialProfile(self.breakpoints, tuple(factor * v for v in self.values))
 
 
-@functools.lru_cache(maxsize=64)
-def _log_pieces(m: PowerLawMeasure, f: RadialProfile):
-    """(ln t_k, k = 0..n; ln g_k = ln gamma0(t_{k-1}, t_k), ln v_k, k = 1..n), read-only."""
-    bp = np.asarray(f.breakpoints)
-    with np.errstate(divide="ignore"):
-        lt = np.log(bp)
-        lv = np.log(np.asarray(f.values))
-    lg = _log_power_interval(m.homogeneity, lt[1:],
-                             _log_ratio(lt[:-1], bp[1:], lt[1:], bp[1:] - bp[:-1]))
-    for x in (lt, lg, lv):
-        x.flags.writeable = False
-    return lt, lg, lv
-
-
 def _log_l1(m: PowerLawMeasure, f: RadialProfile) -> float:
     """ln of the profile's L1 norm under gamma0; -inf for an a.e. zero profile."""
-    _, lg, lv = _log_pieces(m, f)
-    return float(np.logaddexp.reduce(lv + lg, axis=0))
+    terms = _step_terms(m.homogeneity, f.breakpoints, f.values)
+    return float(np.logaddexp.reduce(terms.log_v[1:-1] + terms.log_g, axis=0))
 
 
 def _linear(log_value, m: PowerLawMeasure, what: str) -> float:
@@ -219,13 +209,12 @@ def _log_uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.nda
         raise ValueError(f"evaluation points must be positive and finite, got x = "
                          f"{float(xs[~ok].flat[0])!r} at d = {m.d}, beta = {m.beta}")
     p = m.homogeneity
-    lt, lg, lv = _log_pieces(m, f)
-    n = len(lg)
-    table = _log_piece_table(p, f.breakpoints, tuple(lv))
+    _, lt, v, lv, _, _, _ = _step_terms(p, f.breakpoints, f.values)
+    n = len(f.values)
+    table = _log_piece_table(p, f.breakpoints, f.values)
     # t_k lies between pieces k and k + 1; by the drag argument a left end
     # needs f to step up there and a right end needs it to step down; the
     # right ends run downward, so that those from x on are a prefix too
-    v = np.concatenate([[0.0], f.values, [0.0]])
     left = np.flatnonzero(v[:-1] <= v[1:])
     right = np.flatnonzero(v[:-1] >= v[1:])[::-1]
     # x lies in piece q = (t_{q-1}, t_q], with t_{-1} = 0, t_{n+1} = inf and
@@ -233,7 +222,7 @@ def _log_uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.nda
     q = np.searchsorted(f.breakpoints, xs, side="right")
     lx = np.log(xs)[:, None]
     lt_q = np.concatenate([[NEG_INF], lt, [np.inf]])
-    lv_q = np.concatenate([[NEG_INF], lv, [NEG_INF]])[q][:, None]
+    lv_q = lv[q][:, None]
     qc = q[:, None]
     # per point and end, the mass and measure between the end and x; an
     # end on the wrong side of x has measure -inf and is never paired
@@ -290,9 +279,8 @@ def _level_extents(m: PowerLawMeasure, f: RadialProfile, lambdas):
     """
     p = m.homogeneity
     lam = np.asarray(lambdas, dtype=float)[:, None]
-    lt, lg, _ = _log_pieces(m, f)
+    _, lt, v, _, _, _, lg = _step_terms(p, f.breakpoints, f.values)  # v[k] on piece k
     n = len(lg)
-    v = np.concatenate([[0.0], f.values, [0.0]])    # v[k] on piece k; 0 on pieces 0, n + 1
     # lt_pad[j + 1] = ln t_j, clamped to ln t_0 .. ln t_n one step beyond either end
     lt_pad = np.concatenate([lt[:1], lt, lt[-1:]])
     anchor = np.arange(n + 1)
@@ -397,7 +385,8 @@ def _check_levels(m: PowerLawMeasure, f: RadialProfile, lambdas) -> tuple[np.nda
                          f"{float(lambdas[~ok].flat[0])!r} at d = {m.d}, beta = {m.beta}")
     log_l1 = _log_l1(m, f)
     if log_l1 == NEG_INF:
-        raise ValueError("profile is a.e. zero")
+        raise ValueError(f"profile is a.e. zero: got max f = {max(f.values)!r} "
+                         f"at d = {m.d} beta = {m.beta}")
     return lambdas, log_l1
 
 
@@ -480,10 +469,11 @@ def _grid_level_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas, points: 
     bl = np.concatenate([[0.0], xs])[k]
     bh = np.where(k == 0, 0.0, np.concatenate([xs, xs[-1:]])[k])
     log_lam = log_lambdas[level]
-    # every breakpoint is a grid point, so a bracket lies in one piece
+    # every breakpoint is a grid point, so a bracket lies in the piece of its midpoint
     below = np.where(entering, bl, bh)
-    with np.errstate(divide="ignore"):
-        jump = np.isin(below, bp) & (np.log(f.value_at(0.5 * (bl + bh))) > log_lam)
+    log_v = _step_terms(p, f.breakpoints, f.values).log_v
+    log_f = log_v[np.searchsorted(bp, 0.5 * (bl + bh), side="left")]
+    jump = np.isin(below, bp) & (log_f > log_lam)
     bl[jump] = bh[jump] = below[jump]
     # g = ln M - ln lam at the bracket ends, from the grid values; the
     # zero-width brackets at 0 and T start (and stay) converged
@@ -585,7 +575,7 @@ def default_lambda_grid(m: PowerLawMeasure, f: RadialProfile, n: int = 32) -> np
     """Geometric lambda grid from 1e-3 max f (deep engulfing) up to 1.1 max f."""
     vmax = max(f.values)
     if vmax <= 0:
-        raise ValueError("profile is a.e. zero")
+        raise ValueError(f"profile is a.e. zero: got max f = {vmax!r} at d = {m.d} beta = {m.beta}")
     if not 0 < 1e-3 * vmax < 1.1 * vmax < math.inf:
         raise ValueError(f"max f = {vmax!r} at d = {m.d}, beta = {m.beta}: its levels "
                          "1e-3 max f .. 1.1 max f leave the double range")

@@ -11,7 +11,6 @@ since the quantities overflow doubles once d reaches the low hundreds.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, log_integrate_batch
 from .specfun import (NEG_INF, LogValue, _log_piece_table, _log_power_interval, _log_ratio,
-                      log_beta, log_sphere_area)
+                      _step_terms, log_beta, log_sphere_area)
 
 __all__ = [
     "PowerLawMeasure",
@@ -116,38 +115,16 @@ def _crossing_angles(c, R, r, tangent: bool):
     return np.where((q_minus > 0) & (q_plus > 0), x, 0.0), far, near
 
 
-@functools.lru_cache(maxsize=64)
-def _step_terms(p: float, bp: tuple, log_v: tuple):
-    """What the ray integrand uses of a step function f at p, per (p, f): its
-    breakpoints, the number o of them at the origin, the spheres t_cross a
-    chord can cross, ln v_k on the pieces 0..K + 1, _log_piece_table (None
-    with no sphere to cross) and ln t_k.  Read-only: the cache hands the same
-    arrays to every call.
-    """
-    bp = np.array(bp, dtype=float)
-    # chords lie in 0 <= |y| < inf: o breakpoints lie at the origin, and the spheres
-    # a chord can cross are t_cross = bp[o:o + n]; with none, no chord is clipped
-    o = int(np.count_nonzero(bp <= 0.0))
-    t_cross = bp[(bp > 0.0) & (bp < math.inf)]
-    lv = np.concatenate([[NEG_INF], log_v, [NEG_INF]])
-    table = _log_piece_table(p, tuple(bp), log_v) if len(t_cross) else None
-    with np.errstate(divide="ignore"):
-        log_bp = np.log(bp)
-    for a in (bp, t_cross, lv, log_bp):
-        a.flags.writeable = False
-    return bp, o, t_cross, lv, table, log_bp
-
-
-def _ray_log_integrand(m: PowerLawMeasure, C, RR, terms, tangent: bool, parts: int):
+def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, values, tangent: bool, parts: int):
     """(log_f, angles): the log ray integrand of the f-mass of B(c e1, R),
     batched over balls, and the _crossing_angles angles of bp in (0, inf).
 
-    f is the step function with value v_k = exp(log_v[k - 1]) on the piece
-    (t_{k-1}, t_k] of the breakpoints bp = (t_0, .., t_K), and 0 below t_0
-    and past t_K, given by its _step_terms; a shell r_in <= |y| <= r_out is
-    the one piece (r_in, r_out] of value 1.  The ray at angle theta from e1
-    meets B(c e1, R) in [t-, t+], and its integrand is omega_{d-2}
-    sin^{d-2}(theta) times the f-mass of the chord, the sum of
+    f is the step function of value v_k = values[k - 1], not its log, on the
+    piece (t_{k-1}, t_k] of the breakpoints bp = (t_0, .., t_K), and 0 below
+    t_0 and past t_K; its logs come from specfun._step_terms.  A shell r_in
+    <= |y| <= r_out is the one piece (r_in, r_out] of value 1.  The ray at
+    angle theta from e1 meets B(c e1, R) in [t-, t+], and its integrand is
+    omega_{d-2} sin^{d-2}(theta) times the f-mass of the chord, the sum of
     v_k (b^p - a^p)/p over its overlap [a, b] with each piece, p = d - beta.
     Only the pieces holding t- and t+ are clipped; the whole pieces between
     them come from a table.  The integrand has shape (m, parts, 21).  With
@@ -173,8 +150,10 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, terms, tangent: bool, parts: i
     lw = log_sphere_area(m.d - 1)
     p = m.homogeneity
     d = m.d
-    bp, o, t_cross, lv, table, log_bp = terms
+    key = (p, bp, values)
+    bp, log_bp, _, lv, o, t_cross, _ = _step_terms(*key)
     n = len(t_cross)
+    table = _log_piece_table(*key) if n else None
     angles, FAR, NEAR = (_crossing_angles(C[:, None], RR[:, None], t_cross, tangent) if n
                          else (np.zeros((len(C), 0)), None, None))
 
@@ -380,13 +359,13 @@ def _spike_panels(edges, h: float):
     return piece // (edges.shape[1] - 1), lo, hi
 
 
-def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureConfig,
+def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, values, quad: QuadratureConfig,
                         parts: int = 1) -> np.ndarray:
     """ln of the f-mass of B(c_i e1, R_i) for many balls, f a stack of shells.
 
-    f is v_k = exp(log_v[k - 1]) on the shell t_{k-1} < |y| <= t_k of the
-    breakpoints bp (see _ray_log_integrand); bp = (r_in, r_out) with
-    log_v = (0,) gives mu(B intersect {r_in <= |y| <= r_out}).  Integrates
+    f is v_k = values[k - 1], not its log, on the shell t_{k-1} < |y| <= t_k
+    of the breakpoints bp (see _ray_log_integrand); bp = (r_in, r_out) with
+    values = (1,) gives mu(B intersect {r_in <= |y| <= r_out}).  Integrates
     along rays from the origin, one batched quadrature run for the balls
     around the origin and one for the rest, which keeps parameter sweeps
     fast.  Each ball starts from the pieces between the angles where its
@@ -404,8 +383,7 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
         c, R = (float(cs[0]), float(Rs[0])) if len(cs) else (None, None)
         raise ValueError(f"off-center ball measures require d >= 2, got d={m.d} "
                          f"beta={m.beta!r} for the ball c={c!r} R={R!r}")
-    terms = _step_terms(m.homogeneity, tuple(bp), tuple(log_v))
-    bp = terms[0]
+    bp, values = tuple(bp), tuple(values)
     out = np.full((len(cs), parts), NEG_INF)
     origin_inside = cs < Rs
     # the two derivatives ride on the nodes the measure and the mass choose
@@ -420,7 +398,7 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, log_v, quad: QuadratureC
         if idx.size == 0:
             continue
         c, R = cs[idx], Rs[idx]
-        log_f, angles = _ray_log_integrand(m, c, R, terms, tangent, parts)
+        log_f, angles = _ray_log_integrand(m, c, R, bp, values, tangent, parts)
         edges = np.sort(np.concatenate([
             np.zeros((idx.size, 1)), angles, np.full((idx.size, 1), top),
             _layer_edges(c, R, angles, tangent, quad.tol, q, width),
@@ -445,7 +423,7 @@ def log_ball_offcenter_shell(m: PowerLawMeasure, ball: BallSpec, r_in: float, r_
     """mu(B(c e1, R) intersect {r_in <= |y| <= r_out}) by ray quadrature."""
     if not 0 <= r_in <= r_out:
         raise ValueError(f"need 0 <= r_in <= r_out, got r_in = {r_in} r_out = {r_out}")
-    out = _batched_shell_logs(m, [ball.center_distance], [ball.radius], [r_in, r_out], [0.0],
+    out = _batched_shell_logs(m, [ball.center_distance], [ball.radius], [r_in, r_out], [1.0],
                               quad)
     return LogValue(float(out[0]))
 
@@ -474,7 +452,7 @@ def log_ball_offcenter_unit_closed(m: PowerLawMeasure) -> LogValue:
         mu(B(e1,1)) = 2^{d-beta-1} omega_{d-2} B((d-beta+1)/2, (d-1)/2) / (d-beta).
     """
     if m.d < 2:
-        raise ValueError("closed off-center form requires d >= 2")
+        raise ValueError(f"closed off-center form requires d >= 2: got d = {m.d} beta = {m.beta}")
     p = m.homogeneity
     return LogValue(
         (p - 1.0) * math.log(2.0)
@@ -494,16 +472,18 @@ def shift_condition_ratios(m: PowerLawMeasure, rs,
     mu(B(0,1)) / mu(B(e1,1)).
     """
     rs = np.asarray(rs, dtype=float)
-    if not np.all((rs > 0) & (rs <= 1)):
-        raise ValueError("shift condition is defined for 0 < r <= 1")
+    bad = rs[~((rs > 0) & (rs <= 1))]
+    if bad.size:
+        raise ValueError(f"shift condition is defined for 0 < r <= 1: got r = {float(bad[0])!r}")
     shifted_c = np.sqrt(np.maximum(0.0, 1.0 - rs * rs))
     cs = np.concatenate([shifted_c, np.ones_like(rs)])
     RR = np.concatenate([rs, rs])
-    logs = _batched_shell_logs(m, cs, RR, [0.0, math.inf], [0.0], quad)
+    logs = _batched_shell_logs(m, cs, RR, [0.0, math.inf], [1.0], quad)
     k = len(rs)
     return np.exp(logs[:k] - logs[k:])
 
 
 def shift_condition_ratio(m: PowerLawMeasure, r: float,
                           quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    """mu(B(sqrt(1-r^2) e1, r)) / mu(B(e1, r)) at one r in (0, 1] (see shift_condition_ratios)."""
     return float(shift_condition_ratios(m, [r], quad)[0])

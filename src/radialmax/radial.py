@@ -23,7 +23,6 @@ radius search.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ from .measure import (
     shift_condition_ratios,
 )
 from .quadrature import QuadratureConfig
-from .specfun import NEG_INF
+from .specfun import NEG_INF, _step_terms
 
 __all__ = [
     "MaximalConfig",
@@ -90,14 +89,6 @@ class MaximalConfig:
 DEFAULT_MAXIMAL = MaximalConfig()
 
 
-@functools.lru_cache(maxsize=64)
-def _log_values(values: tuple) -> tuple:
-    """(ln v_k per piece, as a tuple, and ln max f) of a profile's values."""
-    with np.errstate(divide="ignore"):
-        log_v = np.log(values)
-    return tuple(log_v), float(log_v.max())
-
-
 def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
                          quad: QuadratureConfig, slopes: bool = False):
     """ln of the averages of f over B(c_i e1, R_i), one quadrature pass each ball.
@@ -111,8 +102,8 @@ def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
     nodes, and R (sigma S / F - sigma / mu) = (R sigma / mu)(S / A - 1).
     The slope is +inf where the ball misses f (A = 0).
     """
-    log_v, log_vmax = _log_values(f.values)
-    logs = _batched_shell_logs(m, cs, Rs, f.breakpoints, log_v, quad, parts=4 if slopes else 2)
+    logs = _batched_shell_logs(m, cs, Rs, f.breakpoints, f.values, quad, parts=4 if slopes else 2)
+    log_vmax = _step_terms(m.homogeneity, f.breakpoints, f.values).log_v.max()
     log_avg = np.minimum(logs[:, 1] - logs[:, 0], log_vmax)
     if not slopes:
         return log_avg
@@ -343,7 +334,7 @@ def _log_centered_max_grid(m: PowerLawMeasure, f: RadialProfile, cs,
         warnings.warn("profile carries no mass: M_mu f = 0 everywhere", RuntimeWarning)
         return np.full(len(cs), NEG_INF)
     vmax = max(f.values)
-    out = np.full(len(cs), np.log(vmax))
+    out = np.full(len(cs), _step_terms(m.homogeneity, f.breakpoints, f.values).log_v.max())
     rho, limit = _small_balls(f, cs)
     todo = limit < vmax
     if todo.any():
@@ -380,7 +371,8 @@ def certified_shift_constant(m: PowerLawMeasure) -> float:
         return 1.0
     if m.beta <= m.d / 2:
         return _shift_constants(m.beta)[0]
-    raise ValueError("no certified shift constant for beta > d/2")
+    raise ValueError(f"no certified shift constant for beta > d/2: got beta = {m.beta} "
+                     f"at d = {m.d}")
 
 
 def _window_shift_constant(m: PowerLawMeasure, quad: QuadratureConfig) -> float:
@@ -419,9 +411,10 @@ def _weak_type_quotient_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas,
     # average max f, M(t) = max f, with no quadrature.
     t_n = f.positive_support()[1]
     vmax = max(f.values)
+    log_vmax = _step_terms(m.homogeneity, f.breakpoints, f.values).log_v.max()
 
     def lower_fn(ts):
-        out = np.full(len(ts), np.log(vmax))
+        out = np.full(len(ts), log_vmax)
         todo = _small_balls(f, ts)[1] < vmax
         out[todo] = _ball_averages_batch(m, f, ts[todo], ts[todo] + t_n, cfg.quad)
         return out

@@ -8,9 +8,11 @@ a few hundred.  The primitives here therefore return natural logs, and
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,25 +91,58 @@ def _log_power_interval(p: float, log_b, log_ratio):
     return np.where(log_ratio < 0, out, NEG_INF)
 
 
+class _StepTerms(NamedTuple):
+    """_step_terms of f = v_k on (t_{k-1}, t_k], k = 1..K, of bp = (t_0, .., t_K), 0 elsewhere."""
+    bp: np.ndarray
+    log_t: np.ndarray           # ln t_k, k = 0..K
+    v: np.ndarray               # v_k on the pieces 0..K + 1, 0 on pieces 0 and K + 1
+    log_v: np.ndarray           # ln v_k on the pieces 0..K + 1
+    o: int                      # the breakpoints at the origin
+    t_cross: np.ndarray         # the breakpoints in (0, inf), bp[o:o + len(t_cross)]
+    log_g: np.ndarray | None    # ln gamma0(t_{k-1}, t_k), k = 1..K; None with no t_cross
+
+
 @functools.lru_cache(maxsize=64)
-def _log_piece_table(p: float, bp: tuple, log_v: tuple):
-    """T[i, j] = ln of the mass of the pieces i < k <= j (-inf for j <= i), piece k = 1..K
-    being (t_{k-1}, t_k] of bp, of mass exp(log_v[k - 1]) (t_k^p - t_{k-1}^p)/p; read-only."""
-    bp = np.array(bp)
-    a, b = bp[:-1], bp[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lt = np.log(bp)
-        w = log_v + _log_power_interval(p, lt[1:], _log_ratio(lt[:-1], b, lt[1:], b - a))
-        k = np.arange(len(bp))
+def _step_terms(p: float, bp: tuple, values: tuple) -> _StepTerms:
+    """The one place where a step function's ln t_k, ln v_k and piece measures
+    ln gamma0(t_{k-1}, t_k) = ln((t_k^p - t_{k-1}^p)/p) are formed, the last only
+    with a breakpoint in (0, inf).  Read-only: the cache hands every call the same arrays."""
+    # bp and the zero-padded values share one array, and their logs another
+    k = len(bp)
+    both = np.array((*bp, 0.0, *values, 0.0))
+    with np.errstate(divide="ignore"):
+        logs = np.log(both)
+    both.setflags(write=False)
+    logs.setflags(write=False)
+    # bp ascends, so the breakpoints at the origin and those in (0, inf) are two runs
+    o, end = bisect.bisect_right(bp, 0.0), bisect.bisect_left(bp, math.inf)
+    bp, log_t = both[:k], logs[:k]
+    log_g = None
+    if end > o:
+        b, log_b = bp[1:], log_t[1:]
+        log_g = _log_power_interval(p, log_b, _log_ratio(log_t[:-1], b, log_b, b - bp[:-1]))
+        log_g.setflags(write=False)
+    return _StepTerms(bp, log_t, both[k:], logs[k:], o, bp[o:end], log_g)
+
+
+@functools.lru_cache(maxsize=64)
+def _log_piece_table(p: float, bp: tuple, values: tuple):
+    """T[i, j] = ln of the mass of the pieces i < k <= j (-inf for j <= i) of the
+    step function of _step_terms, piece k = 1..K of mass v_k gamma0(t_{k-1}, t_k);
+    read-only.  Apart from that record, since only M^u and clipped chords read it."""
+    terms = _step_terms(p, bp, values)
+    k = np.arange(len(bp))
+    with np.errstate(invalid="ignore"):
+        w = terms.log_v[1:-1] + terms.log_g
         table = np.logaddexp.accumulate(
             np.where(k[:, None] < k, np.append(NEG_INF, w), NEG_INF), axis=1)
-    table.flags.writeable = False
+    table.setflags(write=False)
     return table
 
 
 def log_sphere_area(d: int) -> float:
     """ln of the surface area of the unit sphere in R^d: ln(2 pi^{d/2} / Gamma(d/2))."""
     if d < 1 or int(d) != d:
-        raise ValueError("log_sphere_area requires an integer d >= 1")
+        raise ValueError(f"log_sphere_area requires an integer d >= 1: got d = {d!r}")
     d = int(d)
     return math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from radialmax.bounds import g_eval
-from radialmax.maximal1d import RadialProfile, _log_pieces
+from radialmax.maximal1d import RadialProfile
 from radialmax.measure import PowerLawMeasure
-from radialmax.specfun import NEG_INF, _log_piece_table, _log_power_interval
+from radialmax.specfun import NEG_INF, _log_piece_table, _log_power_interval, _step_terms
 
 # one line per acceptance criterion, echoed after the run (see
 # pytest_terminal_summary below); capture would otherwise swallow them
@@ -132,16 +132,15 @@ def rect_log_uncentered_max(m, f, xs):
     """
     xs = np.asarray(xs, dtype=float)
     p = m.homogeneity
-    lt, lg, lv = _log_pieces(m, f)
-    n = len(lg)
-    table = _log_piece_table(p, f.breakpoints, tuple(lv))
-    v = np.concatenate([[0.0], f.values, [0.0]])
+    _, lt, v, lv, _, _, _ = _step_terms(p, f.breakpoints, f.values)
+    n = len(f.values)
+    table = _log_piece_table(p, f.breakpoints, f.values)
     left = np.flatnonzero(v[:-1] <= v[1:])
     right = np.flatnonzero(v[:-1] >= v[1:])
     q = np.searchsorted(f.breakpoints, xs, side="right")[:, None]
     lx = np.log(xs)[:, None]
     lt_q = np.concatenate([[NEG_INF], lt, [np.inf]])
-    lv_q = np.concatenate([[NEG_INF], lv, [NEG_INF]])[q]
+    lv_q = lv[q]
     la = np.minimum(lt[left], lx)
     lb = np.maximum(lt[right], lx)
     empty = np.full((len(xs), 1), NEG_INF)

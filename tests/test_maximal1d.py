@@ -199,6 +199,27 @@ def test_dominates_profile_at_interior_points(rng):
         assert np.all(Mv >= fv - 1e-12)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_dominates_the_piece_value_beside_each_breakpoint(seed):
+    # M^u f >= v_k on the open piece (t_{k-1}, t_k), right up to its ends:
+    # centres t_k (1 -+ 10^-U(1, 10)) on each side of every t_k > 0, on
+    # profiles with zero pieces and t_0 > 0, at d up to 400
+    rng = np.random.default_rng(seed)
+    m = random_line_measure(rng, d_max=400)
+    f = random_profile(rng)
+    bp = np.asarray(f.breakpoints)
+    t = bp[bp > 0]
+    eps = 10.0 ** -rng.uniform(1.0, 10.0, (2, len(t)))
+    xs = np.concatenate([t * (1.0 - eps[0]), t * (1.0 + eps[1])])
+    # x lies in the piece k = (t_{k-1}, t_k], with v = 0 below t_0 and past t_n
+    k = np.searchsorted(bp, xs, side="left")
+    inside = ~np.isin(xs, bp)
+    v = np.concatenate([[0.0], f.values, [0.0]])[k]
+    got = uncentered_max_grid(m, f, xs)
+    assert np.all((got >= v * (1.0 - 1e-12))[inside]), (m, f, xs, got, v)
+
+
 def test_matches_grid_oracle(rng):
     for _ in range(12):
         m = random_line_measure(rng, d_max=30)

@@ -565,8 +565,8 @@ def test_whole_ball_path_is_the_cut_path_with_a_sphere_outside(parts, tol):
         Rs = np.concatenate([cs[:6] * rng.uniform(0.5, 1.5, 6), [1.0, 2.0 - 1e-9, 0.7]])
         assert (cs >= Rs).any() and (cs < Rs).any()
         T = 1.01 * float(np.max(cs + Rs))
-        whole = _batched_shell_logs(m, cs, Rs, [0.0, math.inf], [0.0], quad, parts)
-        cut = _batched_shell_logs(m, cs, Rs, [0.0, T], [0.0], quad, parts)
+        whole = _batched_shell_logs(m, cs, Rs, [0.0, math.inf], [1.0], quad, parts)
+        cut = _batched_shell_logs(m, cs, Rs, [0.0, T], [1.0], quad, parts)
         assert [v.hex() for v in whole.ravel()] == [v.hex() for v in cut.ravel()], (d, beta)
 
 
@@ -584,13 +584,13 @@ def test_thin_layer_balls_converge_in_few_rounds(c):
     cs = np.array([c, c, 0.0, c])
     Rs = np.array([math.sqrt(c * c - t * t), math.sqrt(c * c + t * t), c, c])
     got, work = _with_work(lambda: measure._batched_shell_logs(
-        m, cs, Rs, [0.0, t], [0.0], QuadratureConfig(tol=1e-8), parts=4))
+        m, cs, Rs, [0.0, t], [1.0], QuadratureConfig(tol=1e-8), parts=4))
     rounds = [calls for calls, _ in work]
     # one quadrature run for the balls around the origin, one for the rest
     assert len(rounds) == 2 and max(rounds) <= 3, rounds
     tight = QuadratureConfig(tol=1e-12)
-    ball = measure._batched_shell_logs(m, cs, Rs, [0.0, math.inf], [0.0], tight)
-    mass = measure._batched_shell_logs(m, cs, Rs, [0.0, t], [0.0], tight)
+    ball = measure._batched_shell_logs(m, cs, Rs, [0.0, math.inf], [1.0], tight)
+    mass = measure._batched_shell_logs(m, cs, Rs, [0.0, t], [1.0], tight)
     np.testing.assert_allclose(np.exp(got[:, 0] - ball), 1.0, rtol=1e-9, atol=0)
     np.testing.assert_allclose(np.exp(got[:, 1] - mass), 1.0, rtol=1e-9, atol=0)
     # the balls without a layer against their closed forms
@@ -649,9 +649,9 @@ def test_unit_radius_probe_grid_is_finite_or_typed(d, beta_of_d):
         for shell in ((0.0, math.inf), (0.0, 1.0), (1e-12, c + 1.0)):
             if d == 1:
                 with pytest.raises(ValueError, match="d=1"):
-                    _batched_shell_logs(m, [c], [1.0], shell, [0.0], measure.DEFAULT_QUADRATURE)
+                    _batched_shell_logs(m, [c], [1.0], shell, [1.0], measure.DEFAULT_QUADRATURE)
                 continue
-            got = float(_batched_shell_logs(m, [c], [1.0], shell, [0.0],
+            got = float(_batched_shell_logs(m, [c], [1.0], shell, [1.0],
                                             measure.DEFAULT_QUADRATURE)[0])
             if c == 1e12 and shell == (0.0, 1.0):
                 assert got == -math.inf     # B(1e12 e1, 1) misses B(0, 1)
@@ -710,7 +710,7 @@ def test_thin_ball_riders_and_measure_vs_mpmath(d, beta, c, R, bp, values):
     # the riders against integrals over the ball's sphere, the measure
     # against the slice oracle, each at the default tol 1e-8
     m = PowerLawMeasure(d, beta)
-    got = _batched_shell_logs(m, [c], [R], bp, np.log(values), measure.DEFAULT_QUADRATURE,
+    got = _batched_shell_logs(m, [c], [R], bp, values, measure.DEFAULT_QUADRATURE,
                               parts=4)[0]
     sphere = mp_log_sphere_integrals(d, beta, c, R, bp, values)
     np.testing.assert_allclose(np.exp(got[2:] - sphere), 1.0, rtol=1e-5, atol=0)

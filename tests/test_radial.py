@@ -127,11 +127,11 @@ def test_average_at_d1_names_its_inputs():
 def _per_shell_averages(m, f, cs, Rs, quad):
     """Ball averages from separate shell integrals: the ball's measure over
     [0, inf) and one shell per positive piece, each its own quadrature run."""
-    den = measure._batched_shell_logs(m, cs, Rs, [0.0, math.inf], [0.0], quad)
+    den = measure._batched_shell_logs(m, cs, Rs, [0.0, math.inf], [1.0], quad)
     num = np.full(len(cs), -np.inf)
     for a, b, v in zip(f.breakpoints, f.breakpoints[1:], f.values):
         if v > 0:
-            shell = measure._batched_shell_logs(m, cs, Rs, [a, b], [0.0], quad)
+            shell = measure._batched_shell_logs(m, cs, Rs, [a, b], [1.0], quad)
             num = np.logaddexp(num, math.log(v) + shell)
     return np.exp(num - den)
 
@@ -180,7 +180,7 @@ def test_sphere_components_match_cap_fractions():
         c, t = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.1, 2.0))
         lo, hi = abs(c - t), c + t
         R = float(lo + (hi - lo) * rng.choice([rng.uniform(), 1e-6, 1.0 - 1e-6]))
-        logs = measure._batched_shell_logs(PowerLawMeasure(d, 0.0), [c], [R], [0.0, t], [0.0],
+        logs = measure._batched_shell_logs(PowerLawMeasure(d, 0.0), [c], [R], [0.0, t], [1.0],
                                            quad, parts=4)[0]
         sigma = math.exp(log_sphere_area(d) + (d - 1) * math.log(R))
         assert math.exp(logs[2]) == pytest.approx(sigma, rel=1e-9), (d, c, R, t)
@@ -204,8 +204,8 @@ def test_sphere_components_match_central_differences():
         if np.min(np.abs(kinks - R)) < 0.01 * R:
             continue
         h = 1e-5 * R
-        log_v = np.log(np.maximum(f.values, 1e-300))
-        logs = measure._batched_shell_logs(m, [c] * 3, [R - h, R, R + h], f.breakpoints, log_v,
+        vals = np.maximum(f.values, 1e-300)
+        logs = measure._batched_shell_logs(m, [c] * 3, [R - h, R, R + h], f.breakpoints, vals,
                                            QuadratureConfig(tol=1e-13), parts=4)
         for k in (0, 1):
             fd = (math.exp(logs[2, k]) - math.exp(logs[0, k])) / (2.0 * h)
@@ -226,8 +226,8 @@ def test_sphere_components_change_no_bit_of_the_average():
         m = PowerLawMeasure(d, float(rng.uniform(-1.0, d / 2)))
         f = random_profile(rng, max_pieces=4)
         cs, Rs = rng.uniform(0.01, 3.0, 12), np.exp(rng.uniform(-6.0, 1.5, 12))
-        log_v = np.log(np.maximum(f.values, 1e-300))
-        args = (m, cs, Rs, f.breakpoints, log_v, QuadratureConfig(tol=1e-8))
+        vals = np.maximum(f.values, 1e-300)
+        args = (m, cs, Rs, f.breakpoints, vals, QuadratureConfig(tol=1e-8))
         two = measure._batched_shell_logs(*args, parts=2)
         four = measure._batched_shell_logs(*args, parts=4)
         assert [v.hex() for v in two.ravel()] == [v.hex() for v in four[:, :2].ravel()]
@@ -253,11 +253,11 @@ def test_ball_values_do_not_depend_on_the_batch(seed, n):
     order = rng.permutation(n)
     quad = QuadratureConfig(tol=1e-8)
     shell = list(np.sort(rng.uniform(0.0, 3.0, 2)))
-    log_v = np.log(np.maximum(f.values, 1e-300))
+    vals = np.maximum(f.values, 1e-300)
     for batch in (lambda c, R: radial._ball_averages_batch(m, f, c, R, quad),
-                  lambda c, R: measure._batched_shell_logs(m, c, R, shell, [0.0], quad),
+                  lambda c, R: measure._batched_shell_logs(m, c, R, shell, [1.0], quad),
                   # with the sphere components riding on the judged ones
-                  lambda c, R: measure._batched_shell_logs(m, c, R, f.breakpoints, log_v, quad,
+                  lambda c, R: measure._batched_shell_logs(m, c, R, f.breakpoints, vals, quad,
                                                            parts=4)):
         together = batch(cs[order], Rs[order])
         alone = [batch(cs[i:i + 1], Rs[i:i + 1])[0] for i in order]

@@ -7,8 +7,10 @@ from scipy.special import gammaln as sp_gammaln
 from radialmax.bounds import g_eval, g_prime_eval
 from radialmax.quadrature import QuadratureConfig, log_integrate_batch
 from radialmax.specfun import (
+    _log_piece_table,
     _log_power_interval,
     _log_ratio,
+    _step_terms,
     log_gamma,
     log_sphere_area,
     stirling_bounds,
@@ -225,3 +227,30 @@ def test_sin_power_symmetry(m):
     full, half = _log_sin_power(lo, hi, m, at=[0, 0, 1])
     assert full == pytest.approx(half + math.log(2.0), abs=1e-12)
     assert full == pytest.approx(log_sphere_area(m + 2) - log_sphere_area(m + 1), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the per-profile record
+# ---------------------------------------------------------------------------
+
+def test_step_records_are_read_only_and_shared():
+    # every reader gets the same cached arrays, so one in-place write would
+    # corrupt every later call
+    p, bp, values = 2.5, (0.0, 0.5, 1.0, 2.0), (1.0, 0.0, 3.0)
+    terms = _step_terms(p, bp, values)
+    table = _log_piece_table(p, bp, values)
+    shell = _step_terms(p, (0.0, math.inf), (1.0,))
+    arrays = [a for a in (*terms, table, *shell) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 6 + 1 + 5
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    # equal keys, not the same objects, find the same record
+    assert _step_terms(p, tuple(np.array(bp)), tuple(list(values))) is terms
+    assert _log_piece_table(p, tuple(list(bp)), tuple(np.array(values))) is table
+    assert _step_terms(p, (0.0, math.inf), (1.0,)) is shell
+    # the shell around the origin crosses no sphere, so it has no piece measure
+    assert shell.log_g is None and shell.t_cross.size == 0 and shell.o == 1
+    assert terms.o == 1 and terms.t_cross.tolist() == [0.5, 1.0, 2.0]
+    assert terms.v.tolist() == [0.0, 1.0, 0.0, 3.0, 0.0]
