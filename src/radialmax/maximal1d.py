@@ -336,18 +336,9 @@ def _level_set_logs(m: PowerLawMeasure, f: RadialProfile, lambdas) -> np.ndarray
     return _log_union(m.homogeneity, *_level_extents(m, f, lambdas))
 
 
-# the crossing search of _grid_level_logs, in u = ln t, where a bracket
-# closes at width 2 eps: the first round moves each regula-falsi point
-# _CROSS_FIRST of its bracket toward the midpoint, so that the root most
-# likely falls between it and the nearer end; a bracket closes from an end
-# at width _CROSS_AIM * 2 eps rather than 2 eps itself, and ITP's minmax
-# radius (Oliveira & Takahashi 2021), which allows _CROSS_N0 rounds of
-# slack over bisection, steers toward that width too, so that a closed
-# bracket ends clear of the stopping rule's edge, where rounding in t could
-# cost one more round
-_CROSS_FIRST = 0.005
-_CROSS_N0 = 1
-_CROSS_AIM = 0.875
+# rounds of slack that ITP's minmax radius allows the crossing search of
+# _grid_level_logs over bisection
+_CROSS_N0 = 4
 
 
 @dataclass(frozen=True)
@@ -418,11 +409,17 @@ def _grid_level_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas, points: 
     g = ln M - ln lam in u = ln t.  A bracket inside a piece of value above
     its level whose end below the level is a breakpoint (a grid point)
     crosses exactly there, where M jumps, and closes at once.  Each round
-    is one max_fn call at a trial point per open bracket, placed so that
-    the bracket closes from both sides, and kept within ITP's minmax radius
-    (Oliveira & Takahashi 2021): g near a power law closes in about three
-    rounds, and a step function takes at most _CROSS_N0 more than
-    bisection.  A bracket (a, b) closes once b - a <= tol b, tol being
+    is one max_fn call at a trial point per open bracket, by Chandrupatla's
+    rule (1997): regula falsi in the first round, then inverse quadratic
+    interpolation through both ends and the end last replaced where those
+    three points admit it, and bisection elsewhere.  No trial lies within
+    eps/2 of an end, where 2 eps = ln(1 + tol) is the width in u at which a
+    bracket closes, so a trial beside the root crosses it and closes the
+    bracket.  ITP's minmax radius (Oliveira & Takahashi 2021) keeps every
+    search within _CROSS_N0 rounds of bisection: g near a power law closes
+    in about three rounds, a step function bisects, and a crossing where M
+    falls like a square root past a breakpoint takes about nine at tol
+    1e-8 to 1e-11.  A bracket (a, b) closes once b - a <= tol b, tol being
     max_fn's accuracy (radial's quad.tol), and its crossing is read at the
     regula-falsi point between its ends: gamma0 = t^p / p is resolved to
     within p tol, and to far less where g is smooth.
@@ -435,8 +432,9 @@ def _grid_level_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas, points: 
     """
     log_lambdas = np.asarray(log_lambdas, dtype=float)
     p = m.homogeneity
+    terms = _step_terms(p, f.breakpoints, f.values)
     t_n = f.breakpoints[-1]
-    log_T = (np.logaddexp(p * math.log(t_n), math.log(p * window_scale) + _log_l1(m, f)
+    log_T = (np.logaddexp(p * terms.log_t[-1], math.log(p * window_scale) + _log_l1(m, f)
                           - log_lambdas.min()) / p + math.log1p(1e-12))
     T = _linear(log_T, m, f"the level-set window for ln lambda = {log_lambdas.min():g}")
     # geometric grid down to where the cumulative gamma0-mass is negligible
@@ -471,8 +469,7 @@ def _grid_level_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas, points: 
     log_lam = log_lambdas[level]
     # every breakpoint is a grid point, so a bracket lies in the piece of its midpoint
     below = np.where(entering, bl, bh)
-    log_v = _step_terms(p, f.breakpoints, f.values).log_v
-    log_f = log_v[np.searchsorted(bp, 0.5 * (bl + bh), side="left")]
+    log_f = terms.log_v[np.searchsorted(bp, 0.5 * (bl + bh), side="left")]
     jump = np.isin(below, bp) & (log_f > log_lam)
     bl[jump] = bh[jump] = below[jump]
     # g = ln M - ln lam at the bracket ends, from the grid values; the
@@ -488,56 +485,49 @@ def _grid_level_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas, points: 
     # stop per-bracket relative to its own location, not the window;
     # converged brackets drop out of the (possibly expensive) max_fn
     unresolved = lambda: bh - bl > tol * np.maximum(bh, 1e-300)
-    # the end each bracket's last round replaced, with its g, and whether
-    # that was the hi end
-    u_old = np.full(len(bl), np.nan)
-    g_old = np.full(len(bl), np.nan)
-    hi_moved = np.zeros(len(bl), dtype=bool)
-    # a bracket closed from an end spans aim; a trial eps/2 past an estimate
-    # within reach of that end would still close it
-    aim = 2.0 * _CROSS_AIM * eps
-    reach = aim - 0.5 * eps
+    # Chandrupatla's x3, the end the last round replaced, and its g; the
+    # end it placed, x1, is the one next to x3
+    t3 = np.full(len(bl), np.nan)
+    g3 = np.full(len(bl), np.nan)
     for j in range(int(n_max[unresolved()].max(initial=-1.0)) + 1):
         active = unresolved()
         if not active.any():
             break
         ul, uh = np.log(bl[active]), np.log(bh[active])
-        gl, gh, uo, go = g_lo[active], g_hi[active], u_old[active], g_old[active]
+        gl, gh = g_lo[active], g_hi[active]
+        lo_new = t3[active] < bl[active]
+        x1, x2 = np.where(lo_new, ul, uh), np.where(lo_new, uh, ul)
+        f1, f2 = np.where(lo_new, gl, gh), np.where(lo_new, gh, gl)
+        x3, f3 = np.log(t3[active]), g3[active]
         w = uh - ul
-        mid = 0.5 * (ul + uh)
-        # inverse quadratic interpolation through both ends and the replaced
-        # one (Brent 1973), or regula falsi where that is missing or leaves
-        # the bracket; a non-finite end value falls back to the midpoint
+        # the trial is x1 + s (x2 - x1): regula falsi in the first round,
+        # then inverse quadratic interpolation where the three points admit
+        # it, and bisection elsewhere or where a value is not finite
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            est = (ul * gh * go / ((gl - gh) * (gl - go)) + uh * gl * go / ((gh - gl) * (gh - go))
-                   + uo * gl * gh / ((go - gl) * (go - gh)))
-            est = np.where((est > ul) & (est < uh), est, ul - gl * w / (gh - gl))
-        if j == 0:
-            # no replaced end yet: toward the midpoint, past the root if the
-            # regula-falsi point falls short of it
-            shift = _CROSS_FIRST * w
-            est = np.where(np.abs(mid - est) > shift, est + np.sign(mid - est) * shift, mid)
-        else:
-            # straddle: eps/2 past the estimate, away from the end that moved
-            # last, so that the root falls between the trial and that end
-            est = est + np.where(hi_moved[active], -0.5, 0.5) * eps
-        # next to an end, the trial goes as far from it as still closes the
-        # bracket; no trial lies within eps/2 of an end, so g = 0 at an end
-        # stalls nothing
-        est = np.where(est - ul < reach, ul + aim, np.where(uh - est < reach, uh - aim, est))
-        est = np.where(np.isfinite(est), np.clip(est, ul + 0.5 * eps, uh - 0.5 * eps), mid)
+            if j == 0:
+                s = f1 / (f1 - f2)
+            else:
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                s = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
+                             f1 / (f2 - f1) * f3 / (f2 - f3)
+                             + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+            # eps/2 or more from either end, so that a trial beside the root
+            # crosses it and closes the bracket, and g = 0 at an end stalls nothing
+            s_min = 0.5 * eps / w
+            s = np.clip(np.where(np.isfinite(s), s, 0.5), s_min, 1.0 - s_min)
+        est = x1 + s * (x2 - x1)
         # ITP's projection into the minmax radius r around the midpoint
-        r = np.maximum(_CROSS_AIM * eps * 2.0 ** (n_max[active] - j) - 0.5 * w, 0.0)
-        u = np.where(np.abs(est - mid) <= r, est, mid + np.sign(est - mid) * r)
-        t = np.exp(u)
+        mid = 0.5 * (ul + uh)
+        r = np.maximum(eps * 2.0 ** (n_max[active] - j) - 0.5 * w, 0.0)
+        t = np.exp(np.where(np.abs(est - mid) <= r, est, mid + np.sign(est - mid) * r))
         g = max_fn(t) - log_lam[active]
         # entering brackets have the above-level state on their hi side,
         # leaving ones on their lo side
         up = g > 0
         move_hi = np.where(entering[active], up, ~up)
-        u_old[active] = np.where(move_hi, uh, ul)
-        g_old[active] = np.where(move_hi, gh, gl)
-        hi_moved[active] = move_hi
+        t3[active] = np.where(move_hi, bh[active], bl[active])
+        g3[active] = np.where(move_hi, gh, gl)
         bh[active] = np.where(move_hi, t, bh[active])
         g_hi[active] = np.where(move_hi, g, gh)
         bl[active] = np.where(move_hi, bl[active], t)

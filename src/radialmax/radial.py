@@ -8,12 +8,12 @@ of that slope between the kink radii, run in lockstep for a whole grid
 of points as a few batched quadrature runs.  Level sets in R^d are taken
 through the radial section: the angular factor cancels from the weak-type quotient, and
 maximal1d._grid_level_logs samples this module's maximal function on a
-bracketing grid and closes its crossings from both sides in ln t, by
-interpolation and straddling steps inside ITP's minmax radius; a crossing
-at a breakpoint where M jumps closes there at once, since M >= v_k on
-the open piece (t_{k-1}, t_k) of value v_k: every ball smaller than the
-distance to the piece's ends lies in it, which is why the radius search
-starts from the small-ball limit at every point.  From the ball average
+bracketing grid and closes its crossings in ln t by Chandrupatla's rule
+inside ITP's minmax radius; a crossing at a breakpoint where M jumps
+closes there at once, since M >= v_k on the open piece (t_{k-1}, t_k) of
+value v_k: every ball smaller than the distance to the piece's ends lies
+in it, which is why the radius search starts from the small-ball limit
+at every point.  From the ball average
 to the quotient every number is a log, so levels below the double range
 still count; linear values exist only at the public functions.  The
 average over B(t e1, t + t_n), which holds all of f, bounds M(t) from

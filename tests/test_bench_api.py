@@ -104,9 +104,10 @@ def test_tracer_counts_the_ball_sweep_rounds(workloads):
 
 def test_tracer_counts_the_radial_rounds(workloads):
     # seed-7 radial makes 72 quadrature calls, each converging on its first
-    # panels in one integrand call, on 537 balls; its weak-type case takes
-    # 3 crossing-search rounds after the grid call, and a cut in the fixed
-    # cost of a call or a radius-search round moves none of these counts
+    # panels in one integrand call, on 516 balls; its weak-type case takes
+    # 3 crossing-search rounds after the grid call, on 10, 10 and 7 points,
+    # and a cut in the fixed cost of a call or a radius-search round moves
+    # none of these counts
     tracer = _bench_module("tracer")
     names = ("quadrature.calls", "quadrature.integrand_calls", "quadrature.integrand_evals",
              "measure.balls")
@@ -116,7 +117,7 @@ def test_tracer_counts_the_radial_rounds(workloads):
         return tuple(metrics[name][0] for name in names)
 
     counts = traced_counts()
-    assert counts == (72, 72, 47_061, 537)
+    assert counts == (72, 72, 45_066, 516)
     assert traced_counts() == counts
 
 

@@ -432,9 +432,10 @@ def test_level_set_runs_at_both_window_ends():
 def test_crossing_search_on_a_step_is_within_one_round_of_bisection(high, low):
     # on a step max_fn the secant carries no information (at 2 and 0.5 it
     # is the midpoint in ln t; at 1e3 and 0.999 plain regula falsi would
-    # crawl from the low side); the minmax radius bounds the search by one
-    # round more than lockstep bisection of the same brackets, which the
-    # grid call (the first max_fn call) fixes
+    # crawl from the low side).  Chandrupatla's rule rejects interpolation
+    # there and bisects, so the search stays within one round of lockstep
+    # bisection of the same brackets, which the grid call (the first max_fn
+    # call) fixes, although the minmax radius allows four rounds of slack
     calls = []
 
     def counted(ts):
@@ -511,6 +512,30 @@ def test_crossing_search_closes_a_power_law_in_four_rounds(d, beta, tol):
     assert len(calls) - 1 <= 4, [len(c) for c in calls]
     want = (np.exp(p * s) - np.exp(-p * s)) * 0.5 ** p / p
     assert np.exp(log_mu) == pytest.approx(want, rel=(p + 1.0) * tol)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-11])
+def test_crossing_search_on_the_steep_side_of_a_breakpoint(tol):
+    # past the breakpoint 0.4, ln M falls from ln 0.75 like sqrt(ln(t/0.4)),
+    # as M_mu f does beside a jump of f (d = 12, values (1, 0.5, 0.1)), so g
+    # is poorly modelled in u = ln t next to that end.  Each level crosses
+    # once, leaving, at t_c = 0.4 exp((ln(0.75/lam)/0.3)^2), and every
+    # crossing closes within 12 rounds after the grid call at both tols
+    m = PowerLawMeasure(12, 1.0)
+    p = m.homogeneity
+    f = RadialProfile((0.0, 0.4, 1.1), (1.0, 0.5))
+
+    def log_max(ts):
+        with np.errstate(invalid="ignore"):
+            fall = np.maximum(math.log(0.75) - 0.3 * np.sqrt(np.log(ts / 0.4)), math.log(0.5))
+        return np.where(ts <= 0.4, 0.0, fall)
+
+    lams = np.array([0.6, 0.7, 0.74])
+    counted, calls = _counted(log_max)
+    log_mu, _ = _grid_level_logs(m, f, np.log(lams), 128, tol, counted, 1.0)
+    assert len(calls) - 1 <= 12, [len(c) for c in calls]
+    t_c = 0.4 * np.exp((np.log(0.75 / lams) / 0.3) ** 2)
+    assert np.exp(log_mu) == pytest.approx(t_c ** p / p, rel=(p + 1.0) * tol)
 
 
 def test_level_sets_multi_matches_single(rng):

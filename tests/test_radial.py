@@ -10,6 +10,7 @@ from radialmax.bounds import delta_lower_bound
 from radialmax.maximal1d import (
     GridConfig,
     RadialProfile,
+    default_lambda_grid,
     uncentered_max,
 )
 from radialmax.specfun import log_sphere_area
@@ -631,6 +632,55 @@ def test_crossing_search_on_criterion_10(monkeypatch):
     q_default = weak_type_quotient_radial(m, f, lams, MaximalConfig())
     assert len(sizes) - 1 <= 4, sizes
     assert abs(q_default - ref) <= (d - beta + 1) * 1e-8 * ref, (q_default, ref)
+
+
+def test_crossing_search_beside_a_steep_breakpoint(monkeypatch):
+    # the radial-decreasing sweep's d = 12, beta = 1 case with values
+    # (1, 0.5, 0.1): past the breakpoint 0.4, M_mu f falls from the mean
+    # 0.75 like sqrt(t - 0.4), and one level crosses at t = 0.42249, where
+    # an interpolating search in ln t misses.  The whole case takes at most
+    # 13 max_fn calls, the grid's and one per round, and its quotient is
+    # within (p + 1) tol of the same case at tol 1e-11
+    m = PowerLawMeasure(12, 1.0)
+    f = RadialProfile((0.0, 0.4, 1.1, 2.0), (1.0, 0.5, 0.1))
+    log_lams = np.log(default_lambda_grid(m, f, 12))
+    cfg = MaximalConfig(level_grid=GridConfig(points=128))
+    sizes = []
+    grid_max = radial._log_centered_max_grid
+
+    def counted(m, f, ts, cfg):
+        sizes.append(len(ts))
+        return grid_max(m, f, ts, cfg)
+
+    monkeypatch.setattr(radial, "_log_centered_max_grid", counted)
+    q = radial._weak_type_quotient_logs(m, f, log_lams, cfg)
+    assert len(sizes) <= 13, sizes
+    ref = radial._weak_type_quotient_logs(
+        m, f, log_lams, dataclasses.replace(cfg, quad=QuadratureConfig(tol=1e-11)))
+    assert abs(q - ref) <= (m.homogeneity + 1.0) * cfg.quad.tol * ref, (q, ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_centered_max_dominates_the_piece_value_beside_each_breakpoint(seed):
+    # M_mu f >= v_k on the open piece (t_{k-1}, t_k), right up to its ends,
+    # which the crossing search's jump rule assumes: centres
+    # t_k (1 -+ 10^-U(1, 10)) on each side of every t_k > 0, on profiles
+    # with zero pieces and t_0 > 0, at d from 2 to 60
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 61))
+    m = PowerLawMeasure(d, float(rng.uniform(-2.0, d - 0.05)))
+    f = random_profile(rng)
+    bp = np.asarray(f.breakpoints)
+    t = bp[bp > 0]
+    eps = 10.0 ** -rng.uniform(1.0, 10.0, (2, len(t)))
+    xs = np.concatenate([t * (1.0 - eps[0]), t * (1.0 + eps[1])])
+    # x lies in the piece k = (t_{k-1}, t_k], with v = 0 below t_0 and past t_n
+    k = np.searchsorted(bp, xs, side="left")
+    inside = ~np.isin(xs, bp)
+    v = np.concatenate([[0.0], f.values, [0.0]])[k]
+    got = centered_max_radial_grid(m, f, xs, FAST)
+    assert np.all((got >= v * (1.0 - FAST.quad.tol))[inside]), (m, f, xs, got, v)
 
 
 def test_crossing_settings_of_the_level_grid_change_no_quotient():
