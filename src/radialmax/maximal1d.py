@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import PowerLawMeasure
+from .measure import PowerLawMeasure, _grid_points
 from .specfun import NEG_INF, _log_piece_table, _log_power_interval, _log_ratio, _step_terms
 
 __all__ = [
@@ -197,13 +197,12 @@ def _log_uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.nda
     live pairs (a, b) are formed.  Each is split at x, so its mass and its
     gamma0-measure are each a sum of two terms, one per side: whole pieces
     between breakpoints come from a per-profile table, and only the piece
-    holding x is cut.  A pair with an end at x has one term each, read off
-    the per-end arrays; the pairs with both ends at breakpoints join their
-    terms with logaddexp, in one flat list whose runs, one per point, each
-    reduce to that point's maximum.  No power of t is formed, so nothing
-    overflows.
+    holding x is cut.  The per-end terms, formed over live (point, end)
+    entries only, are the pairs with an end at x; those with both ends at
+    breakpoints join them with logaddexp.  Each kind is a flat list of runs,
+    one per point, each reduced to its maximum.  No power of t is formed.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = _grid_points(xs, "evaluation points", m)
     ok = (xs > 0) & (xs < math.inf)
     if not ok.all():
         raise ValueError(f"evaluation points must be positive and finite, got x = "
@@ -217,43 +216,44 @@ def _log_uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.nda
     # right ends run downward, so that those from x on are a prefix too
     left = np.flatnonzero(v[:-1] <= v[1:])
     right = np.flatnonzero(v[:-1] >= v[1:])[::-1]
-    # x lies in piece q = (t_{q-1}, t_q], with t_{-1} = 0, t_{n+1} = inf and
-    # f = 0 on pieces 0 and n + 1
+    # x lies in piece q = (t_{q-1}, t_q], with t_{-1} = 0, t_{n+1} = inf, f = 0 on pieces
+    # 0 and n + 1; its nl live ends below t_q (nr from t_q on) run from start_l (start_r)
     q = np.searchsorted(f.breakpoints, xs, side="right")
-    lx = np.log(xs)[:, None]
+    il, ka = np.nonzero(left < q[:, None])
+    ir, kb = np.nonzero(right >= q[:, None])
+    ta, tb = left[ka], right[kb]
+    nl, nr = np.bincount(il, minlength=len(xs)), np.bincount(ir, minlength=len(xs))
+    start_l, start_r = np.cumsum(nl) - nl, np.cumsum(nr) - nr
+    lx = np.log(xs)
     lt_q = np.concatenate([[NEG_INF], lt, [np.inf]])
-    lv_q = lv[q][:, None]
-    qc = q[:, None]
-    # per point and end, the mass and measure between the end and x; an
-    # end on the wrong side of x has measure -inf and is never paired
+    lv_q = lv[q]
+    # per live entry, the mass and measure between the end and x
     with np.errstate(invalid="ignore"):
-        cut_left = lv_q + _log_power_interval(p, lx, lt_q[qc] - lx)
-        cut_right = lv_q + _log_power_interval(p, lt_q[qc + 1], lx - lt_q[qc + 1])
-        mass_a = np.logaddexp(table[left, np.maximum(qc - 1, 0)], cut_left)
-        mass_b = np.logaddexp(cut_right, table[np.minimum(qc, n), right])
-        gamma_a = _log_power_interval(p, lx, lt[left] - lx)
-        gamma_b = _log_power_interval(p, lt[right], lx - lt[right])
+        cut_left = lv_q + _log_power_interval(p, lx, lt_q[q] - lx)
+        cut_right = lv_q + _log_power_interval(p, lt_q[q + 1], lx - lt_q[q + 1])
+        mass_a = np.logaddexp(table[ta, np.maximum(q - 1, 0)[il]], cut_left[il])
+        mass_b = np.logaddexp(cut_right[ir], table[np.minimum(q, n)[ir], tb])
+        gamma_a = _log_power_interval(p, lx[il], lt[ta] - lx[il])
+        gamma_b = _log_power_interval(p, lt[tb], lx[ir] - lt[tb])
         # the pairs (a, x) and (x, b), whose end at x adds nothing
-        log_max = np.maximum(
-            np.where(gamma_a > NEG_INF, mass_a - gamma_a, NEG_INF).max(axis=1),
-            np.where(gamma_b > NEG_INF, mass_b - gamma_b, NEG_INF).max(axis=1))
+        single_a = np.where(gamma_a > NEG_INF, mass_a - gamma_a, NEG_INF)
+        single_b = np.where(gamma_b > NEG_INF, mass_b - gamma_b, NEG_INF)
     # the pairs with both ends at breakpoints: point i has nl by nr of them,
     # row-major in one flat list, where it takes a run of nl nr
-    nl = np.searchsorted(left, q)
-    nr = np.searchsorted(-right, -q, side="right")
     size = nl * nr
     start = np.cumsum(size) - size
     i = np.repeat(np.arange(len(xs)), size)
     k = np.arange(len(i)) - start[i]
     a = k // nr[i]
-    ia = i * len(left) + a
-    ib = i * len(right) + (k - a * nr[i])
+    ia = start_l[i] + a
+    ib = start_r[i] + (k - a * nr[i])
     # b > x, so every such pair has a positive measure
-    log_avg = (np.logaddexp(mass_a.ravel()[ia], mass_b.ravel()[ib])
-               - np.logaddexp(gamma_a.ravel()[ia], gamma_b.ravel()[ib]))
-    # an empty run reads the next one's first pair, or the -inf past the end
-    runs = np.maximum.reduceat(np.append(log_avg, NEG_INF), start)
-    return np.where(size > 0, np.maximum(log_max, runs), log_max)
+    log_avg = (np.logaddexp(mass_a[ia], mass_b[ib])
+               - np.logaddexp(gamma_a[ia], gamma_b[ib]))
+    # the three lists end to end; an empty run reads the next's first entry or the -inf
+    starts = np.concatenate([start_l, len(il) + start_r, len(il) + len(ir) + start])
+    runs = np.maximum.reduceat(np.concatenate([single_a, single_b, log_avg, [NEG_INF]]), starts)
+    return np.where(np.concatenate([nl, nr, size]) > 0, runs, NEG_INF).reshape(3, -1).max(axis=0)
 
 
 def uncentered_max(m: PowerLawMeasure, f: RadialProfile, x: float) -> float:
@@ -281,15 +281,13 @@ def _level_extents(m: PowerLawMeasure, f: RadialProfile, lambdas):
     lam = np.asarray(lambdas, dtype=float)[:, None]
     _, lt, v, _, _, _, lg = _step_terms(p, f.breakpoints, f.values)  # v[k] on piece k
     n = len(lg)
-    # lt_pad[j + 1] = ln t_j, clamped to ln t_0 .. ln t_n one step beyond either end
-    lt_pad = np.concatenate([lt[:1], lt, lt[-1:]])
     anchor = np.arange(n + 1)
     r = anchor[:, None]
     k = anchor[None, 1:]
     level = np.arange(len(lam))[:, None]
     # where the formula's slack lam - v <= 0, which past the last positive
     # excess (before the first) only rounding makes, the extent ends at the
-    # next breakpoint out; at j = i it stays at t_i
+    # next breakpoint out, which v > 0 there puts in range; at j = i it stays at t_i
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # G(t_r) = t_r^p / p
         W = np.where(k <= r, np.exp(lg - (p * lt - math.log(p))[:, None]), 0.0)   # (n + 1, n)
@@ -301,15 +299,17 @@ def _level_extents(m: PowerLawMeasure, f: RadialProfile, lambdas):
         # right: last j with e(t_i, t_j) = S[l, j, i] > 0
         j = n - np.argmax(pos[:, ::-1, :], axis=1)
         slack = lam - v[1:][j]
-        log_r = np.where(slack > 0, lt[j] + np.log1p(S[level, j, anchor] / slack) / p,
-                         lt_pad[1:][j + (j > anchor)])
+        log_r = lt[j] + np.log1p(S[level, j, anchor] / slack) / p
+        if (out := slack <= 0).any():
+            log_r[out] = lt[(j + (j > anchor))[out]]
         # left: first j with e(t_j, t_i) = S[l, i, j] > 0; at j = i the
         # rest reads 1, or NaN at t_0 = 0, which fmax takes to L = 0 = t_0
         j = np.argmax(pos, axis=2)
         slack = lam - v[j]
         rest = np.exp(p * (lt[j] - lt)) - S[level, anchor, j] / slack
-        log_l = np.where(slack > 0, lt + np.log(np.fmax(rest, 0.0)) / p,
-                         lt_pad[j + (j == anchor)])
+        log_l = lt + np.log(np.fmax(rest, 0.0)) / p
+        if (out := slack <= 0).any():
+            log_l[out] = lt[(j - (j < anchor))[out]]
     return log_l, log_r
 
 
@@ -367,7 +367,7 @@ class LevelSetResult:
 
 def _check_levels(m: PowerLawMeasure, f: RadialProfile, lambdas) -> tuple[np.ndarray, float]:
     """(the levels as an array, ln ||f||_1), after checking them and the profile."""
-    lambdas = np.asarray(lambdas, dtype=float)
+    lambdas = _grid_points(lambdas, "levels", m)
     if lambdas.size == 0:
         raise ValueError(f"need at least one lambda at d = {m.d}, beta = {m.beta}")
     ok = (lambdas > 0) & (lambdas < math.inf)

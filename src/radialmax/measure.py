@@ -59,6 +59,15 @@ class PowerLawMeasure:
         return self.d - self.beta
 
 
+def _grid_points(x, what: str, m: PowerLawMeasure) -> np.ndarray:
+    """x as a 1-D float array, or a ValueError naming its shape, d and beta."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array: got shape {x.shape} at d = {m.d}, "
+                         f"beta = {m.beta}")
+    return x
+
+
 @dataclass(frozen=True)
 class BallSpec:
     """A closed euclidean ball reduced by rotation invariance.
@@ -471,7 +480,7 @@ def shift_condition_ratios(m: PowerLawMeasure, rs,
     r = 1 the numerator ball is centered and the ratio becomes
     mu(B(0,1)) / mu(B(e1,1)).
     """
-    rs = np.asarray(rs, dtype=float)
+    rs = _grid_points(rs, "radii r", m)
     bad = rs[~((rs > 0) & (rs <= 1))]
     if bad.size:
         raise ValueError(f"shift condition is defined for 0 < r <= 1: got r = {float(bad[0])!r}")

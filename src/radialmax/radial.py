@@ -40,6 +40,7 @@ from .measure import (
     BallSpec,
     PowerLawMeasure,
     _batched_shell_logs,
+    _grid_points,
     shift_condition_ratios,
 )
 from .quadrature import QuadratureConfig
@@ -326,7 +327,7 @@ def _log_centered_max_grid(m: PowerLawMeasure, f: RadialProfile, cs,
     exactly, since no average exceeds max f; those points skip the search.
     The others share the kink-bracket search of _radius_supremum.
     """
-    cs = np.asarray(cs, dtype=float)
+    cs = _grid_points(cs, "center distances", m)
     ok = (cs >= 0) & (cs < math.inf)
     if not ok.all():
         raise ValueError(f"center distances must be finite and >= 0, got {cs[~ok]}")

@@ -102,6 +102,10 @@ class _StepTerms(NamedTuple):
     log_g: np.ndarray | None    # ln gamma0(t_{k-1}, t_k), k = 1..K; None with no t_cross
 
 
+# Both record caches hold 64 profiles, enough for the reuse inside one case and across
+# a radius or crossing search, which ask for one profile round after round.  perfbench's
+# line-weaktype pass cycles through 356 profiles and misses by design; a larger cache
+# would only speed up the benchmark's repeated passes, and no real sweep repeats so.
 @functools.lru_cache(maxsize=64)
 def _step_terms(p: float, bp: tuple, values: tuple) -> _StepTerms:
     """The one place where a step function's ln t_k, ln v_k and piece measures

@@ -607,6 +607,34 @@ def test_level_set_indicator_closed_form(d):
                 assert lsup == pytest.approx(math.log(r) - math.log(lam) / p, rel=1e-13, abs=1e-13)
 
 
+@pytest.mark.parametrize("values,log_l,log_r,log_mu", [
+    # right side, past the anchor: from t_0 = 0 the excess is positive to
+    # t_1 and then flat on the piece of value lam, but the weight of (0, 1]
+    # at t_2 = 10 underflows, so e(t_0, t_2) reads 0 with slack 0 beyond t_1
+    # and R_0 falls back to t_2.  The level set is (0, 10).
+    ((2.0, 1.0), ("-inf", "-inf", "0x1.26bb1bbb55516p+1"),
+     ("0x1.26bb1bbb55516p+1", "0x0.0p+0", "0x1.26bb1bbb55516p+1"), 400 * math.log(10.0)),
+    # left side, mirrored: the piece of value lam lies left of t_1, so L_1
+    # falls back to t_1 itself.  Past the anchor the left fallback cannot
+    # run: with v_j >= lam, e(t_{j-1}, t_i) adds a term >= 0 to e(t_j, t_i)
+    # in the same summation order, so it is positive too.  The level set
+    # is (0, 10 2^(1/400)).
+    ((1.0, 2.0), ("-inf", "0x0.0p+0", "-inf"),
+     ("0x1.26f3e414ec4cdp+1", "0x1.26f3e414ec4cdp+1", "0x1.26bb1bbb55516p+1"),
+     400 * math.log(10.0) + math.log(2.0)),
+], ids=["right", "left"])
+def test_level_extents_rounding_fallback(values, log_l, log_r, log_mu):
+    # d = 400, beta = 0, lam = 1 on (0, 1, 10): slack lam - v = 0 beside a
+    # positive excess, where the extent ends at a breakpoint; pinned bits
+    m = PowerLawMeasure(400, 0.0)
+    f = RadialProfile((0.0, 1.0, 10.0), values)
+    got_l, got_r = _level_extents(m, f, [1.0])
+    assert [x.hex() for x in got_l[0].tolist()] == list(log_l)
+    assert [x.hex() for x in got_r[0].tolist()] == list(log_r)
+    got = float(_level_set_logs(m, f, [1.0])[0])
+    assert got == pytest.approx(log_mu - math.log(400.0), rel=1e-15)
+
+
 def test_level_set_component_reaching_near_zero():
     # chi_(t0,t1]: {M^u > lam} = (L, R) with G(L) = G(t1) - D/lam and
     # G(R) = G(t0) + D/lam, D = G(t1) - G(t0), so its measure is D(2/lam - 1).

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from radialmax.maximal1d import (
     GridConfig,
     RadialProfile,
     default_lambda_grid,
+    level_sets,
     uncentered_max,
+    uncentered_max_grid,
+    weak_type_quotient_1d,
 )
 from radialmax.specfun import log_sphere_area
 from radialmax.measure import (
@@ -114,6 +118,25 @@ def test_centered_max_rejects_distances_outside_the_half_line(c):
         centered_max_radial(PowerLawMeasure(3, 1.0), f, c, FAST)
     with pytest.raises(ValueError):
         centered_max_radial_grid(PowerLawMeasure(3, 1.0), f, [0.5, c], FAST)
+
+
+# the entry points that take a grid of levels, points or radii, as (m, f, grid)
+GRID_ENTRY_POINTS = {fn.__name__: fn for fn in (
+    weak_type_quotient_1d, level_sets, weak_type_quotient_radial, uncentered_max_grid,
+    centered_max_radial_grid)}
+GRID_ENTRY_POINTS["shift_condition_ratios"] = lambda m, f, rs: measure.shift_condition_ratios(m, rs)
+
+
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRY_POINTS))
+@pytest.mark.parametrize("x,shape", [(0.5, "()"), ([[0.5, 1.0]], "(1, 2)")],
+                         ids=["scalar", "2d"])
+def test_grid_inputs_that_are_not_1d_raise_a_typed_error(entry, x, shape):
+    # a scalar or a 2-D grid is refused up front with its shape, d and beta,
+    # not by a numpy error from deep inside
+    m, f = PowerLawMeasure(3, 0.5), RadialProfile((0.0, 1.0, 2.0), (2.0, 1.0))
+    want = f"must be a 1-D array: got shape {shape} at d = 3, beta = 0.5"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        GRID_ENTRY_POINTS[entry](m, f, x)
 
 
 def test_average_at_d1_names_its_inputs():
