@@ -41,7 +41,7 @@ __all__ = [
     "cp_lower_bound",
 ]
 
-LOG_HALF_PI = 0.5 * math.log(math.pi)
+_LOG_HALF_PI = 0.5 * math.log(math.pi)
 
 
 class BoundMethod(enum.Enum):
@@ -72,7 +72,7 @@ class BoundCertificate:
 def _log_delta_exact(d: int, alpha_d: float) -> float:
     """Gamma-quotient form of the centered/touching unit-ball measure ratio."""
     return (
-        LOG_HALF_PI
+        _LOG_HALF_PI
         + log_gamma(0.5 * (2 * d - alpha_d))
         - (d - alpha_d - 1.0) * math.log(2.0)
         - log_gamma(0.5 * d)
@@ -91,7 +91,7 @@ def _log_delta_stirling_chain(d: int, alpha_d: float) -> float:
     sl_num = stirling_bounds(0.5 * (2 * d - alpha_d - 2.0))[0]
     sl_den1 = stirling_bounds(0.5 * (d - 2.0))[0] + 1.0 / 6.0
     sl_den2 = stirling_bounds(0.5 * (d - alpha_d - 1.0))[0] + 1.0 / 3.0
-    return LOG_HALF_PI + sl_num - (d - alpha_d - 1.0) * math.log(2.0) - sl_den1 - sl_den2
+    return _LOG_HALF_PI + sl_num - (d - alpha_d - 1.0) * math.log(2.0) - sl_den1 - sl_den2
 
 
 def _closed_chain_predicate(d: int, alpha_d: float) -> bool:

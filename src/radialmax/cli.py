@@ -33,6 +33,9 @@ EXIT_NUMERICAL = 3
 
 # a computed value passes its bound up to this relative rounding slack
 _PASS_SLACK = 1 + 1e-9
+# the typed failures a table command writes into its row's error cell (exit 3);
+# anything else is a bug and keeps its traceback
+_ROW_ERRORS = (QuadratureError, ValueError, OverflowError)
 
 
 def _fmt(x) -> str:
@@ -132,7 +135,7 @@ def _row_status(rows) -> int:
 # bounds-lower
 # ---------------------------------------------------------------------------
 
-def cmd_bounds_lower(args) -> int:
+def _cmd_bounds_lower(args) -> int:
     columns = [
         "d", "exponent", "p", "delta_exact", "delta_stirling_chain", "delta_closed",
         "part1_value", "q1_sqrt_d", "ln_exact_over_d", "ln_part1_over_d",
@@ -164,7 +167,7 @@ def cmd_bounds_lower(args) -> int:
                 row["q1_sqrt_d"] = p1.intermediates["q1_sqrt_d"]
                 row["ln_part1_over_d"] = p1.log_value / d
             row["passed"] = bool(ok)
-        except (QuadratureError, ValueError) as exc:
+        except _ROW_ERRORS as exc:
             row["error"] = str(exc)
         rows.append(row)
     _emit(args, "bounds-lower", columns, rows)
@@ -175,7 +178,7 @@ def cmd_bounds_lower(args) -> int:
 # verify-shift
 # ---------------------------------------------------------------------------
 
-def cmd_verify_shift(args) -> int:
+def _cmd_verify_shift(args) -> int:
     columns = [
         "d", "alpha", "sup_ratio", "r_argmax", "sup_ratio_small_r", "ratio_at_r1",
         "certified_c", "certified_c_plus_1", "small_r_c", "alpha_within_d_half",
@@ -208,7 +211,7 @@ def cmd_verify_shift(args) -> int:
                 row["passed"] = bool(ok)
             else:
                 row["passed"] = None  # outside the certified window, flagged only
-        except (QuadratureError, ValueError) as exc:
+        except _ROW_ERRORS as exc:
             row["error"] = str(exc)
         rows.append(row)
     _emit(args, "verify-shift", columns, rows)
@@ -249,7 +252,7 @@ def _weaktype_cases(args, m, rng):
     return cases
 
 
-def cmd_weaktype(args) -> int:
+def _cmd_weaktype(args) -> int:
     rng = np.random.default_rng(args.seed)
     cfg = rad.MaximalConfig(quad=args.quad, level_grid=m1d.GridConfig(points=args.level_points))
     columns = [
@@ -262,7 +265,7 @@ def cmd_weaktype(args) -> int:
         try:
             m = msr.PowerLawMeasure(d, beta)
             cases = _weaktype_cases(args, m, rng)
-        except (QuadratureError, ValueError) as exc:
+        except _ROW_ERRORS as exc:
             rows.append({"d": d, "beta": beta, "family": args.family, "error": str(exc)})
             continue
         for label, f, log_lams in cases:
@@ -275,7 +278,7 @@ def cmd_weaktype(args) -> int:
                 row.update(quotient=q, lower_certificate=lower, upper_bound=upper)
                 # no upper bound past beta = d/2: flagged only, nothing checked
                 row["passed"] = bool(q <= upper * _PASS_SLACK) if upper is not None else None
-            except (QuadratureError, ValueError) as exc:
+            except _ROW_ERRORS as exc:
                 row["error"] = str(exc)
             rows.append(row)
     _emit(args, "weaktype", columns, rows)
@@ -286,7 +289,7 @@ def cmd_weaktype(args) -> int:
 # maximal1d-eval
 # ---------------------------------------------------------------------------
 
-def cmd_maximal1d_eval(args) -> int:
+def _cmd_maximal1d_eval(args) -> int:
     try:
         with open(args.profile) as fh:
             f = m1d.RadialProfile.from_text(fh.read())
@@ -296,15 +299,15 @@ def cmd_maximal1d_eval(args) -> int:
     try:
         m = msr.PowerLawMeasure(args.d_single, args.beta)
         xs = [float(t) for t in args.x.split(",") if t.strip()]
+        if not xs:
+            raise ValueError("no evaluation points")
+        # the library range-checks the points, naming the first bad one
+        log_maxes = m1d._log_uncentered_max_grid(m, f, xs)
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not xs or not all(0 < x < math.inf for x in xs):
-        print("evaluation points must be positive and finite", file=sys.stderr)
-        return EXIT_USAGE
     columns = ["x", "uncentered_max", "profile_value"]
     rows, under = [], []
-    log_maxes = m1d._log_uncentered_max_grid(m, f, np.array(xs))
     for x, log_max, value in zip(xs, log_maxes.tolist(), np.exp(log_maxes).tolist()):
         if value == 0.0 and log_max > sf.NEG_INF:
             # below the double range: an empty cell, not a silent 0
@@ -366,7 +369,7 @@ def _selftest_rows(seed: int) -> list[dict]:
     return rows
 
 
-def cmd_specfun_selftest(args) -> int:
+def _cmd_specfun_selftest(args) -> int:
     rows = _selftest_rows(args.seed)
     _emit(args, "specfun-selftest", ["check", "max_err", "tol", "passed"], rows)
     return EXIT_OK if all(r["passed"] for r in rows) else EXIT_CHECK_FAILED
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_lp_exponent, default=1.0, help="L^p exponent for the cap bound")
     _add_tol(p)
     _add_common(p)
-    p.set_defaults(fn=cmd_bounds_lower)
+    p.set_defaults(fn=_cmd_bounds_lower)
 
     p = sub.add_parser("verify-shift", help="shift-condition ratio sweep vs its constants")
     p.add_argument("--d", required=True, type=_parse_d_range)
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-points", type=_positive_int, default=256)
     _add_tol(p)
     _add_common(p)
-    p.set_defaults(fn=cmd_verify_shift)
+    p.set_defaults(fn=_cmd_verify_shift)
 
     p = sub.add_parser("weaktype", help="measured weak-type quotients vs certificates")
     p.add_argument("--d", required=True, type=_parse_d_range)
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tol(p)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
-    p.set_defaults(fn=cmd_weaktype)
+    p.set_defaults(fn=_cmd_weaktype)
 
     p = sub.add_parser("maximal1d-eval", help="evaluate the 1D operator on a profile file")
     p.add_argument("--profile", required=True, help="text file, one 't v' pair per line")
@@ -437,12 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--x", required=True, help="comma-separated evaluation points")
     _add_common(p)
-    p.set_defaults(fn=cmd_maximal1d_eval)
+    p.set_defaults(fn=_cmd_maximal1d_eval)
 
     p = sub.add_parser("specfun-selftest", help="identity checks for the special functions")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
-    p.set_defaults(fn=cmd_specfun_selftest)
+    p.set_defaults(fn=_cmd_specfun_selftest)
 
     return ap
 

@@ -154,14 +154,15 @@ def _log_l1(m: PowerLawMeasure, f: RadialProfile) -> float:
     return float(np.logaddexp.reduce(terms.log_v[1:-1] + terms.log_g, axis=0))
 
 
-def _linear(log_value, m: PowerLawMeasure, what: str) -> float:
-    """exp(log_value); past the double range, an OverflowError naming the inputs."""
+def _linear(log_value, m: PowerLawMeasure, what: str,
+            hint: str = "; weak_type_quotient_* work in logs") -> float:
+    """exp(log_value); past the double range, an OverflowError naming the
+    inputs without commas, then the hint."""
     try:
         return math.exp(log_value)
     except OverflowError:
-        raise OverflowError(f"{what} = exp({float(log_value):.6g}) at d = {m.d}, beta = {m.beta} "
-                            "is past the double range; weak_type_quotient_* work in logs"
-                            ) from None
+        raise OverflowError(f"{what} = exp({float(log_value):.6g}) at d = {m.d} beta = {m.beta} "
+                            f"is past the double range{hint}") from None
 
 
 def gamma0_interval(m: PowerLawMeasure, a: float, b: float) -> float:
@@ -202,11 +203,7 @@ def _log_uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.nda
     breakpoints join them with logaddexp.  Each kind is a flat list of runs,
     one per point, each reduced to its maximum.  No power of t is formed.
     """
-    xs = _grid_points(xs, "evaluation points", m)
-    ok = (xs > 0) & (xs < math.inf)
-    if not ok.all():
-        raise ValueError(f"evaluation points must be positive and finite, got x = "
-                         f"{float(xs[~ok].flat[0])!r} at d = {m.d}, beta = {m.beta}")
+    xs = _grid_points(xs, m, "M^u f", "x")
     p = m.homogeneity
     _, lt, v, lv, _, _, _ = _step_terms(p, f.breakpoints, f.values)
     n = len(f.values)
@@ -367,13 +364,9 @@ class LevelSetResult:
 
 def _check_levels(m: PowerLawMeasure, f: RadialProfile, lambdas) -> tuple[np.ndarray, float]:
     """(the levels as an array, ln ||f||_1), after checking them and the profile."""
-    lambdas = _grid_points(lambdas, "levels", m)
+    lambdas = _grid_points(lambdas, m, "a level set", "lambda")
     if lambdas.size == 0:
         raise ValueError(f"need at least one lambda at d = {m.d}, beta = {m.beta}")
-    ok = (lambdas > 0) & (lambdas < math.inf)
-    if not ok.all():
-        raise ValueError(f"levels must be positive and finite, got lambda = "
-                         f"{float(lambdas[~ok].flat[0])!r} at d = {m.d}, beta = {m.beta}")
     log_l1 = _log_l1(m, f)
     if log_l1 == NEG_INF:
         raise ValueError(f"profile is a.e. zero: got max f = {max(f.values)!r} "
@@ -436,7 +429,7 @@ def _grid_level_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas, points: 
     t_n = f.breakpoints[-1]
     log_T = (np.logaddexp(p * terms.log_t[-1], math.log(p * window_scale) + _log_l1(m, f)
                           - log_lambdas.min()) / p + math.log1p(1e-12))
-    T = _linear(log_T, m, f"the level-set window for ln lambda = {log_lambdas.min():g}")
+    T = _linear(log_T, m, f"the level-set window for ln lambda = {log_lambdas.min():g}", hint="")
     # geometric grid down to where the cumulative gamma0-mass is negligible
     # (t^p dies slowly for small p = d - beta, so the depth is mass-aware),
     # plus linear coverage of the profile's own scale

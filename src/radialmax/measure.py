@@ -59,13 +59,22 @@ class PowerLawMeasure:
         return self.d - self.beta
 
 
-def _grid_points(x, what: str, m: PowerLawMeasure) -> np.ndarray:
-    """x as a 1-D float array, or a ValueError naming its shape, d and beta."""
+def _grid_points(x, m: PowerLawMeasure, what: str, symbol: str, with_zero: bool = False,
+                 top: float = math.inf) -> np.ndarray:
+    """x as a 1-D float array of finite values above 0 (from 0 on with
+    with_zero) and at most top; else a ValueError naming the symbol, its
+    shape or first bad value, d and beta, without commas for a CSV cell."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D array: got shape {x.shape} at d = {m.d}, "
-                         f"beta = {m.beta}")
-    return x
+    if x.ndim == 1:
+        closed = top < math.inf
+        ok = (x >= 0 if with_zero else x > 0) & (x <= top if closed else x < top)
+        if ok.all():
+            return x
+        rule = f"0 {'<=' if with_zero else '<'} {symbol} {'<=' if closed else '<'} {top:g}"
+        got = f"{what} is defined for {rule}: got {symbol} = {float(x[~ok][0])!r}"
+    else:
+        got = f"{symbol} must be a 1-D array: got shape {x.shape}"
+    raise ValueError(f"{got} at d = {m.d} beta = {m.beta}")
 
 
 @dataclass(frozen=True)
@@ -480,10 +489,7 @@ def shift_condition_ratios(m: PowerLawMeasure, rs,
     r = 1 the numerator ball is centered and the ratio becomes
     mu(B(0,1)) / mu(B(e1,1)).
     """
-    rs = _grid_points(rs, "radii r", m)
-    bad = rs[~((rs > 0) & (rs <= 1))]
-    if bad.size:
-        raise ValueError(f"shift condition is defined for 0 < r <= 1: got r = {float(bad[0])!r}")
+    rs = _grid_points(rs, m, "shift condition", "r", top=1.0)
     shifted_c = np.sqrt(np.maximum(0.0, 1.0 - rs * rs))
     cs = np.concatenate([shifted_c, np.ones_like(rs)])
     RR = np.concatenate([rs, rs])

@@ -192,7 +192,7 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
             judged_total = seg_total[:, :k]
             bad = seg_err > judged_total + log_tol
         bad &= judged_total != NEG_INF
-        still = bad[:, 0] if k == 1 else bad.any(axis=1)
+        still = bad.any(axis=1)
         if not still.any():
             total[active] = seg_total
             error[active, :k] = seg_err
@@ -211,7 +211,7 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
         # split every panel within a factor 16 of its integral's worst panel
         # in a component that has not converged
         split = bad[p_at] & (p_val[:, n_comp:] >= tops[p_at, n_comp:] - math.log(16.0))
-        split = split[:, 0] if k == 1 else split.any(axis=1)
+        split = split.any(axis=1)
         counts = (np.bincount(p_at, minlength=len(active))
                   + np.bincount(p_at[split], minlength=len(active)))
         if (counts > _MAX_PANELS).any():

@@ -87,7 +87,7 @@ class MaximalConfig:
     level_grid: GridConfig = field(default_factory=GridConfig)
 
 
-DEFAULT_MAXIMAL = MaximalConfig()
+_DEFAULT_MAXIMAL = MaximalConfig()
 
 
 def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
@@ -114,7 +114,7 @@ def _ball_averages_batch(m: PowerLawMeasure, f: RadialProfile, cs, Rs,
 
 
 def ball_average(m: PowerLawMeasure, f: RadialProfile, c: float, R: float,
-                 cfg: MaximalConfig = DEFAULT_MAXIMAL) -> float:
+                 cfg: MaximalConfig = _DEFAULT_MAXIMAL) -> float:
     """Average of the radial profile over the ball B(c e1, R)."""
     BallSpec(c, R)  # checks c and R, naming the bad one
     return math.exp(_ball_averages_batch(m, f, [c], [R], cfg.quad)[0])
@@ -327,10 +327,7 @@ def _log_centered_max_grid(m: PowerLawMeasure, f: RadialProfile, cs,
     exactly, since no average exceeds max f; those points skip the search.
     The others share the kink-bracket search of _radius_supremum.
     """
-    cs = _grid_points(cs, "center distances", m)
-    ok = (cs >= 0) & (cs < math.inf)
-    if not ok.all():
-        raise ValueError(f"center distances must be finite and >= 0, got {cs[~ok]}")
+    cs = _grid_points(cs, m, "M_mu f", "c", with_zero=True)
     if f.positive_support() is None:
         warnings.warn("profile carries no mass: M_mu f = 0 everywhere", RuntimeWarning)
         return np.full(len(cs), NEG_INF)
@@ -344,13 +341,13 @@ def _log_centered_max_grid(m: PowerLawMeasure, f: RadialProfile, cs,
 
 
 def centered_max_radial_grid(m: PowerLawMeasure, f: RadialProfile, cs,
-                             cfg: MaximalConfig = DEFAULT_MAXIMAL) -> np.ndarray:
+                             cfg: MaximalConfig = _DEFAULT_MAXIMAL) -> np.ndarray:
     """M_mu f at many center distances (see _log_centered_max_grid)."""
     return np.exp(_log_centered_max_grid(m, f, cs, cfg))
 
 
 def centered_max_radial(m: PowerLawMeasure, f: RadialProfile, c: float,
-                        cfg: MaximalConfig = DEFAULT_MAXIMAL) -> float:
+                        cfg: MaximalConfig = _DEFAULT_MAXIMAL) -> float:
     """sup over R > 0 of the ball average of f at center distance c >= 0."""
     return float(centered_max_radial_grid(m, f, np.array([float(c)]), cfg)[0])
 
@@ -386,7 +383,7 @@ def _window_shift_constant(m: PowerLawMeasure, quad: QuadratureConfig) -> float:
 
 
 def weak_type_quotient_radial(m: PowerLawMeasure, f: RadialProfile, lambdas,
-                              cfg: MaximalConfig = DEFAULT_MAXIMAL) -> float:
+                              cfg: MaximalConfig = _DEFAULT_MAXIMAL) -> float:
     """max over the lambda grid of lambda * mu{M_mu f > lambda} / ||f||_1.
 
     Level sets of M_mu f are radial, so mu{...} = omega_{d-1} *

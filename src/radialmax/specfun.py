@@ -24,7 +24,7 @@ __all__ = [
     "log_sphere_area",
 ]
 
-LOG_2PI = math.log(2.0 * math.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
 NEG_INF = float("-inf")
 
 
@@ -61,7 +61,7 @@ def stirling_bounds(x: float) -> tuple[float, float]:
     """
     if not 0 < x < math.inf:
         raise ValueError(f"stirling_bounds requires finite x > 0, got x = {x!r}")
-    lower = 0.5 * LOG_2PI + (x + 0.5) * math.log(x) - x
+    lower = 0.5 * _LOG_2PI + (x + 0.5) * math.log(x) - x
     return lower, lower + 1.0 / (12.0 * x)
 
 

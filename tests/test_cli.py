@@ -345,6 +345,32 @@ def test_weaktype_indicator_at_d_one_is_one_error_row(tmp_path):
     assert len(good) == 3 and all(r["passed"] == "true" for r in good)
 
 
+@pytest.mark.parametrize("argv, bad_d, n_bad, good_d", [
+    (["weaktype", "--d", "3,12", "--alpha", "2.99", "--family", "radial-decreasing"],
+     "3", 3, "12"),
+    (["bounds-lower", "--d", "12,20000", "--alpha-coef", "0.5"], "20000", 1, "12"),
+    (["verify-shift", "--d", "2000", "--alpha-coef", "0.5", "--r-points", "4"], "2000", 1, None),
+], ids=["weaktype", "bounds-lower", "verify-shift"])
+def test_overflow_is_an_error_row(tmp_path, capsys, argv, bad_d, n_bad, good_d):
+    # a value past the double range (the level-set window at p = 0.01, the
+    # certificate at d = 20000, the shift constant 6^(beta/2) at beta = 1000)
+    # gives one error row per case and exit 3; the other rows still run
+    rc, _, rows = run_csv(tmp_path, argv)
+    assert rc == EXIT_NUMERICAL
+    assert "Traceback" not in capsys.readouterr().err
+    bad = [r for r in rows if r["d"] == bad_d]
+    good = [r for r in rows if r["d"] == good_d]
+    assert len(bad) == n_bad and all(r["error"] for r in bad)
+    assert len(good) == len(rows) - len(bad)
+    assert all(r["error"] == "" and r["passed"] == "true" for r in good), good
+    if argv[0] == "weaktype":
+        # the window's message names ln lambda, d and beta, and no layer
+        for r in bad:
+            assert r["error"].startswith("the level-set window for ln lambda = ")
+            assert "at d = 3 beta = 2.99 is past the double range" in r["error"]
+            assert "," not in r["error"] and "in logs" not in r["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-shift", "--d", "4", "--r-points", "0"],
     ["weaktype", "--d", "4", "--lambdas", "0"],

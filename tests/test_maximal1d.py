@@ -140,7 +140,7 @@ def test_indicator_on_lebesgue_halfline():
 @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
 def test_uncentered_max_rejects_points_outside_the_half_line(x):
     # the error names the first bad point, d and beta
-    pattern = rf"got x = {x!r} at d = 3, beta = 1\.0"
+    pattern = rf"got x = {x!r} at d = 3 beta = 1\.0"
     with pytest.raises(ValueError, match=pattern):
         uncentered_max(PowerLawMeasure(3, 1.0), CHI01, x)
     with pytest.raises(ValueError, match=pattern):
@@ -346,14 +346,14 @@ def test_level_set_window_grows_like_one_over_lambda():
 
 def test_level_set_domain():
     # each error names the first bad level, d and beta
-    with pytest.raises(ValueError, match=r"got lambda = 0\.0 at d = 1, beta = 0\.0"):
+    with pytest.raises(ValueError, match=r"got lambda = 0\.0 at d = 1 beta = 0\.0"):
         level_sets(LEB, CHI01, [0.0])
     with pytest.raises(ValueError, match=r"need at least one lambda at d = 1, beta = 0\.0"):
         level_sets(LEB, CHI01, [])
     with pytest.raises(ValueError, match=r"need at least one lambda at d = 1, beta = 0\.0"):
         weak_type_quotient_1d(LEB, CHI01, np.empty(0))
     for bad in (math.nan, math.inf, -1.0):
-        pattern = rf"got lambda = {bad!r} at d = 1, beta = 0\.0"
+        pattern = rf"got lambda = {bad!r} at d = 1 beta = 0\.0"
         with pytest.raises(ValueError, match=pattern):
             level_sets(LEB, CHI01, [0.5, bad, 0.0])
         with pytest.raises(ValueError, match=pattern):

@@ -352,6 +352,20 @@ def test_quadrature_budget_error_carries_estimate(monkeypatch):
     assert "segment" not in msg
 
 
+def test_quadrature_round_budget_error_names_the_failing_integral():
+    # x^-0.999 on (0, 1] halves its error per bisection round far too slowly
+    # to reach tol within _MAX_ROUNDS; its neighbours -x^2 converge at once
+    def log_f(seg, s):
+        return np.where(seg == 1, -0.999 * np.log(s), -s * s)[:, None, :]
+
+    with pytest.raises(QuadratureError) as exc:
+        quadrature.log_integrate_batch(log_f, np.arange(3), np.zeros(3), np.ones(3), 3,
+                                       QuadratureConfig(tol=1e-8))
+    assert str(exc.value).startswith("quadrature did not converge within the round budget")
+    assert exc.value.segment == 1
+    assert exc.value.achieved > 1e-8
+
+
 @pytest.mark.parametrize("field, value", [
     ("tol", math.nan), ("tol", 0.0), ("tol", -1.0), ("tol", 1.0), ("tol", math.inf),
 ])

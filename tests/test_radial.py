@@ -134,9 +134,28 @@ def test_grid_inputs_that_are_not_1d_raise_a_typed_error(entry, x, shape):
     # a scalar or a 2-D grid is refused up front with its shape, d and beta,
     # not by a numpy error from deep inside
     m, f = PowerLawMeasure(3, 0.5), RadialProfile((0.0, 1.0, 2.0), (2.0, 1.0))
-    want = f"must be a 1-D array: got shape {shape} at d = 3, beta = 0.5"
+    want = f"must be a 1-D array: got shape {shape} at d = 3 beta = 0.5"
     with pytest.raises(ValueError, match=re.escape(want)):
         GRID_ENTRY_POINTS[entry](m, f, x)
+
+
+# the symbol each entry point's grid goes by
+GRID_SYMBOLS = {"weak_type_quotient_1d": "lambda", "level_sets": "lambda",
+                "weak_type_quotient_radial": "lambda", "uncentered_max_grid": "x",
+                "centered_max_radial_grid": "c", "shift_condition_ratios": "r"}
+
+
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRY_POINTS))
+def test_grid_values_out_of_range_raise_one_typed_error(entry):
+    # every entry point range-checks its grid in one place, with one
+    # comma-free wording that names the symbol, the first bad value, d and beta
+    m, f = PowerLawMeasure(3, 0.5), RadialProfile((0.0, 1.0, 2.0), (2.0, 1.0))
+    with pytest.raises(ValueError) as exc:
+        GRID_ENTRY_POINTS[entry](m, f, [-1.0])
+    msg = str(exc.value)
+    symbol = GRID_SYMBOLS[entry]
+    assert " is defined for 0 " in msg and f" {symbol} " in msg.split(":")[0], msg
+    assert msg.endswith(f": got {symbol} = -1.0 at d = 3 beta = 0.5") and "," not in msg, msg
 
 
 def test_average_at_d1_names_its_inputs():
