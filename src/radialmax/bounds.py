@@ -66,7 +66,12 @@ class BoundCertificate:
 
     @property
     def value(self) -> float:
-        return math.exp(self.log_value)
+        try:
+            return math.exp(self.log_value)
+        except OverflowError:  # no commas: the CLI writes this into a CSV cell
+            raise OverflowError(f"the {self.method.value} certificate = exp({self.log_value:.6g}) "
+                                f"at d = {self.d} beta = {self.exponent} is past the double range"
+                                ) from None
 
 
 def _log_delta_exact(d: int, alpha_d: float) -> float:
@@ -209,7 +214,7 @@ def cp_lower_bound(d: int, alpha: float, p: float = 1.0,
     the geometry degenerates at both endpoints (see part1_geometry).
     """
     if not p >= 1:
-        raise ValueError(f"p must be >= 1, got p = {p} (d = {d}, alpha = {alpha})")
+        raise ValueError(f"p must be >= 1: got p = {p} at d = {d} alpha = {alpha}")
     if d < 2 or int(d) != d:
         raise ValueError(f"need an integer d >= 2: got d = {d!r} (alpha = {alpha})")
     d = int(d)

@@ -147,8 +147,9 @@ def _cmd_bounds_lower(args) -> int:
         row: dict = {"d": d, "exponent": exponent, "p": args.p, "error": None}
         try:
             cert = bnd.delta_lower_bound(d, exponent)
-            row["delta_exact"] = cert.value
+            # the log columns first: they stay finite where a linear value overflows
             row["ln_exact_over_d"] = cert.log_value / d
+            row["delta_exact"] = cert.value
             chain = cert.intermediates.get("log_stirling_chain")
             closed = cert.intermediates.get("log_closed")
             row["delta_stirling_chain"] = math.exp(chain) if chain is not None else None
@@ -163,9 +164,9 @@ def _cmd_bounds_lower(args) -> int:
             alpha = args.alpha_coef if args.alpha_coef is not None else args.alpha
             if 0.5 < alpha < 1.0:
                 p1 = bnd.cp_lower_bound(d, alpha, args.p, args.quad)
-                row["part1_value"] = p1.value
-                row["q1_sqrt_d"] = p1.intermediates["q1_sqrt_d"]
                 row["ln_part1_over_d"] = p1.log_value / d
+                row["q1_sqrt_d"] = p1.intermediates["q1_sqrt_d"]
+                row["part1_value"] = p1.value
             row["passed"] = bool(ok)
         except _ROW_ERRORS as exc:
             row["error"] = str(exc)

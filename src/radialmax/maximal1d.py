@@ -366,7 +366,7 @@ def _check_levels(m: PowerLawMeasure, f: RadialProfile, lambdas) -> tuple[np.nda
     """(the levels as an array, ln ||f||_1), after checking them and the profile."""
     lambdas = _grid_points(lambdas, m, "a level set", "lambda")
     if lambdas.size == 0:
-        raise ValueError(f"need at least one lambda at d = {m.d}, beta = {m.beta}")
+        raise ValueError(f"need at least one lambda at d = {m.d} beta = {m.beta}")
     log_l1 = _log_l1(m, f)
     if log_l1 == NEG_INF:
         raise ValueError(f"profile is a.e. zero: got max f = {max(f.values)!r} "
@@ -560,6 +560,6 @@ def default_lambda_grid(m: PowerLawMeasure, f: RadialProfile, n: int = 32) -> np
     if vmax <= 0:
         raise ValueError(f"profile is a.e. zero: got max f = {vmax!r} at d = {m.d} beta = {m.beta}")
     if not 0 < 1e-3 * vmax < 1.1 * vmax < math.inf:
-        raise ValueError(f"max f = {vmax!r} at d = {m.d}, beta = {m.beta}: its levels "
+        raise ValueError(f"max f = {vmax!r} at d = {m.d} beta = {m.beta}: its levels "
                          "1e-3 max f .. 1.1 max f leave the double range")
     return np.geomspace(1e-3 * vmax, 1.1 * vmax, n)

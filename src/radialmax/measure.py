@@ -185,96 +185,96 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, values, tangent: bool, par
     log_p = math.log(p)
 
     def log_f(seg, x):
+        # runs under log_integrate_batch's np.errstate (ln 0 = -inf, 0/0)
         c, R = C[seg], RR[seg]
         sx, cx = np.sin(x), np.cos(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        if tangent:
+            k = R / c
+            e = (c - R) * (c + R)
+            cos_t = np.sqrt(cx * cx + e / (c * c) * sx * sx)
+            t_plus = c * cos_t + R * cx
+            log_sin = (d - 2) * np.log(k * sx)
+            log_w = log_sin + np.log(k * cx / cos_t)
+            log_tp = np.log(t_plus)
+            # t- = e / t+ is 0 on every node when each ball has c = R: then the
+            # chord is [0, t+] as around the origin, and no log of zeros is taken
+            cut_low = np.count_nonzero(e) > 0
+            t_low = e / t_plus if cut_low else 0.0
+            log_tm = np.log(t_low) if cut_low else NEG_INF
+            whole = log_cut(log_tm, t_plus, log_tp, 2.0 * R * cx) if cut_low else p * log_tp - log_p
+        else:
+            csx, ccx = c * sx, c * cx
+            root = np.sqrt((R - csx) * (R + csx))
+            fwd = cx >= 0
+            t_plus = np.where(fwd, ccx + root, (R - c) * (R + c) / (root - ccx))
+            log_w = (d - 2) * np.log(sx)
+            log_tp = np.log(t_plus)
+            # the chord [0, t+] holds t+^p / p, the power interval with a = 0
+            whole = p * log_tp - log_p
+        if not n:
+            # no sphere to cross: every chord lies in piece o
+            hi = lo = o
+        else:
+            # t- lies in [t_{q-1}, t_q) and t+ in (t_{q-1}, t_q] for q = lo, hi,
+            # both decided by the exact distances, as the gaps are
             if tangent:
-                k = R / c
-                cos_t = np.sqrt(cx * cx + (c - R) * (c + R) / (c * c) * sx * sx)
-                t_plus = c * cos_t + R * cx
-                t_minus = (c - R) * (c + R) / t_plus
-                # t- = 0 on every node when each ball has c = R: ln t- is -inf
-                # either way, and a scalar 0 keeps numpy's slow log of zeros
-                # off the nodes
-                t_low = t_minus if t_minus.any() else 0.0
-                log_tm = np.log(t_low)
-                log_sin = (d - 2) * np.log(k * sx)
-                log_w = log_sin + np.log(k * cx / cos_t)
-                log_tp = np.log(t_plus)
-                whole = log_cut(log_tm, t_plus, log_tp, 2.0 * R * cx)
+                d_plus = R * sx * sx * (k / (1.0 + cos_t) + 1.0 / (1.0 + cx))
+                d_minus = (c - R) * d_plus / t_plus
             else:
-                csx, ccx = c * sx, c * cx
-                root = np.sqrt((R - csx) * (R + csx))
-                fwd = cx >= 0
-                t_plus = np.where(fwd, ccx + root, (R - c) * (R + c) / (root - ccx))
-                log_w = (d - 2) * np.log(sx)
-                log_tp = np.log(t_plus)
-                # the chord [0, t+] holds t+^p / p, the power interval with a = 0
-                whole = p * log_tp - log_p
-            if not n:
-                # no sphere to cross: every chord lies in piece o
-                hi = lo = o
+                one_minus_cos = np.where(fwd, sx * sx / (1.0 + cx), 1.0 - cx)
+                d_plus = c * one_minus_cos + csx ** 2 / (R + root)
+            far = FAR[seg[:, 0]]
+            hi = sum((far[:, j, None] > d_plus for j in range(n)), o)
+            lo = o
+            if tangent:
+                near = NEAR[seg[:, 0]]
+                lo = sum((near[:, j, None] <= d_minus for j in range(n)), o)
+        lv_hi = lv[hi]
+        mass = lv_hi + whole
+        if n:
+            # flat indices of the chords that cross a sphere, whose end
+            # pieces are clipped; t_{hi-1} and t_lo lie in t_cross
+            cut = np.flatnonzero(lo < hi)
+            if len(cut):
+                row = cut // x.shape[1]
+                r = hi.ravel()[cut]
+                below = r - 1
+                # around the origin t- = 0, and every piece below t+'s is whole;
+                # both ends are clipped in one pass, t+'s first
+                q = lo.ravel()[cut] if tangent else 0
+                ends = (log_bp[below], t_plus.ravel()[cut], log_tp.ravel()[cut],
+                        far[row, below - o] - d_plus.ravel()[cut])
+                if tangent:
+                    log_a = (log_tm.ravel()[cut] if cut_low
+                             else np.full(len(cut), NEG_INF))
+                    ends = [np.concatenate(e) for e in zip(ends, (
+                        log_a, bp[q], log_bp[q],
+                        near[row, q - o] - d_minus.ravel()[cut]))]
+                clip = log_cut(*ends)
+                terms = [table[q, below], lv[r] + clip[:len(cut)]]
+                if tangent:
+                    terms.append(lv[q] + clip[len(cut):])
+                top = np.maximum(terms[0], terms[1])
+                if tangent:
+                    top = np.maximum(top, terms[2])
+                top = np.where(top > NEG_INF, top, 0.0)
+                total = np.exp(terms[0] - top) + np.exp(terms[1] - top)
+                if tangent:
+                    total = total + np.exp(terms[2] - top)
+                np.put(mass, cut, top + np.log(total))
+            del d_plus  # a node array, like those dropped below
+        base = lw + log_w
+        if parts == 4:
+            # sphere terms v t^(p-1); t- = 0 only on a sphere through
+            # the origin, which every ray then meets once, at t+
+            end = pw(log_tp)
+            sphere = [end, lv_hi + end]
+            if tangent:
+                start = np.where(t_low > 0, pw(log_tm), NEG_INF)
+                sphere = [np.logaddexp(end, start), np.logaddexp(sphere[1], lv[lo] + start)]
+                log_dw = lw + log_sin + np.log(k / cos_t)
             else:
-                # t- lies in [t_{q-1}, t_q) and t+ in (t_{q-1}, t_q] for q = lo, hi,
-                # both decided by the exact distances, as the gaps are
-                if tangent:
-                    d_plus = R * sx * sx * (k / (1.0 + cos_t) + 1.0 / (1.0 + cx))
-                    d_minus = (c - R) * d_plus / t_plus
-                else:
-                    one_minus_cos = np.where(fwd, sx * sx / (1.0 + cx), 1.0 - cx)
-                    d_plus = c * one_minus_cos + csx ** 2 / (R + root)
-                far = FAR[seg[:, 0]]
-                hi = sum((far[:, j, None] > d_plus for j in range(n)), o)
-                lo = o
-                if tangent:
-                    near = NEAR[seg[:, 0]]
-                    lo = sum((near[:, j, None] <= d_minus for j in range(n)), o)
-            lv_hi = lv[hi]
-            mass = lv_hi + whole
-            if n:
-                # flat indices of the chords that cross a sphere, whose end
-                # pieces are clipped; t_{hi-1} and t_lo lie in t_cross
-                cut = np.flatnonzero(lo < hi)
-                if len(cut):
-                    row = cut // x.shape[1]
-                    r = hi.ravel()[cut]
-                    below = r - 1
-                    # around the origin t- = 0, and every piece below t+'s is whole;
-                    # both ends are clipped in one pass, t+'s first
-                    q = lo.ravel()[cut] if tangent else 0
-                    ends = (log_bp[below], t_plus.ravel()[cut], log_tp.ravel()[cut],
-                            far[row, below - o] - d_plus.ravel()[cut])
-                    if tangent:
-                        log_a = (log_tm.ravel()[cut] if t_low is t_minus
-                                 else np.full(len(cut), NEG_INF))
-                        ends = [np.concatenate(e) for e in zip(ends, (
-                            log_a, bp[q], log_bp[q],
-                            near[row, q - o] - d_minus.ravel()[cut]))]
-                    clip = log_cut(*ends)
-                    terms = [table[q, below], lv[r] + clip[:len(cut)]]
-                    if tangent:
-                        terms.append(lv[q] + clip[len(cut):])
-                    top = np.maximum(terms[0], terms[1])
-                    if tangent:
-                        top = np.maximum(top, terms[2])
-                    top = np.where(top > NEG_INF, top, 0.0)
-                    total = np.exp(terms[0] - top) + np.exp(terms[1] - top)
-                    if tangent:
-                        total = total + np.exp(terms[2] - top)
-                    np.put(mass, cut, top + np.log(total))
-                del d_plus  # a node array, like those dropped below
-            base = lw + log_w
-            if parts == 4:
-                # sphere terms v t^(p-1); t- = 0 only on a sphere through
-                # the origin, which every ray then meets once, at t+
-                end = pw(log_tp)
-                sphere = [end, lv_hi + end]
-                if tangent:
-                    start = np.where(t_low > 0, pw(log_tm), NEG_INF)
-                    sphere = [np.logaddexp(end, start), np.logaddexp(sphere[1], lv[lo] + start)]
-                    log_dw = lw + log_sin + np.log(k / cos_t)
-                else:
-                    log_dw = base + np.log(R / root)
+                log_dw = base + np.log(R / root)
         # the node arrays are (panels, 21) each: dropping these before the
         # result is formed lowers the peak memory of large batches
         del sx, cx, t_plus, log_tp
@@ -338,14 +338,14 @@ def _layer_edges(c, R, angles, tangent: bool, tol: float, q: float, width: float
     """
     e2 = np.abs((c - R) * (c + R))  # (eps c)^2, no division at c = 0
     thin = (e2 < (_LAYER_MAX * c) ** 2) & (e2 >= (tol * c) ** 2)
-    if thin.any():
+    if np.count_nonzero(thin):
         eps = np.sqrt(e2[thin]) / c[thin]
         U = np.min(np.abs(angles[thin] - 0.5 * math.pi), axis=1, initial=width)
         share = (_LAYER_SHARE * tol) ** (1.0 / q) if q > 0 else 0.0
         keep = eps >= U * min(1.0 / _LAYER_NEAR, share)
         thin[thin] = keep
         eps = eps[keep]
-    if not thin.any():
+    if not np.count_nonzero(thin):
         return np.zeros((len(c), 0))
     w = eps[:, None] * 2.0 ** np.arange(math.ceil(math.log2(0.25 * math.pi / eps.min())))
     w = np.where(w < 0.25 * math.pi, w, 0.5 * math.pi)
@@ -366,14 +366,14 @@ def _spike_panels(edges, h: float):
     a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     w = b - a
     k = np.ceil(w / h)
-    n = k.astype(np.intp)
-    # per panel: its piece, its place i in the piece, and the piece's values
-    piece = np.repeat(np.arange(len(a)), n)
-    i = np.arange(len(piece)) - np.repeat(np.cumsum(n) - n, n)
+    # per panel: its piece, its place i in the piece (a float, as k is), and
+    # the piece's values
+    piece = np.arange(len(a)).repeat(k.astype(np.intp))
+    i = np.arange(len(piece), dtype=float) - (np.add.accumulate(k) - k)[piece]
     k = k[piece]
     lo = a[piece] + w[piece] * (i / k)
     # a panel ends where the next one of its piece starts, the last one at b
-    hi = np.where(i + 1 < k, np.concatenate([lo[1:], b[-1:]]), b[piece])
+    hi = np.where(i + 1.0 < k, np.concatenate([lo[1:], b[-1:]]), b[piece])
     return piece // (edges.shape[1] - 1), lo, hi
 
 
@@ -402,8 +402,9 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, values, quad: Quadrature
         raise ValueError(f"off-center ball measures require d >= 2, got d={m.d} "
                          f"beta={m.beta!r} for the ball c={c!r} R={R!r}")
     bp, values = tuple(bp), tuple(values)
-    out = np.full((len(cs), parts), NEG_INF)
+    out = np.empty((len(cs), parts))
     origin_inside = cs < Rs
+    n_inside = np.count_nonzero(origin_inside)
     # the two derivatives ride on the nodes the measure and the mass choose
     riders = 2 if parts == 4 else 0
     # the layer at pi/2 holds eps^q (see _layer_edges): p + 1 of the measure and
@@ -411,21 +412,22 @@ def _batched_shell_logs(m: PowerLawMeasure, cs, Rs, bp, values, quad: Quadrature
     p = m.homogeneity
     q = p - 1.0 if parts == 4 else min(p + 1.0, 2.0 * p)
     width = _spike_width(m.d, quad.tol)
-    for tangent, top in ((False, math.pi), (True, 0.5 * math.pi)):
-        idx = np.nonzero(origin_inside != tangent)[0]
-        if idx.size == 0:
+    for tangent, top, count in ((False, math.pi, n_inside),
+                                (True, 0.5 * math.pi, len(cs) - n_inside)):
+        if count == 0:
             continue
+        # a form that holds every ball takes the arrays as they are
+        idx = slice(None) if count == len(cs) else np.flatnonzero(origin_inside != tangent)
         c, R = cs[idx], Rs[idx]
         log_f, angles = _ray_log_integrand(m, c, R, bp, values, tangent, parts)
-        edges = np.sort(np.concatenate([
-            np.zeros((idx.size, 1)), angles, np.full((idx.size, 1), top),
-            _layer_edges(c, R, angles, tangent, quad.tol, q, width),
-        ], axis=1), axis=1)
+        edges = np.concatenate([np.full((count, 2), (0.0, top)), angles,
+                                _layer_edges(c, R, angles, tangent, quad.tol, q, width)], axis=1)
+        edges.sort(axis=1)
         at, lo, hi = _spike_panels(edges, width)
         try:
-            out[idx], _ = log_integrate_batch(log_f, at, lo, hi, idx.size, quad, riders=riders)
+            out[idx], _ = log_integrate_batch(log_f, at, lo, hi, count, quad, riders=riders)
         except QuadratureError as exc:
-            i = idx[exc.segment]
+            i = np.arange(len(cs))[idx][exc.segment]
             raise QuadratureError(
                 # no commas: the CLI writes this message into a CSV cell
                 f"shell measure did not reach tol {quad.tol:g} for the ball d={m.d} "

@@ -89,6 +89,9 @@ _WG = np.array([
 _X01 = 0.5 + 0.5 * np.concatenate([-_XK, _XK[-2::-1]])
 _W01_K = 0.5 * np.concatenate([_WK, _WK[-2::-1]])
 _W01_G = 0.5 * np.concatenate([_WG, _WG[::-1]])
+# logs are shifted by their row's top before exp; a row of -inf, whose own top
+# would give -inf - (-inf) = NaN, takes this floor and stays -inf
+_LOWEST = -np.finfo(float).max
 
 
 def _panel_logs(log_f, seg, lo, hi, riders: int = 0):
@@ -99,27 +102,25 @@ def _panel_logs(log_f, seg, lo, hi, riders: int = 0):
     One log_f call per batch: seg[:, None] against the (m, 21) nodes,
     returning (m, c, 21).  A panel where exp(log_f) vanishes sums to 0 and
     gets -inf.  The weighted sums are einsum loops, not BLAS products, so a
-    panel's value does not depend on where it sits in the batch.
+    panel's value does not depend on where it sits in the batch.  Runs, with
+    log_f, under log_integrate_batch's np.errstate.
     """
     width = hi - lo
     lf = log_f(seg[:, None], lo[:, None] + width[:, None] * _X01)
     k = lf.shape[1] - riders
-    top = lf.max(axis=-1)
-    safe = np.where(top == NEG_INF, 0.0, top)
+    safe = np.maximum(np.maximum.reduce(lf, axis=-1), _LOWEST)
     e = np.exp(lf - safe[..., None])
-    with np.errstate(divide="ignore"):
-        scale = safe + np.log(width)[:, None]
-        return (np.log(np.einsum("...j,j->...", e[:, :k, 1::2], _W01_G)) + scale[:, :k],
-                np.log(np.einsum("...j,j->...", e, _W01_K)) + scale)
+    scale = safe + np.log(width)[:, None]
+    return (np.log(np.einsum("...j,j->...", e[:, :k, 1::2], _W01_G)) + scale[:, :k],
+            np.log(np.einsum("...j,j->...", e, _W01_K)) + scale)
 
 
 def _log_abs_diff(la, lb):
     """log|exp(la) - exp(lb)| elementwise, tolerant of -inf."""
     big = np.maximum(la, lb)
-    small = np.minimum(la, lb)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = big + np.log(np.abs(np.expm1(small - big)))
-    return np.where(small == NEG_INF, big, out)
+    out = big + np.log(np.abs(np.expm1(np.minimum(la, lb) - big)))
+    # out <= big, and out is NaN only where both are -inf: fmin gives big there
+    return np.fmin(out, big)
 
 
 def _segment_reduce(values, ids, n_out):
@@ -127,23 +128,23 @@ def _segment_reduce(values, ids, n_out):
 
     values has shape (m, w): each column of an id is reduced alone, in row
     order, so an id's result depends on its own rows only.  The sums go
-    through flat ids, which keeps the one-dimensional fast path of ufunc.at.
+    through flat ids: bincount adds in row order, as ufunc.at does.
     Runs under log_integrate_batch's np.errstate (ln 0 = -inf).
     """
     w = values.shape[1]
-    flat_ids = (ids[:, None] * w + np.arange(w)).ravel()
+    flat_ids = ((ids * w)[:, None] + np.arange(w)).ravel()
     flat = values.ravel()
-    top = np.full(n_out * w, NEG_INF)
+    top = np.empty(n_out * w)
+    top.fill(NEG_INF)
     np.maximum.at(top, flat_ids, flat)
-    acc = np.zeros(n_out * w)
-    safe = np.where(top == NEG_INF, 0.0, top)
+    safe = np.maximum(top, _LOWEST)
     # a -inf row adds exp(-inf) = 0; an id's top row adds 1, so only an id
     # with no finite row sums to 0, and its ln 0 = -inf
-    np.add.at(acc, flat_ids, np.exp(flat - safe[flat_ids]))
-    lse = safe + np.log(acc)
+    lse = safe + np.log(np.bincount(flat_ids, np.exp(flat - safe[flat_ids]), n_out * w))
     return lse.reshape(n_out, w), top.reshape(n_out, w)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                         riders: int = 0):
     """Integrate exp(log_f) for n integrals at once.
@@ -165,6 +166,8 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
     Raises QuadratureError, with .segment set to the failing integral, if
     any integral needs more than _MAX_PANELS panels or more than
     _MAX_ROUNDS rounds of bisection.
+    Runs, with log_f and the helpers above, under one np.errstate: ln 0 is
+    -inf and a difference of two -inf is NaN, both without a warning.
     """
     # the integrals still refined, and for each panel its integral's place
     # among them
@@ -182,27 +185,26 @@ def log_integrate_batch(log_f, at, lo, hi, n: int, cfg: QuadratureConfig = DEFAU
         return np.concatenate([high, _log_abs_diff(low, high[:, :k])], axis=1)
 
     p_val = with_errors(low, high)
-    total = np.full((n, n_comp), NEG_INF)
-    error = np.full((n, n_comp), NEG_INF)
     log_tol = math.log(cfg.tol)
     for rounds in range(_MAX_ROUNDS + 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sums, tops = _segment_reduce(p_val, p_at, len(active))
-            seg_total, seg_err = sums[:, :n_comp], sums[:, n_comp:]
-            judged_total = seg_total[:, :k]
-            bad = seg_err > judged_total + log_tol
-        bad &= judged_total != NEG_INF
-        still = bad.any(axis=1)
-        if not still.any():
+        sums, tops = _segment_reduce(p_val, p_at, len(active))
+        seg_total, seg_err = sums[:, :n_comp], sums[:, n_comp:]
+        judged_total = seg_total[:, :k]
+        bad = (seg_err > judged_total + log_tol) & (judged_total != NEG_INF)
+        if rounds:
+            # an integral still refined is written again when it leaves
             total[active] = seg_total
             error[active, :k] = seg_err
+        else:
+            # round 0 reduces every integral, in order: its sums are the results
+            total = seg_total
+            error = (np.concatenate([seg_err, np.full((n, riders), NEG_INF)], axis=1)
+                     if riders else seg_err)
+        if not np.count_nonzero(bad):
             return total, error
-        done = ~still
-        total[active[done]] = seg_total[done]
-        error[active[done], :k] = seg_err[done]
+        still = bad.any(axis=1)
         if rounds == _MAX_ROUNDS:
-            with np.errstate(invalid="ignore"):
-                rel = np.where(judged_total != NEG_INF, np.exp(seg_err - judged_total), 0.0)
+            rel = np.where(judged_total != NEG_INF, np.exp(seg_err - judged_total), 0.0)
             rel = rel.max(axis=1)
             over = int(rel.argmax())
             raise QuadratureError("quadrature did not converge within the round budget",

@@ -353,8 +353,17 @@ def centered_max_radial(m: PowerLawMeasure, f: RadialProfile, c: float,
 
 
 def _shift_constants(beta: float) -> tuple[float, float]:
-    """(4 * 6^(beta/2), 2 * 6^(beta/2)): the shift constant for all r and for r <= 1/sqrt(5)."""
-    return 4.0 * 6.0 ** (beta / 2.0), 2.0 * 6.0 ** (beta / 2.0)
+    """(4 * 6^(beta/2), 2 * 6^(beta/2)): the shift constant for all r and for r <= 1/sqrt(5);
+    past the double range, an OverflowError naming beta and the log, without commas."""
+    try:
+        c = 4.0 * 6.0 ** (beta / 2.0)
+    except OverflowError:  # the power raises; 4 times a double rounds to inf
+        c = math.inf
+    if c == math.inf:
+        log_c = math.log(4.0) + beta / 2.0 * math.log(6.0)
+        raise OverflowError(f"the shift constant 4 * 6^(beta/2) = exp({log_c:.6g}) at beta = "
+                            f"{beta} is past the double range")
+    return c, 2.0 * 6.0 ** (beta / 2.0)
 
 
 def certified_shift_constant(m: PowerLawMeasure) -> float:

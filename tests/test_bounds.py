@@ -225,4 +225,4 @@ def test_cp_rejects_nan_p_naming_its_inputs():
     # NaN slips through a "p < 1" check, with no message naming it
     with pytest.raises(ValueError) as exc:
         cp_lower_bound(4, 0.7, math.nan)
-    assert str(exc.value) == "p must be >= 1, got p = nan (d = 4, alpha = 0.7)"
+    assert str(exc.value) == "p must be >= 1: got p = nan at d = 4 alpha = 0.7"

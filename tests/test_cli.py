@@ -363,12 +363,22 @@ def test_overflow_is_an_error_row(tmp_path, capsys, argv, bad_d, n_bad, good_d):
     assert len(bad) == n_bad and all(r["error"] for r in bad)
     assert len(good) == len(rows) - len(bad)
     assert all(r["error"] == "" and r["passed"] == "true" for r in good), good
+    # each message names the quantity, its log, d or beta, and no layer
+    for r in bad:
+        assert "," not in r["error"] and "in logs" not in r["error"], r["error"]
     if argv[0] == "weaktype":
-        # the window's message names ln lambda, d and beta, and no layer
         for r in bad:
             assert r["error"].startswith("the level-set window for ln lambda = ")
             assert "at d = 3 beta = 2.99 is past the double range" in r["error"]
-            assert "," not in r["error"] and "in logs" not in r["error"]
+    elif argv[0] == "bounds-lower":
+        # the log column is filled before the linear value overflows
+        assert bad[0]["error"] == ("the DeltaExact certificate = exp(2616.38) at d = 20000 "
+                                   "beta = 10000.0 is past the double range")
+        assert float(bad[0]["ln_exact_over_d"]) == pytest.approx(2616.38 / 20000, rel=1e-5)
+        assert bad[0]["delta_exact"] == ""
+    else:
+        assert bad[0]["error"] == ("the shift constant 4 * 6^(beta/2) = exp(897.266) at "
+                                   "beta = 1000.0 is past the double range")
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,6 +32,7 @@ def test_all_matches_the_public_surface(name):
 
 
 ZERO = RadialProfile((0.0, 1.0), (0.0,))
+HUGE = RadialProfile((0.0, 1.0), (1.7e308,))
 # (call, today's wording, the part that names the bad input)
 BAD_INPUTS = [
     (lambda: bounds.delta_lower_bound(1, 0.0),
@@ -53,6 +54,12 @@ BAD_INPUTS = [
      "profile is a.e. zero", "got max f = 0.0 at d = 3 beta = 0.5"),
     (lambda: maximal1d.default_lambda_grid(PowerLawMeasure(3, 0.5), ZERO),
      "profile is a.e. zero", "got max f = 0.0 at d = 3 beta = 0.5"),
+    (lambda: maximal1d.default_lambda_grid(PowerLawMeasure(3, 0.5), HUGE),
+     "max f = 1.7e+308", "at d = 3 beta = 0.5: its levels"),
+    (lambda: maximal1d.level_sets(PowerLawMeasure(3, 0.5), HUGE, []),
+     "need at least one lambda", "at d = 3 beta = 0.5"),
+    (lambda: bounds.cp_lower_bound(4, 0.7, 0.5),
+     "p must be >= 1", "got p = 0.5 at d = 4 alpha = 0.7"),
     (lambda: RadialProfile((0.0, 1.0, 2.0), (1.0, 2.0, 3.0)),
      "need one more breakpoint than values", "got 3 breakpoints for 3 values"),
     (lambda: RadialProfile((1.0,), ()), "profile needs at least one piece", "got t_0 = 1.0"),

@@ -348,9 +348,9 @@ def test_level_set_domain():
     # each error names the first bad level, d and beta
     with pytest.raises(ValueError, match=r"got lambda = 0\.0 at d = 1 beta = 0\.0"):
         level_sets(LEB, CHI01, [0.0])
-    with pytest.raises(ValueError, match=r"need at least one lambda at d = 1, beta = 0\.0"):
+    with pytest.raises(ValueError, match=r"need at least one lambda at d = 1 beta = 0\.0"):
         level_sets(LEB, CHI01, [])
-    with pytest.raises(ValueError, match=r"need at least one lambda at d = 1, beta = 0\.0"):
+    with pytest.raises(ValueError, match=r"need at least one lambda at d = 1 beta = 0\.0"):
         weak_type_quotient_1d(LEB, CHI01, np.empty(0))
     for bad in (math.nan, math.inf, -1.0):
         pattern = rf"got lambda = {bad!r} at d = 1 beta = 0\.0"

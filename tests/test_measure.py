@@ -487,6 +487,49 @@ def test_flat_panel_layout_changes_no_bit(seed):
     assert all(v != empty for (v, _), k in zip(blocks, counts) if k)
 
 
+
+def _spike_panels_by_piece(edges, h):
+    """measure._spike_panels as its docstring reads, one piece at a time."""
+    at, lo, hi = [], [], []
+    for r, row in enumerate(edges):
+        for a, b in zip(row[:-1], row[1:]):
+            w = b - a
+            k = math.ceil(w / h)
+            for i in range(k):
+                at.append(r)
+                lo.append(a + w * (i / k))
+                hi.append(b if i + 1 == k else a + w * ((i + 1) / k))
+    return at, lo, hi
+
+
+@st.composite
+def _piece_rows(draw):
+    """(edges, h): rows of sorted piece edges with zero-width pieces, pieces
+    exactly k h wide (h a power of two, the edges on its grid) and pieces of
+    any width, so the rows get different panel counts."""
+    h = draw(st.sampled_from([0.125, 0.25, 1.0]) | st.floats(0.01, 2.0))
+    n_pieces = draw(st.integers(1, 6))
+    width = st.one_of(st.just(0.0), st.integers(1, 5).map(lambda k: k * h), st.floats(0.0, 4.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        start = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0))
+        widths = draw(st.lists(width, min_size=n_pieces, max_size=n_pieces))
+        rows.append(start + np.cumsum([0.0, *widths]))
+    return np.array(rows), h
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_piece_rows())
+def test_spike_panels_match_the_piece_by_piece_layout(case):
+    # the first panels of every row, by float.hex, as a plain loop over its
+    # pieces lays them out
+    edges, h = case
+    at, lo, hi = measure._spike_panels(edges, h)
+    want_at, want_lo, want_hi = _spike_panels_by_piece(edges, h)
+    assert [int(i) for i in at] == want_at
+    assert [float(x).hex() for x in lo] == [x.hex() for x in want_lo]
+    assert [float(x).hex() for x in hi] == [x.hex() for x in want_hi]
+
 def _with_work(run):
     """(run(), work): (integrand calls, nodes) of each log_integrate_batch run
     of the ball measures, in order."""

@@ -299,6 +299,8 @@ def test_ball_values_do_not_depend_on_the_batch(seed, n):
     vals = np.maximum(f.values, 1e-300)
     for batch in (lambda c, R: radial._ball_averages_batch(m, f, c, R, quad),
                   lambda c, R: measure._batched_shell_logs(m, c, R, shell, [1.0], quad),
+                  # whole balls: no sphere to cross
+                  lambda c, R: measure._batched_shell_logs(m, c, R, [0.0, math.inf], [1.0], quad),
                   # with the sphere components riding on the judged ones
                   lambda c, R: measure._batched_shell_logs(m, c, R, f.breakpoints, vals, quad,
                                                            parts=4)):
@@ -608,6 +610,11 @@ def test_certified_shift_constant():
     )
     with pytest.raises(ValueError):
         certified_shift_constant(PowerLawMeasure(4, 3.0))
+    # 6^(beta/2) is a double at beta = 791 but 4 times it is not; at 1000 the
+    # power itself overflows: both raise, naming beta and the log
+    for beta, log_c in ((791.0, "710.027"), (1000.0, "897.266")):
+        with pytest.raises(OverflowError, match=rf"= exp\({log_c}\) at beta = {beta} is past"):
+            certified_shift_constant(PowerLawMeasure(2 * int(beta), beta))
 
 
 # ---------------------------------------------------------------------------
