@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from .measure import (
     BallSpec,
     PowerLawMeasure,
+    _linear,
     log_ball_offcenter,
     log_intersection_with_centered,
 )
@@ -66,12 +67,8 @@ class BoundCertificate:
 
     @property
     def value(self) -> float:
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:  # no commas: the CLI writes this into a CSV cell
-            raise OverflowError(f"the {self.method.value} certificate = exp({self.log_value:.6g}) "
-                                f"at d = {self.d} beta = {self.exponent} is past the double range"
-                                ) from None
+        return _linear(self.log_value, PowerLawMeasure(self.d, self.exponent),
+                       f"the {self.method.value} certificate", hint="")
 
 
 def _log_delta_exact(d: int, alpha_d: float) -> float:

@@ -194,12 +194,15 @@ def _cmd_verify_shift(args) -> int:
         try:
             m = msr.PowerLawMeasure(d, alpha)
             ratios = msr.shift_condition_ratios(m, rs, args.quad)
-            c_prime, c_small = rad._shift_constants(alpha)
+            # the ratio columns first: they stay finite where a shift constant overflows
             row.update(
                 sup_ratio=float(ratios.max()),
                 r_argmax=float(rs[int(ratios.argmax())]),
                 sup_ratio_small_r=float(ratios[small].max()) if small.any() else None,
                 ratio_at_r1=float(ratios[-1]),
+            )
+            c_prime, c_small = rad._shift_constants(alpha)
+            row.update(
                 certified_c=c_prime,
                 certified_c_plus_1=c_prime + 1.0,
                 small_r_c=c_small,

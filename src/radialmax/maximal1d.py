@@ -39,11 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import PowerLawMeasure, _grid_points
+from .measure import PowerLawMeasure, _grid_points, _linear
 from .specfun import NEG_INF, _log_piece_table, _log_power_interval, _log_ratio, _step_terms
 
 __all__ = [
-    "WeightedLineMeasure",
     "RadialProfile",
     "GridConfig",
     "LevelSetResult",
@@ -57,7 +56,8 @@ __all__ = [
 ]
 
 
-# the old name of the record, which perfbench/workloads.py and the acceptance tests construct
+# the old name of the record, left out of __all__: it stays only because
+# perfbench/workloads.py and the acceptance tests construct it
 WeightedLineMeasure = PowerLawMeasure
 
 
@@ -97,18 +97,9 @@ class RadialProfile:
         return cls((0.0, float(r)), (1.0,))
 
     @classmethod
-    def from_pairs(cls, pairs) -> "RadialProfile":
-        """Build from (t_i, v_i) rows: v_i holds on (t_{i-1}, t_i], t_0 = 0."""
-        bp = [0.0]
-        vals = []
-        for t, v in pairs:
-            bp.append(float(t))
-            vals.append(float(v))
-        return cls(tuple(bp), tuple(vals))
-
-    @classmethod
     def from_text(cls, text: str) -> "RadialProfile":
-        pairs = []
+        """Build from 't_i v_i' lines ('#' starts a comment): v_i on (t_{i-1}, t_i], t_0 = 0."""
+        bp, vals = [0.0], []
         for ln in text.splitlines():
             ln = ln.split("#", 1)[0].strip()
             if not ln:
@@ -116,10 +107,11 @@ class RadialProfile:
             parts = ln.split()
             if len(parts) != 2:
                 raise ValueError(f"profile line needs 't v', got: {ln!r}")
-            pairs.append((float(parts[0]), float(parts[1])))
-        if not pairs:
+            bp.append(float(parts[0]))
+            vals.append(float(parts[1]))
+        if not vals:
             raise ValueError("empty profile file")
-        return cls.from_pairs(pairs)
+        return cls(tuple(bp), tuple(vals))
 
     def value_at(self, t):
         """f0(t), vectorized; pieces are left-open right-closed."""
@@ -148,23 +140,6 @@ class RadialProfile:
         return RadialProfile(self.breakpoints, tuple(factor * v for v in self.values))
 
 
-def _log_l1(m: PowerLawMeasure, f: RadialProfile) -> float:
-    """ln of the profile's L1 norm under gamma0; -inf for an a.e. zero profile."""
-    terms = _step_terms(m.homogeneity, f.breakpoints, f.values)
-    return float(np.logaddexp.reduce(terms.log_v[1:-1] + terms.log_g, axis=0))
-
-
-def _linear(log_value, m: PowerLawMeasure, what: str,
-            hint: str = "; weak_type_quotient_* work in logs") -> float:
-    """exp(log_value); past the double range, an OverflowError naming the
-    inputs without commas, then the hint."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise OverflowError(f"{what} = exp({float(log_value):.6g}) at d = {m.d} beta = {m.beta} "
-                            f"is past the double range{hint}") from None
-
-
 def gamma0_interval(m: PowerLawMeasure, a: float, b: float) -> float:
     """gamma0(a, b) = (b^p - a^p)/p with p = d - beta; 0 when a == b."""
     if not 0 <= a <= b < math.inf:
@@ -177,7 +152,7 @@ def gamma0_interval(m: PowerLawMeasure, a: float, b: float) -> float:
 
 def profile_l1_norm(m: PowerLawMeasure, f: RadialProfile) -> float:
     """L1 norm of the profile under gamma0."""
-    return _linear(_log_l1(m, f), m,
+    return _linear(_step_terms(m.homogeneity, f.breakpoints, f.values).log_l1, m,
                    f"||f||_1 on ({f.breakpoints[0]}, {f.breakpoints[-1]})")
 
 
@@ -205,7 +180,7 @@ def _log_uncentered_max_grid(m: PowerLawMeasure, f: RadialProfile, xs) -> np.nda
     """
     xs = _grid_points(xs, m, "M^u f", "x")
     p = m.homogeneity
-    _, lt, v, lv, _, _, _ = _step_terms(p, f.breakpoints, f.values)
+    _, lt, v, lv, _, _, _, _ = _step_terms(p, f.breakpoints, f.values)
     n = len(f.values)
     table = _log_piece_table(p, f.breakpoints, f.values)
     # t_k lies between pieces k and k + 1; by the drag argument a left end
@@ -276,7 +251,7 @@ def _level_extents(m: PowerLawMeasure, f: RadialProfile, lambdas):
     """
     p = m.homogeneity
     lam = np.asarray(lambdas, dtype=float)[:, None]
-    _, lt, v, _, _, _, lg = _step_terms(p, f.breakpoints, f.values)  # v[k] on piece k
+    _, lt, v, _, _, _, lg, _ = _step_terms(p, f.breakpoints, f.values)  # v[k] on piece k
     n = len(lg)
     anchor = np.arange(n + 1)
     r = anchor[:, None]
@@ -367,7 +342,7 @@ def _check_levels(m: PowerLawMeasure, f: RadialProfile, lambdas) -> tuple[np.nda
     lambdas = _grid_points(lambdas, m, "a level set", "lambda")
     if lambdas.size == 0:
         raise ValueError(f"need at least one lambda at d = {m.d} beta = {m.beta}")
-    log_l1 = _log_l1(m, f)
+    log_l1 = _step_terms(m.homogeneity, f.breakpoints, f.values).log_l1
     if log_l1 == NEG_INF:
         raise ValueError(f"profile is a.e. zero: got max f = {max(f.values)!r} "
                          f"at d = {m.d} beta = {m.beta}")
@@ -427,7 +402,7 @@ def _grid_level_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas, points: 
     p = m.homogeneity
     terms = _step_terms(p, f.breakpoints, f.values)
     t_n = f.breakpoints[-1]
-    log_T = (np.logaddexp(p * terms.log_t[-1], math.log(p * window_scale) + _log_l1(m, f)
+    log_T = (np.logaddexp(p * terms.log_t[-1], math.log(p * window_scale) + terms.log_l1
                           - log_lambdas.min()) / p + math.log1p(1e-12))
     T = _linear(log_T, m, f"the level-set window for ln lambda = {log_lambdas.min():g}", hint="")
     # geometric grid down to where the cumulative gamma0-mass is negligible

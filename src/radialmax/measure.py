@@ -77,6 +77,17 @@ def _grid_points(x, m: PowerLawMeasure, what: str, symbol: str, with_zero: bool 
     raise ValueError(f"{got} at d = {m.d} beta = {m.beta}")
 
 
+def _linear(log_value, m: PowerLawMeasure, what: str,
+            hint: str = "; weak_type_quotient_* work in logs") -> float:
+    """exp(log_value); past the double range, an OverflowError naming the
+    inputs without commas, then the hint."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OverflowError(f"{what} = exp({float(log_value):.6g}) at d = {m.d} beta = {m.beta} "
+                            f"is past the double range{hint}") from None
+
+
 @dataclass(frozen=True)
 class BallSpec:
     """A closed euclidean ball reduced by rotation invariance.
@@ -169,7 +180,7 @@ def _ray_log_integrand(m: PowerLawMeasure, C, RR, bp, values, tangent: bool, par
     p = m.homogeneity
     d = m.d
     key = (p, bp, values)
-    bp, log_bp, _, lv, o, t_cross, _ = _step_terms(*key)
+    bp, log_bp, _, lv, o, t_cross, _, _ = _step_terms(*key)
     n = len(t_cross)
     table = _log_piece_table(*key) if n else None
     angles, FAR, NEAR = (_crossing_angles(C[:, None], RR[:, None], t_cross, tangent) if n

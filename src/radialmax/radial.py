@@ -29,13 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maximal1d import (
-    GridConfig,
-    RadialProfile,
-    _check_levels,
-    _grid_level_logs,
-    _log_l1,
-)
+from .maximal1d import GridConfig, RadialProfile, _check_levels, _grid_level_logs
 from .measure import (
     BallSpec,
     PowerLawMeasure,
@@ -295,11 +289,11 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, rho, limit,
         keep = _holds_max(*br[_YA:_UO])
         p, br = pt[left[keep]], br[:, keep]
     gain_tol = _GAIN_SHARE * quad.tol
-    for _ in range(_SEARCH_ROUNDS):
+    for j in range(_SEARCH_ROUNDS + 1):
         with np.errstate(**_QUIET):
             gain = _tangent_gain(*br[:_UO]) - best[p]
             open_ = gain > gain_tol
-            if not open_.any():
+            if j == _SEARCH_ROUNDS or not open_.any():
                 break
             p, br = p[open_], br[:, open_]
             br[_UT] = _trial_point(*br[:_UT])
@@ -311,9 +305,6 @@ def _radius_supremum(m: PowerLawMeasure, f: RadialProfile, cs, rho, limit,
             in_lo, in_hi = _holds_max(*br[_HALVES])
         hi = np.where(in_lo == in_hi, br[_YB] > br[_YA], in_hi)
         br[:_UT] = np.where(hi, br[_HALF_HI], br[_HALF_LO])
-    else:
-        with np.errstate(**_QUIET):
-            gain = _tangent_gain(*br[:_UO]) - best[p]
     log_gap = np.zeros(len(cs))
     np.maximum.at(log_gap, p, gain)
     return best, log_gap
@@ -383,12 +374,10 @@ def certified_shift_constant(m: PowerLawMeasure) -> float:
 
 
 def _window_shift_constant(m: PowerLawMeasure, quad: QuadratureConfig) -> float:
-    try:
+    if m.beta <= m.d / 2:
         return certified_shift_constant(m)
-    except ValueError:
-        # measured stand-in: grid supremum of the shift ratio with headroom
-        sup = float(shift_condition_ratios(m, np.linspace(1e-3, 1.0, 64), quad).max())
-        return 1.5 * sup
+    # no certificate: the grid supremum of the shift ratio with headroom
+    return 1.5 * float(shift_condition_ratios(m, np.linspace(1e-3, 1.0, 64), quad).max())
 
 
 def weak_type_quotient_radial(m: PowerLawMeasure, f: RadialProfile, lambdas,
@@ -418,7 +407,8 @@ def _weak_type_quotient_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas,
     # average max f, M(t) = max f, with no quadrature.
     t_n = f.positive_support()[1]
     vmax = max(f.values)
-    log_vmax = _step_terms(m.homogeneity, f.breakpoints, f.values).log_v.max()
+    terms = _step_terms(m.homogeneity, f.breakpoints, f.values)
+    log_vmax = terms.log_v.max()
 
     def lower_fn(ts):
         out = np.full(len(ts), log_vmax)
@@ -428,5 +418,5 @@ def _weak_type_quotient_logs(m: PowerLawMeasure, f: RadialProfile, log_lambdas,
 
     log_mu, _ = _grid_level_logs(m, f, log_lambdas, cfg.level_grid.points, cfg.quad.tol,
                                  max_fn, C + 1.0, lower_fn)
-    return math.exp(float((log_lambdas + log_mu).max()) - _log_l1(m, f))
+    return math.exp(float((log_lambdas + log_mu).max()) - terms.log_l1)
 

@@ -100,6 +100,7 @@ class _StepTerms(NamedTuple):
     o: int                      # the breakpoints at the origin
     t_cross: np.ndarray         # the breakpoints in (0, inf), bp[o:o + len(t_cross)]
     log_g: np.ndarray | None    # ln gamma0(t_{k-1}, t_k), k = 1..K; None with no t_cross
+    log_l1: float | None        # ln ||f||_1 = ln sum_k v_k gamma0(t_{k-1}, t_k); None with log_g
 
 
 # Both record caches hold 64 profiles, enough for the reuse inside one case and across
@@ -108,9 +109,9 @@ class _StepTerms(NamedTuple):
 # would only speed up the benchmark's repeated passes, and no real sweep repeats so.
 @functools.lru_cache(maxsize=64)
 def _step_terms(p: float, bp: tuple, values: tuple) -> _StepTerms:
-    """The one place where a step function's ln t_k, ln v_k and piece measures
-    ln gamma0(t_{k-1}, t_k) = ln((t_k^p - t_{k-1}^p)/p) are formed, the last only
-    with a breakpoint in (0, inf).  Read-only: the cache hands every call the same arrays."""
+    """The one place where a step function's ln t_k, ln v_k, piece measures ln gamma0(t_{k-1},
+    t_k) = ln((t_k^p - t_{k-1}^p)/p) and ln ||f||_1 are formed, the last two only with a
+    breakpoint in (0, inf).  Read-only: the cache hands every call the same arrays."""
     # bp and the zero-padded values share one array, and their logs another
     k = len(bp)
     both = np.array((*bp, 0.0, *values, 0.0))
@@ -121,12 +122,14 @@ def _step_terms(p: float, bp: tuple, values: tuple) -> _StepTerms:
     # bp ascends, so the breakpoints at the origin and those in (0, inf) are two runs
     o, end = bisect.bisect_right(bp, 0.0), bisect.bisect_left(bp, math.inf)
     bp, log_t = both[:k], logs[:k]
-    log_g = None
+    log_g = log_l1 = None
     if end > o:
         b, log_b = bp[1:], log_t[1:]
         log_g = _log_power_interval(p, log_b, _log_ratio(log_t[:-1], b, log_b, b - bp[:-1]))
         log_g.setflags(write=False)
-    return _StepTerms(bp, log_t, both[k:], logs[k:], o, bp[o:end], log_g)
+        # -inf for an a.e. zero profile
+        log_l1 = float(np.logaddexp.reduce(logs[k + 1:-1] + log_g))
+    return _StepTerms(bp, log_t, both[k:], logs[k:], o, bp[o:end], log_g, log_l1)
 
 
 @functools.lru_cache(maxsize=64)

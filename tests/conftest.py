@@ -132,7 +132,7 @@ def rect_log_uncentered_max(m, f, xs):
     """
     xs = np.asarray(xs, dtype=float)
     p = m.homogeneity
-    _, lt, v, lv, _, _, _ = _step_terms(p, f.breakpoints, f.values)
+    _, lt, v, lv, _, _, _, _ = _step_terms(p, f.breakpoints, f.values)
     n = len(f.values)
     table = _log_piece_table(p, f.breakpoints, f.values)
     left = np.flatnonzero(v[:-1] <= v[1:])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from radialmax import cli
 from radialmax.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _emit, main
 from radialmax.maximal1d import (
     GridConfig,
@@ -167,7 +168,7 @@ def test_weaktype_lebesgue_decreasing_below_four(tmp_path):
         assert r["passed"] == "true"
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds-lower"])  # missing required --d
     assert exc.value.code == EXIT_USAGE
@@ -177,6 +178,12 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["bounds-lower", "--d", "twelve"])
     assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
+    # a range that runs down holds no dimension
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds-lower", "--d", "5..2"])
+    assert exc.value.code == EXIT_USAGE
+    assert "empty dimension range" in capsys.readouterr().err
 
 
 def test_csv_cell_with_comma_stays_one_cell(tmp_path):
@@ -235,7 +242,8 @@ def test_maximal1d_eval_bad_profile_exits_usage(tmp_path, capsys):
     # one-line message before anything is evaluated
     prof = tmp_path / "profile.txt"
     out = tmp_path / "out.csv"
-    for text in ("10 nan\n", "nan 1\n", "10 -1\n"):
+    # a line of three fields and a file of comments only are bad input too
+    for text in ("10 nan\n", "nan 1\n", "10 -1\n", "1 2 3\n", "# t v\n\n  # none\n"):
         prof.write_text(text)
         rc = main(["maximal1d-eval", "--profile", str(prof), "--d", "400", "--beta", "0",
                    "--x", "5,10,12", "--out", str(out)])
@@ -251,7 +259,8 @@ def test_maximal1d_eval_bad_arguments_exit_usage(tmp_path, capsys):
     prof = tmp_path / "profile.txt"
     prof.write_text("5 1\n")
     out = tmp_path / "out.csv"
-    for beta, xs in (("5", "1"), ("0", "1,abc"), ("0", "nan"), ("0", "1,inf"), ("0", "-1")):
+    for beta, xs in (("5", "1"), ("0", "1,abc"), ("0", "nan"), ("0", "1,inf"), ("0", "-1"),
+                     ("0", ",")):
         rc = main(["maximal1d-eval", "--profile", str(prof), "--d", "3", "--beta", beta,
                    "--x", xs, "--out", str(out)])
         assert rc == EXIT_USAGE, xs
@@ -379,6 +388,30 @@ def test_overflow_is_an_error_row(tmp_path, capsys, argv, bad_d, n_bad, good_d):
     else:
         assert bad[0]["error"] == ("the shift constant 4 * 6^(beta/2) = exp(897.266) at "
                                    "beta = 1000.0 is past the double range")
+        # the ratio columns are filled before the shift constant overflows
+        for col in ("sup_ratio", "r_argmax", "sup_ratio_small_r", "ratio_at_r1"):
+            assert math.isfinite(float(bad[0][col])), col
+        assert bad[0]["certified_c"] == ""
+
+
+def test_verify_shift_past_d_half_leaves_passed_empty(tmp_path):
+    # beta = 3 > d/2 at d = 4: the ratios and constants are printed, the row
+    # is flagged by alpha_within_d_half, and nothing is checked
+    rc, _, rows = run_csv(tmp_path, ["verify-shift", "--d", "4", "--alpha", "3"])
+    assert rc == EXIT_OK
+    r = rows[0]
+    assert r["error"] == "" and r["passed"] == "" and r["alpha_within_d_half"] == "false"
+    assert float(r["sup_ratio"]) > 0 and float(r["certified_c"]) == 4.0 * 6.0 ** 1.5
+
+
+def test_a_failed_check_exits_one(tmp_path, monkeypatch):
+    # no run within the bounds fails a check, so take away the rounding
+    # slack: every bound then reads 0, each row fails and the run exits 1
+    monkeypatch.setattr(cli, "_PASS_SLACK", 0.0)
+    rc, _, rows = run_csv(tmp_path, ["verify-shift", "--d", "8", "--alpha", "1",
+                                     "--r-points", "8"])
+    assert rc == EXIT_CHECK_FAILED
+    assert rows[0]["error"] == "" and rows[0]["passed"] == "false"
 
 
 @pytest.mark.parametrize("argv", [

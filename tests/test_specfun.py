@@ -251,6 +251,13 @@ def test_step_records_are_read_only_and_shared():
     assert _log_piece_table(p, tuple(list(bp)), tuple(np.array(values))) is table
     assert _step_terms(p, (0.0, math.inf), (1.0,)) is shell
     # the shell around the origin crosses no sphere, so it has no piece measure
+    # and no L1 norm
     assert shell.log_g is None and shell.t_cross.size == 0 and shell.o == 1
+    assert shell.log_l1 is None
     assert terms.o == 1 and terms.t_cross.tolist() == [0.5, 1.0, 2.0]
     assert terms.v.tolist() == [0.0, 1.0, 0.0, 3.0, 0.0]
+    # ln ||f||_1 = ln sum_k v_k (t_k^p - t_{k-1}^p) / p, from math alone
+    l1 = sum(v * (b ** p - a ** p) / p for a, b, v in zip(bp, bp[1:], values))
+    assert isinstance(terms.log_l1, float)
+    assert terms.log_l1 == pytest.approx(math.log(l1), rel=1e-15, abs=1e-15)
+    assert _step_terms(p, (0.0, 1.0, 2.0), (0.0, 0.0)).log_l1 == -math.inf
